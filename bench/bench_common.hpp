@@ -74,22 +74,6 @@ inline unsigned bench_jobs() {
   return 0;
 }
 
-/// Node-shard threads per simulated round: AMBB_NODE_JOBS if set (0 =
-/// auto: hardware threads / run-level pool size), default 1 = serial
-/// rounds. Byte-identical measurement fields for every value — the CI
-/// perf_smoke lane diffs an AMBB_NODE_JOBS=4 pass against the committed
-/// golden to prove it.
-inline unsigned bench_node_jobs() {
-  if (const char* e = std::getenv("AMBB_NODE_JOBS")) {
-    const long v = std::strtol(e, nullptr, 10);
-    if (v >= 0) {
-      return engine::resolve_node_jobs(static_cast<unsigned>(v),
-                                       engine::resolve_jobs(bench_jobs()));
-    }
-  }
-  return 1;
-}
-
 /// Record one engine outcome into the bench state (call in submission
 /// order — recording is what pins the printed/serialized order).
 inline const RunResult& record_outcome(const engine::JobOutcome& out) {
@@ -140,9 +124,7 @@ RunResult timed_checked(const std::string& label, Fn&& run,
 inline Job registry_job(const std::string& proto, const CommonParams& p,
                         std::string label, bool allow_stall) {
   const ProtocolInfo& info = protocol(proto);
-  CommonParams q = p;
-  q.node_jobs = bench_node_jobs();
-  return Job{std::move(label), [&info, q] { return info.run(q); },
+  return Job{std::move(label), [&info, p] { return info.run(p); },
              allow_stall};
 }
 

@@ -47,8 +47,7 @@ void run_scaling() {
   std::vector<Job> jobs;
 
   // The n=128/256 rows are new with the zero-copy hot path (DESIGN.md
-  // §14); n=512 is new with node-sharded rounds (§15) — serial it was a
-  // ~minute-scale run, sharded it fills the machine.
+  // §14); n=512 is a ~minute-scale run.
   const std::vector<std::uint32_t> alg4_ns =
       sweep({24u, 32u, 48u, 64u, 128u, 256u, 512u});
   Series alg4{"Alg.4 (mixed adv, eps=0.2)", 0.7, 1.6, {}, {}};

@@ -39,8 +39,8 @@
 # counting operator-new hooks). The sched suite (event-queue scheduler,
 # delay policies, timing faults — DESIGN.md §16) rides both sanitizer
 # lanes too: the pending-delivery queue holds payload copies across
-# rounds and is filled from the sharded delivery phase, exactly the
-# lifetime + threading mix the sanitizers exist to check.
+# rounds and its registry runs execute on the engine worker pool, exactly
+# the lifetime + threading mix the sanitizers exist to check.
 #
 # The perf_smoke stage is the measurement-drift gate for the zero-copy
 # hot path: it runs bench_f2_scaling in AMBB_F2_SMOKE=1 mode (one small-n
@@ -48,12 +48,6 @@
 # field against the committed BENCH_f2_scaling.json by run label
 # (scripts/check_bench_fields.py). Wall-clock and ns_* fields are
 # excluded: the gate catches semantic drift, not machine noise.
-#
-# Both the tsan and perf_smoke stages additionally run an AMBB_NODE_JOBS=4
-# axis (node-sharded rounds, DESIGN.md §15): the shard-labelled
-# byte-identity suite under TSan, and a second smoke bench pass diffed
-# against the same committed golden — proving --node-jobs never moves a
-# measured number.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,13 +89,6 @@ tsan() {
   echo "== tsan: ctest -L 'engine|ext|arena|sched' =="
   # halt_on_error promotes any race report to a test failure.
   TSAN_OPTIONS="halt_on_error=1" ctest --preset tsan -j "$jobs"
-  echo "== tsan: node-jobs axis (AMBB_NODE_JOBS=4) =="
-  # Second pass over the shard suite with a pinned shard count: the
-  # byte-identity comparisons rerun with 4-way sharded rounds under TSan,
-  # racing the worker pool, the trace router, and every thread_local
-  # cache on the actor path.
-  TSAN_OPTIONS="halt_on_error=1" AMBB_NODE_JOBS=4 \
-    ctest --preset tsan -L shard -j "$jobs"
 }
 
 asan() {
@@ -128,17 +115,7 @@ perf_smoke() {
   echo "== perf_smoke: measurement-field diff vs committed golden =="
   python3 scripts/check_bench_fields.py \
       BENCH_f2_scaling.json "$dir/BENCH_f2_scaling.json"
-  echo "== perf_smoke: node-jobs axis (AMBB_NODE_JOBS=4) =="
-  # Same smoke rows with 4-way sharded rounds: every measurement field
-  # must still match the committed golden byte-for-byte (the sharding
-  # determinism claim, checked end-to-end through the bench path).
-  local dir4
-  dir4="$(mktemp -d)"
-  (cd "$dir4" && AMBB_F2_SMOKE=1 AMBB_NODE_JOBS=4 \
-      "$OLDPWD/build/bench/bench_f2_scaling" --benchmark_filter='^$')
-  python3 scripts/check_bench_fields.py \
-      BENCH_f2_scaling.json "$dir4/BENCH_f2_scaling.json"
-  rm -rf "$dir" "$dir4"
+  rm -rf "$dir"
 }
 
 case "$stage" in

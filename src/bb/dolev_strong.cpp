@@ -231,7 +231,7 @@ RunResult run_dolev_strong(const DsConfig& cfg) {
   KeyRegistry registry(cfg.n, cfg.seed);
   MultiSigScheme msig(registry);
   CommitLog commits(cfg.n);
-  commits.presize(cfg.slots);  // sharded-round safety: no lazy regrow
+  commits.presize(cfg.slots);  // no lazy regrow mid-run
   CostLedger ledger(kind_names());
 
   Context ctx;
@@ -255,9 +255,7 @@ RunResult run_dolev_strong(const DsConfig& cfg) {
   };
   Sim sim(cfg.n, cfg.f, &ledger,
           CostPolicy{ctx.wire, ctx.sched, ctx.use_multisig});
-  // Actors emit through the sim's router so sharded rounds can buffer
-  // worker-thread events and replay them in deterministic order.
-  ctx.trace = sim.actor_sink(cfg.trace);
+  ctx.trace = cfg.trace;
   for (NodeId v = 0; v < cfg.n; ++v) {
     sim.set_actor(v, std::make_unique<DsNode>(v, &ctx));
   }
@@ -282,7 +280,6 @@ RunResult run_dolev_strong(const DsConfig& cfg) {
   }
   SimConfig<Msg> sc;
   sc.trace = cfg.trace;
-  sc.node_jobs = cfg.node_jobs;
   sc.net = net;
   sc.adversary = adversary.get();
   sim.configure(sc);

@@ -157,13 +157,10 @@ struct DsConfig {
   std::uint32_t kappa_bits = kDefaultKappaBits;
   std::uint32_t value_bits = kDefaultValueBits;
   std::string adversary = "none";  // none | silent | equivocate | stagger
-  /// Optional event sink, not owned (see src/trace/).
-  /// Honest-phase shard threads per round (0 = auto, 1 = serial;
-  /// byte-identical results for every value — DESIGN.md §15).
-  std::uint32_t node_jobs = 1;
   /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
   /// "bounded:<delta>" | "async[:<cap>]".
   std::string net = "lockstep";
+  /// Optional event sink, not owned (see src/trace/).
   trace::TraceSink* trace = nullptr;
   std::function<Value(Slot)> input_for_slot;
   std::function<NodeId(Slot)> sender_of;

@@ -268,7 +268,7 @@ RunResult run_hotstuff_demo(const HsConfig& cfg) {
   KeyRegistry registry(cfg.n, cfg.seed);
   ThresholdScheme th(registry, cfg.n - cfg.f);
   CommitLog commits(cfg.n);
-  commits.presize(cfg.slots);  // sharded-round safety: no lazy regrow
+  commits.presize(cfg.slots);  // no lazy regrow mid-run
   CostLedger ledger(kind_names());
 
   Context ctx;
@@ -291,9 +291,7 @@ RunResult run_hotstuff_demo(const HsConfig& cfg) {
   };
   Sim sim(cfg.n, std::max<std::uint32_t>(cfg.f, 1), &ledger,
           CostPolicy{ctx.wire, ctx.sched});
-  // Actors emit through the sim's router so sharded rounds can buffer
-  // worker-thread events and replay them in deterministic order.
-  ctx.trace = sim.actor_sink(cfg.trace);
+  ctx.trace = cfg.trace;
   for (NodeId v = 0; v < cfg.n; ++v) {
     sim.set_actor(v, std::make_unique<HsNode>(v, &ctx));
   }
@@ -321,7 +319,6 @@ RunResult run_hotstuff_demo(const HsConfig& cfg) {
   }
   SimConfig<Msg> sc;
   sc.trace = cfg.trace;
-  sc.node_jobs = cfg.node_jobs;
   sc.net = net;
   sc.adversary = adversary.get();
   sim.configure(sc);

@@ -1003,8 +1003,7 @@ RunResult run_linear(const LinearConfig& cfg) {
   Graph expander = build_expander(cfg.n, cfg.eps, cfg.seed ^ 0xE0A11DE5ULL);
 
   CommitLog commits(cfg.n);
-  // presize, not reserve: sharded rounds record() from worker threads into
-  // disjoint cells, which must never trigger the lazy regrow.
+  // presize, not reserve: record() must never trigger the lazy regrow.
   commits.presize(cfg.slots);
   CostLedger ledger(kind_names());
   ledger.reserve_slots(cfg.slots + 1);
@@ -1036,9 +1035,7 @@ RunResult run_linear(const LinearConfig& cfg) {
     return static_cast<NodeId>((s - 1) % n);
   };
   Sim sim(cfg.n, cfg.f, &ledger, CostPolicy{ctx.wire, ctx.sched});
-  // Actors emit through the sim's router so sharded rounds can buffer
-  // worker-thread events and replay them in deterministic order.
-  ctx.trace = sim.actor_sink(cfg.trace);
+  ctx.trace = cfg.trace;
   for (NodeId v = 0; v < cfg.n; ++v) {
     sim.set_actor(v, std::make_unique<LinearNode>(v, &ctx));
   }
@@ -1050,7 +1047,6 @@ RunResult run_linear(const LinearConfig& cfg) {
                                   cfg.seed ^ 0xAD7E25A1ULL, total_rounds, net);
   SimConfig<Msg> sc;
   sc.trace = cfg.trace;
-  sc.node_jobs = cfg.node_jobs;
   sc.net = net;
   sc.adversary = adversary.get();
   sim.configure(sc);

@@ -386,15 +386,12 @@ struct LinearConfig {
   std::uint32_t value_bits = kDefaultValueBits;
   Options opts;
   std::string adversary = "none";
-  /// Optional event sink, not owned (see src/trace/). Attaching a sink
-  /// never changes the run.
-  /// Honest-phase shard threads per round (0 = auto, 1 = serial;
-  /// byte-identical results for every value — DESIGN.md §15).
-  std::uint32_t node_jobs = 1;
   /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
   /// "bounded:<delta>" | "async[:<cap>]". The run seed is mixed in per
   /// run (make_net_policy), so the execution stays seed-deterministic.
   std::string net = "lockstep";
+  /// Optional event sink, not owned (see src/trace/). Attaching a sink
+  /// never changes the run.
   trace::TraceSink* trace = nullptr;
   /// Optional overrides; defaults: round-robin sender, hash-like inputs.
   std::function<Value(Slot)> input_for_slot;

@@ -262,7 +262,7 @@ RunResult run_phase_king(const PkConfig& cfg) {
   AMBB_CHECK_MSG(3 * cfg.f < cfg.n, "phase king requires f < n/3");
 
   CommitLog commits(cfg.n);
-  commits.presize(cfg.slots);  // sharded-round safety: no lazy regrow
+  commits.presize(cfg.slots);  // no lazy regrow mid-run
   CostLedger ledger(kind_names());
 
   Context ctx;
@@ -284,9 +284,7 @@ RunResult run_phase_king(const PkConfig& cfg) {
   };
   Sim sim(cfg.n, cfg.f == 0 ? 1 : cfg.f, &ledger,
           CostPolicy{ctx.wire, ctx.sched});
-  // Actors emit through the sim's router so sharded rounds can buffer
-  // worker-thread events and replay them in deterministic order.
-  ctx.trace = sim.actor_sink(cfg.trace);
+  ctx.trace = cfg.trace;
   for (NodeId v = 0; v < cfg.n; ++v) {
     sim.set_actor(v, std::make_unique<PkNode>(v, &ctx, nullptr, cfg.seed));
   }
@@ -311,7 +309,6 @@ RunResult run_phase_king(const PkConfig& cfg) {
   }
   SimConfig<Msg> sc;
   sc.trace = cfg.trace;
-  sc.node_jobs = cfg.node_jobs;
   sc.net = net;
   sc.adversary = adversary.get();
   sim.configure(sc);

@@ -175,7 +175,7 @@ RunResult run_quadratic(const QuadConfig& cfg) {
 
   KeyRegistry registry(cfg.n, cfg.seed);
   CommitLog commits(cfg.n);
-  commits.presize(cfg.slots);  // sharded-round safety: no lazy regrow
+  commits.presize(cfg.slots);  // no lazy regrow mid-run
   CostLedger ledger(kind_names());
 
   Context ctx;
@@ -196,9 +196,7 @@ RunResult run_quadratic(const QuadConfig& cfg) {
     return static_cast<NodeId>((s - 1) % n);
   };
   Sim sim(cfg.n, cfg.f, &ledger, CostPolicy{ctx.wire, ctx.sched});
-  // Actors emit through the sim's router so sharded rounds can buffer
-  // worker-thread events and replay them in deterministic order.
-  ctx.trace = sim.actor_sink(cfg.trace);
+  ctx.trace = cfg.trace;
   for (NodeId v = 0; v < cfg.n; ++v) {
     sim.set_actor(v, std::make_unique<QuadNode>(v, &ctx));
   }
@@ -210,7 +208,6 @@ RunResult run_quadratic(const QuadConfig& cfg) {
                           total_rounds, net);
   SimConfig<Msg> sc;
   sc.trace = cfg.trace;
-  sc.node_jobs = cfg.node_jobs;
   sc.net = net;
   sc.adversary = adversary.get();
   sim.configure(sc);

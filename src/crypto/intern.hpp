@@ -18,9 +18,9 @@
 // Threading: DigestCache::local() is thread-local (one cache per
 // worker thread), and KeyRegistry's MAC memo lives in a thread-local
 // VerifyCache keyed on the registry uid (cleared when a thread switches
-// registries) — node-sharded rounds share one registry across worker
-// threads, so the cache cannot live inside the registry itself. No
-// locks, no sharing, race-free under any --jobs / --node-jobs setting.
+// registries) — concurrent engine jobs may share one registry across
+// worker threads, so the cache cannot live inside the registry itself.
+// No locks, no sharing, race-free under any --jobs setting.
 #pragma once
 
 #include <array>

@@ -46,9 +46,9 @@ KeyRegistry::KeyRegistry(std::uint32_t n, std::uint64_t master_seed) : n_(n) {
 
 Digest KeyRegistry::cached_mac(std::uint32_t owner, const PrfKey& key,
                                std::uint64_t domain, const Digest& d) const {
-  // The MAC memo is per-thread, keyed on the registry uid: node-sharded
-  // rounds drive one registry from several worker threads at once, so a
-  // shared member cache would race, and keying on uid (rather than
+  // The MAC memo is per-thread, keyed on the registry uid: the registry
+  // stays immutable after construction, so any thread may read it without
+  // a race, and keying on uid (rather than
   // folding it into the cache key) guarantees a thread that switches
   // registries can never be served a MAC computed under different keys —
   // the whole cache is dropped instead.

@@ -77,9 +77,8 @@ class KeyRegistry {
   // are memoized: in a broadcast run every recipient re-verifies the same
   // signature, and only the first verification pays for the HMAC. The
   // memo is a thread-local VerifyCache keyed on uid() (see cached_mac),
-  // NOT a member: node-sharded rounds call sign/verify on one registry
-  // from several worker threads concurrently, and a shared mutable member
-  // would race (DESIGN.md §14–15).
+  // NOT a member: the registry stays immutable after construction, so
+  // any thread may call sign/verify on it without a race (DESIGN.md §14).
 };
 
 }  // namespace ambb

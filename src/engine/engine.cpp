@@ -11,15 +11,6 @@ unsigned resolve_jobs(unsigned requested) {
   return hw == 0 ? 1u : hw;
 }
 
-unsigned resolve_node_jobs(unsigned requested, unsigned run_jobs) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return 1u;
-  const unsigned rj = run_jobs == 0 ? 1u : run_jobs;
-  const unsigned nj = hw / rj;
-  return nj == 0 ? 1u : nj;
-}
-
 std::vector<JobOutcome> Engine::run(const std::vector<Job>& jobs) const {
   return parallel_map(jobs.size(), jobs_, [&](std::size_t i) {
     const Job& job = jobs[i];

@@ -40,15 +40,6 @@ namespace ambb::engine {
 /// hardware thread" (at least 1 if the runtime cannot tell).
 unsigned resolve_jobs(unsigned requested);
 
-/// Per-run node-shard count for a requested --node-jobs value, given the
-/// engine's run-level worker count. An explicit request is honored as-is
-/// (the caller asked for that many threads per run); 0 means "auto": fill
-/// the machine without oversubscribing, i.e. hardware threads divided by
-/// the run-level pool size, at least 1. Total thread budget is therefore
-/// ~run_jobs * node_jobs in either case, by explicit request or by
-/// construction.
-unsigned resolve_node_jobs(unsigned requested, unsigned run_jobs);
-
 /// Run fn(i) for i in [0, count) on `jobs` workers and return the results
 /// in index order. fn must be safe to call concurrently for DISTINCT
 /// indices; the engine never calls the same index twice. Exceptions are

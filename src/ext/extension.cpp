@@ -149,7 +149,6 @@ RunResult run_base(const ExtConfig& cfg, Slot base_slots,
     b.value_bits = cfg.kappa_bits;  // digests and digest-fp votes
     b.opts = linear::Options::paper();
     b.adversary = "none";
-    b.node_jobs = cfg.node_jobs;
     b.net = cfg.net;
     b.trace = cfg.trace;
     b.input_for_slot = input_for_slot;
@@ -165,7 +164,6 @@ RunResult run_base(const ExtConfig& cfg, Slot base_slots,
     b.kappa_bits = cfg.kappa_bits;
     b.value_bits = cfg.kappa_bits;
     b.adversary = "none";
-    b.node_jobs = cfg.node_jobs;
     b.net = cfg.net;
     b.trace = cfg.trace;
     b.input_for_slot = input_for_slot;
@@ -182,7 +180,6 @@ RunResult run_base(const ExtConfig& cfg, Slot base_slots,
     b.kappa_bits = cfg.kappa_bits;
     b.value_bits = cfg.kappa_bits;
     b.adversary = "none";
-    b.node_jobs = cfg.node_jobs;
     b.net = cfg.net;
     b.trace = cfg.trace;
     b.input_for_slot = input_for_slot;
@@ -255,9 +252,6 @@ RunResult run_extension(const ExtConfig& cfg) {
   // ---- Phase 1: chunk dispersal (2 lock-step rounds per slot). ----
   CostLedger ledger(kind_names());
   Sim sim(cfg.n, cfg.f, &ledger, CostPolicy{ctx.wire});
-  // Actors emit through the sim's router so sharded rounds can buffer
-  // worker-thread events and replay them in deterministic order.
-  ctx.trace = sim.actor_sink(cfg.trace);
   for (NodeId v = 0; v < cfg.n; ++v) {
     sim.set_actor(v, std::make_unique<ExtNode>(v, &ctx));
   }
@@ -282,7 +276,6 @@ RunResult run_extension(const ExtConfig& cfg) {
   }
   SimConfig<Msg> sc;
   sc.trace = cfg.trace;
-  sc.node_jobs = cfg.node_jobs;
   sc.net = net;
   sc.adversary = adversary.get();
   sim.configure(sc);

@@ -162,9 +162,6 @@ struct ExtConfig {
   /// ("sched:..." / "fuzz[:k]"). The base phase always runs
   /// adversary-free; the final corrupt set is the dispersal phase's.
   std::string adversary = "none";
-  /// Honest-phase shard threads per round (0 = auto, 1 = serial;
-  /// byte-identical results for every value — DESIGN.md §15).
-  std::uint32_t node_jobs = 1;
   /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
   /// "bounded:<delta>" | "async[:<cap>]". Applies to the dispersal sim
   /// AND is forwarded to the nested base-family run.

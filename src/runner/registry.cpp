@@ -29,7 +29,6 @@ RunResult run_linear_with(const RunRequest& rq, linear::Options opts) {
   cfg.value_bits = p.value_bits;
   cfg.opts = opts;
   cfg.adversary = p.adversary;
-  cfg.node_jobs = p.node_jobs;
   cfg.net = p.net;
   cfg.trace = rq.trace;
   return run_linear(cfg);
@@ -113,7 +112,6 @@ std::vector<ProtocolInfo> build() {
         cfg.kappa_bits = p.kappa_bits;
         cfg.value_bits = p.value_bits;
         cfg.adversary = p.adversary;
-        cfg.node_jobs = p.node_jobs;
         cfg.net = p.net;
         cfg.trace = rq.trace;
         return run_quadratic(cfg);
@@ -136,7 +134,6 @@ std::vector<ProtocolInfo> build() {
     cfg.kappa_bits = p.kappa_bits;
     cfg.value_bits = p.value_bits;
     cfg.adversary = p.adversary;
-    cfg.node_jobs = p.node_jobs;
     cfg.net = p.net;
     cfg.trace = rq.trace;
     return run_dolev_strong(cfg);
@@ -177,7 +174,6 @@ std::vector<ProtocolInfo> build() {
         cfg.kappa_bits = p.kappa_bits;
         cfg.value_bits = p.value_bits;
         cfg.adversary = p.adversary;
-        cfg.node_jobs = p.node_jobs;
         cfg.net = p.net;
         cfg.trace = rq.trace;
         return run_phase_king(cfg);
@@ -230,7 +226,6 @@ std::vector<ProtocolInfo> build() {
             cfg.eps = p.eps;
             cfg.base = base;
             cfg.adversary = p.adversary;
-            cfg.node_jobs = p.node_jobs;
             cfg.net = p.net;
             cfg.trace = rq.trace;
             return ext::run_extension(cfg);
@@ -262,7 +257,6 @@ std::vector<ProtocolInfo> build() {
         cfg.kappa_bits = p.kappa_bits;
         cfg.value_bits = p.value_bits;
         cfg.adversary = p.adversary;
-        cfg.node_jobs = p.node_jobs;
         cfg.net = p.net;
         cfg.trace = rq.trace;
         return run_hotstuff_demo(cfg);

@@ -33,11 +33,6 @@ struct CommonParams {
   /// layer translates a nonzero payload into value_bits = 8 * payload
   /// (the value travels inline), so the same axis prices both designs.
   std::uint64_t payload_bytes = 0;
-  /// Threads for the honest-node phase of each simulated round (DESIGN.md
-  /// §15). 1 = serial; 0 = one per hardware thread; results are
-  /// byte-identical for every value. Composes with the engine's run-level
-  /// --jobs as a multiplier on total threads (engine::resolve_node_jobs).
-  std::uint32_t node_jobs = 1;
   /// Network delay policy (DESIGN.md §16): "lockstep" (classic synchronous
   /// delivery, the default — byte-identical to the pre-scheduler engine),
   /// "bounded:<delta>" (partial synchrony, seeded extra delays up to delta

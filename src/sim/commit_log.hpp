@@ -27,10 +27,9 @@ class CommitLog {
     flat_.reserve(static_cast<std::size_t>(max_slot + 1) * n_);
   }
 
-  /// Materialize all cells for slots [0, max_slot] up front. Required
-  /// before node-sharded rounds: worker threads record() into disjoint
-  /// (slot, node) cells concurrently, which is race-free only if no call
-  /// can trigger the lazy resize below (a resize moves every cell).
+  /// Materialize all cells for slots [0, max_slot] up front, so no
+  /// record() during the run can trigger the lazy resize below (a resize
+  /// moves every cell).
   void presize(Slot max_slot) {
     const std::size_t need = static_cast<std::size_t>(max_slot + 1) * n_;
     if (need > flat_.size()) flat_.resize(need);

@@ -23,16 +23,6 @@
 // the former eager-copy representation enumerated envelopes, so erase
 // indices (and therefore seeded adversary decisions) are unchanged.
 //
-// Node-sharded rounds (DESIGN.md §15): with SimConfig::node_jobs = W > 1
-// the honest-actor phase of step() fans out over a persistent ShardPool.
-// Each worker runs a contiguous range of the ascending honest-id order
-// into a private TrafficLog shard (own arena) and a private trace-event
-// buffer; the main thread then merges shards in shard order, which IS
-// ascending node-id order — so record order, delivery bases, erase
-// indices, charge order, and JSONL traces are byte-identical to the
-// serial loop. Byzantine/rushing, adversary, accounting, and delivery
-// phases stay serial: they are cheap and order-sensitive.
-//
 // Event-queue scheduler (DESIGN.md §16): delivery is driven by a
 // deterministic event queue parameterized by a NetPolicy
 // (sim/net_policy.hpp). Under the default lockstep policy the queue
@@ -50,12 +40,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <exception>
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -65,7 +52,6 @@
 #include "common/types.hpp"
 #include "sim/cost.hpp"
 #include "sim/net_policy.hpp"
-#include "sim/shard_pool.hpp"
 #include "sim/stats.hpp"
 #include "trace/trace.hpp"
 
@@ -166,13 +152,10 @@ class TrafficLog {
 /// is by design (the cursor makes sequential scans O(1) amortized); the
 /// consequence for the experiment engine (src/engine/) is its isolation
 /// rule: concurrent jobs must each own their own Simulation and must
-/// never share one, nor any TrafficView derived from one. Node-sharded
-/// rounds respect the same contract from the inside: honest actors get a
-/// default-constructed (empty) view, and the rushing/adversary views are
-/// only built in the serial phases — no populated view ever crosses a
-/// worker-thread boundary. Passing a COPY of a view to another thread
-/// would be safe (each copy carries a private cursor; the static_assert
-/// below keeps copies trivial), but sharing one instance is not.
+/// never share one, nor any TrafficView derived from one. Passing a COPY
+/// of a view to another thread would be safe (each copy carries a private
+/// cursor; the static_assert below keeps copies trivial), but sharing one
+/// instance is not.
 template <typename Msg>
 class TrafficView {
  public:
@@ -314,61 +297,11 @@ class Adversary {
   }
 };
 
-/// Function-object accounting policy. Kept as the default Simulation
-/// policy for toy harnesses and tests; protocol drivers define concrete
-/// policy structs with inlineable members instead (the policy is evaluated
-/// once per traffic record — once per multicast, once per unicast — never
-/// per delivery).
-template <typename Msg>
-struct Accounting {
-  std::function<std::uint64_t(const Msg&)> size_bits;
-  std::function<MsgKind(const Msg&)> kind;
-  std::function<Slot(const Msg&, Round sent_round)> slot;
-};
-
-/// Trace fan-in for node-sharded rounds. Actors always emit through one
-/// sink pointer (ProtocolContext::trace); when the honest phase runs on
-/// worker threads, events must not hit the real (single-threaded) sink
-/// concurrently — and must still come out in serial-equivalent order. The
-/// router solves both: a worker binds a thread-local buffer for the
-/// duration of its shard, so its actors' events are captured privately by
-/// value (Event::detail is a string literal, safe to copy); the main
-/// thread replays the buffers in shard order into the downstream sink
-/// during the merge. Off-shard emissions (serial phases, node_jobs == 1,
-/// driver-level events) find no bound buffer and pass straight through.
-class ActorTraceRouter final : public trace::TraceSink {
- public:
-  void set_downstream(trace::TraceSink* sink) { downstream_ = sink; }
-  trace::TraceSink* downstream() const { return downstream_; }
-
-  void on_event(const trace::Event& e) override {
-    if (std::vector<trace::Event>* buf = bound_buffer()) {
-      buf->push_back(e);
-      return;
-    }
-    downstream_->on_event(e);
-  }
-
-  /// Capture this thread's emissions into `buf` (nullptr = pass-through).
-  /// Callers must unbind before the buffer dies.
-  static void bind_buffer(std::vector<trace::Event>* buf) {
-    bound_buffer() = buf;
-  }
-
- private:
-  static std::vector<trace::Event>*& bound_buffer() {
-    thread_local std::vector<trace::Event>* buf = nullptr;
-    return buf;
-  }
-
-  trace::TraceSink* downstream_ = nullptr;
-};
-
 /// Everything a Simulation needs beyond its constructor arguments, in
 /// one order-insensitive value. Apply with Simulation::configure() after
 /// installing the honest actors and before the first step(); an
 /// unconfigured Simulation runs with the defaults below (untraced,
-/// serial, lockstep, no adversary).
+/// lockstep, no adversary).
 template <typename Msg>
 struct SimConfig {
   /// Trace sink (may be nullptr = untraced). The simulator emits one
@@ -377,9 +310,6 @@ struct SimConfig {
   /// initial corruptions, so those are traced too. Pure observation:
   /// the execution is bit-identical with or without a sink.
   trace::TraceSink* trace = nullptr;
-  /// Honest-phase shard count: 1 = serial rounds, 0 = one shard per
-  /// hardware thread; results are byte-identical for every value.
-  unsigned node_jobs = 1;
   /// Message-delay policy (sim/net_policy.hpp). Drivers build it with
   /// make_net_policy(spec, run_seed) so the bounded draw is seeded.
   NetPolicy net{};
@@ -388,7 +318,11 @@ struct SimConfig {
   Adversary<Msg>* adversary = nullptr;
 };
 
-template <typename Msg, typename Policy = Accounting<Msg>>
+/// `Policy` prices messages: size_bits(m), kind(m) and slot(m, sent_round).
+/// Each protocol driver supplies a concrete struct with inlineable
+/// members; step() evaluates it once per traffic record (once per
+/// multicast, once per unicast), never per delivery.
+template <typename Msg, typename Policy>
 class Simulation final : CorruptionCtl<Msg> {
  public:
   Simulation(std::uint32_t n, std::uint32_t f, CostLedger* ledger,
@@ -415,22 +349,15 @@ class Simulation final : CorruptionCtl<Msg> {
   }
 
   /// Apply the full run configuration in one order-insensitive call —
-  /// THE setup entry point (trace sink, node sharding, delay policy,
-  /// adversary). Must run before the first step() and at most once: the
-  /// scheduler's determinism argument assumes the policy and shard count
-  /// never change mid-run.
+  /// THE setup entry point (trace sink, delay policy, adversary). Must
+  /// run before the first step() and at most once: the scheduler's
+  /// determinism argument assumes the policy never changes mid-run.
   void configure(const SimConfig<Msg>& cfg) {
     AMBB_CHECK_MSG(!configured_ && round_ == 0,
                    "Simulation::configure: must be called at most once, "
                    "before the first step()");
     configured_ = true;
     trace_ = cfg.trace;
-    unsigned jobs = cfg.node_jobs;
-    if (jobs == 0) {
-      jobs = std::thread::hardware_concurrency();
-      if (jobs == 0) jobs = 1;
-    }
-    node_jobs_ = jobs;
     net_ = cfg.net;
     adversary_ = cfg.adversary;
     if (adversary_ != nullptr) {
@@ -438,24 +365,8 @@ class Simulation final : CorruptionCtl<Msg> {
     }
   }
 
-  unsigned node_jobs() const { return node_jobs_; }
-
   /// The delay policy in force.
   const NetPolicy& net() const override { return net_; }
-
-  /// The sink actors (ProtocolContext::trace) must emit through. Safe to
-  /// call BEFORE configure() — drivers need the pointer while
-  /// constructing actors, before the shard count is known — because it
-  /// always routes through the fan-in router: during sharded rounds a
-  /// worker thread's events land in its bound buffer for the
-  /// deterministic merge, and everywhere else (serial rounds, driver
-  /// code, node_jobs == 1) they pass straight through to `downstream`.
-  /// Returns nullptr when `downstream` is null, so untraced runs skip
-  /// event construction entirely.
-  trace::TraceSink* actor_sink(trace::TraceSink* downstream) {
-    actor_router_.set_downstream(downstream);
-    return downstream == nullptr ? nullptr : &actor_router_;
-  }
 
   Round now() const { return round_; }
 
@@ -506,13 +417,9 @@ class Simulation final : CorruptionCtl<Msg> {
 
     // 1. Honest actors act on their inboxes.
     auto t0 = Clock::now();
-    if (node_jobs_ > 1) {
-      run_honest_sharded();
-    } else {
-      for (NodeId v : honest_ids_) {
-        RoundApi<Msg> api(v, n_, &cur_);
-        actors_[v]->on_round(round_, inbox_of(v), TrafficView<Msg>{}, api);
-      }
+    for (NodeId v : honest_ids_) {
+      RoundApi<Msg> api(v, n_, &cur_);
+      actors_[v]->on_round(round_, inbox_of(v), TrafficView<Msg>{}, api);
     }
     const std::size_t honest_deliveries = cur_.deliveries();
     auto t1 = Clock::now();
@@ -707,80 +614,6 @@ class Simulation final : CorruptionCtl<Msg> {
   }
 
  private:
-  /// Per-worker private state for one sharded honest phase. The log has
-  /// its own arena, so workers never contend on an allocator; events are
-  /// buffered by value (Event is self-contained: detail is a literal).
-  struct Shard {
-    TrafficLog<Msg> log;
-    std::vector<trace::Event> events;
-    std::size_t first = 0;  ///< range [first, last) into honest_ids_
-    std::size_t last = 0;
-    std::exception_ptr error;
-  };
-
-  /// Sharded form of phase 1. Equivalence argument: honest_ids_ is
-  /// ascending and is split into contiguous ranges, one per shard, so
-  /// concatenating the shard logs in shard order visits actors in exactly
-  /// the serial order. Re-adding each record through cur_ recomputes the
-  /// delivery bases against the merged counter, reproducing the serial
-  /// bases — everything downstream (erase indices, charging, delivery,
-  /// rushing views) reads cur_ and cannot tell the difference.
-  void run_honest_sharded() {
-    const std::size_t h = honest_ids_.size();
-    const unsigned w = node_jobs_;
-    if (shards_.size() != w) shards_.resize(w);
-    if (pool_ == nullptr) pool_ = std::make_unique<ShardPool>(w);
-    const std::size_t chunk = (h + w - 1) / w;
-    for (unsigned s = 0; s < w; ++s) {
-      shards_[s].first = std::min(static_cast<std::size_t>(s) * chunk, h);
-      shards_[s].last =
-          std::min(static_cast<std::size_t>(s + 1) * chunk, h);
-    }
-    pool_->run(&Simulation::shard_entry, this);
-    // First error in shard order, so a throwing actor fails the run
-    // deterministically regardless of worker scheduling. The round's
-    // partial traffic is dropped with the exception.
-    for (Shard& sh : shards_) {
-      if (sh.error) std::rethrow_exception(sh.error);
-    }
-    trace::TraceSink* downstream = actor_router_.downstream();
-    for (Shard& sh : shards_) {
-      if (downstream != nullptr) {
-        for (const trace::Event& ev : sh.events) downstream->on_event(ev);
-      }
-      for (const auto& rec : sh.log.records()) {
-        if (rec.is_multicast()) {
-          cur_.add_multicast(rec.from, rec.msg);
-        } else {
-          cur_.add_unicast(rec.from, rec.to, rec.msg);
-        }
-      }
-    }
-  }
-
-  static void shard_entry(void* ctx, unsigned shard) {
-    static_cast<Simulation*>(ctx)->run_shard(shard);
-  }
-
-  void run_shard(unsigned s) {
-    Shard& sh = shards_[s];
-    sh.error = nullptr;
-    sh.log.reset(n_);
-    sh.events.clear();
-    const bool buffer_trace = actor_router_.downstream() != nullptr;
-    if (buffer_trace) ActorTraceRouter::bind_buffer(&sh.events);
-    try {
-      for (std::size_t i = sh.first; i < sh.last; ++i) {
-        const NodeId v = honest_ids_[i];
-        RoundApi<Msg> api(v, n_, &sh.log);
-        actors_[v]->on_round(round_, inbox_of(v), TrafficView<Msg>{}, api);
-      }
-    } catch (...) {
-      sh.error = std::current_exception();
-    }
-    if (buffer_trace) ActorTraceRouter::bind_buffer(nullptr);
-  }
-
   std::span<const Delivery<Msg>> inbox_of(NodeId v) const {
     return std::span<const Delivery<Msg>>(inboxes_[v].data(),
                                           inboxes_[v].size());
@@ -902,14 +735,6 @@ class Simulation final : CorruptionCtl<Msg> {
   std::vector<RoundStats> round_stats_;
   RoundStatsSummary summary_;
   trace::TraceSink* trace_ = nullptr;
-  /// Node-sharding state (all idle when node_jobs_ == 1). The pool and
-  /// shard buffers are created lazily on the first sharded round and
-  /// persist across rounds — steady-state sharded rounds allocate
-  /// nothing beyond what the serial path does.
-  unsigned node_jobs_ = 1;
-  std::unique_ptr<ShardPool> pool_;
-  std::vector<Shard> shards_;
-  ActorTraceRouter actor_router_;
 };
 
 }  // namespace ambb

@@ -11,8 +11,8 @@
 //   bounded:D     partial synchrony with bound Δ = D: the network itself
 //                 draws extra ∈ [0, Δ] per delivery, as a pure hash of
 //                 (seed, emission round, delivery index) — no sequential
-//                 RNG state, so the draw is identical for any --jobs /
-//                 --node-jobs split. Adversary-requested delays are
+//                 RNG state, so the draw is identical for any --jobs
+//                 value. Adversary-requested delays are
 //                 clamped so no delivery ever exceeds Δ.
 //   async[:C]     adversary-scheduled delivery: the network adds no
 //                 delay of its own (extra = 0 unless the adversary says

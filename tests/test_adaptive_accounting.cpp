@@ -14,6 +14,7 @@
 // (sender, recipient) delivery i in the same order the old eager fan-out
 // enumerated them (recipients 0..n-1, self included).
 #include "sim/net.hpp"
+#include "toy_policy.hpp"
 
 #include <gtest/gtest.h>
 
@@ -27,14 +28,6 @@ namespace {
 struct ToyMsg {
   int tag = 0;
 };
-
-Accounting<ToyMsg> toy_accounting() {
-  Accounting<ToyMsg> acc;
-  acc.size_bits = [](const ToyMsg&) { return std::uint64_t{100}; };
-  acc.kind = [](const ToyMsg&) { return MsgKind{0}; };
-  acc.slot = [](const ToyMsg&, Round) { return Slot{1}; };
-  return acc;
-}
 
 class ScriptActor final : public Actor<ToyMsg> {
  public:
@@ -76,7 +69,7 @@ class ScriptAdversary final : public Adversary<ToyMsg> {
 
 TEST(AdaptiveAccounting, ErasedDeliveryChargedToNobody) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(3, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(3, 1, &ledger, ToyPolicy{});
   sim.set_actor(0, std::make_unique<ScriptActor>(
                        [](Round r, auto, RoundApi<ToyMsg>& api) {
                          if (r == 0) api.send(1, ToyMsg{1});
@@ -101,7 +94,7 @@ TEST(AdaptiveAccounting, ErasedDeliveryChargedToNobody) {
 
 TEST(AdaptiveAccounting, SurvivingTrafficOfFreshlyCorruptedNodeIsAdversaryBits) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(3, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(3, 1, &ledger, ToyPolicy{});
   int node1_got = 0;
   sim.set_actor(0, std::make_unique<ScriptActor>(
                        [](Round r, auto, RoundApi<ToyMsg>& api) {
@@ -129,7 +122,7 @@ TEST(AdaptiveAccounting, SurvivingTrafficOfFreshlyCorruptedNodeIsAdversaryBits) 
 
 TEST(AdaptiveAccounting, MulticastSelfDeliveryIsFree) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(4, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(4, 1, &ledger, ToyPolicy{});
   std::vector<int> got(4, 0);
   for (NodeId v = 0; v < 4; ++v) {
     sim.set_actor(v, std::make_unique<ScriptActor>(
@@ -147,7 +140,7 @@ TEST(AdaptiveAccounting, MulticastSelfDeliveryIsFree) {
 
 TEST(AdaptiveAccounting, ErasingSelfCopyDoesNotDoubleDeduct) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(4, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(4, 1, &ledger, ToyPolicy{});
   for (NodeId v = 0; v < 4; ++v) {
     sim.set_actor(v, std::make_unique<ScriptActor>(
                          [v](Round r, auto, RoundApi<ToyMsg>& api) {
@@ -178,7 +171,7 @@ TEST(AdaptiveAccounting, ErasingSelfCopyDoesNotDoubleDeduct) {
 
 TEST(AdaptiveAccounting, EraseAddressesOneDeliveryOfASharedMulticast) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(4, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(4, 1, &ledger, ToyPolicy{});
   std::vector<int> got(4, 0);
   for (NodeId v = 0; v < 4; ++v) {
     sim.set_actor(v, std::make_unique<ScriptActor>(

@@ -14,6 +14,7 @@
 // double deduction of an erased self-copy, or a charge for a fully
 // erased record shows up as a totals mismatch.
 #include "sim/net.hpp"
+#include "toy_policy.hpp"
 
 #include <gtest/gtest.h>
 
@@ -36,14 +37,6 @@ constexpr std::uint64_t kBits = 100;
 struct ToyMsg {
   int tag = 0;
 };
-
-Accounting<ToyMsg> toy_accounting() {
-  Accounting<ToyMsg> acc;
-  acc.size_bits = [](const ToyMsg&) { return kBits; };
-  acc.kind = [](const ToyMsg&) { return MsgKind{0}; };
-  acc.slot = [](const ToyMsg&, Round) { return Slot{1}; };
-  return acc;
-}
 
 class ScriptActor final : public Actor<ToyMsg> {
  public:
@@ -147,7 +140,7 @@ CaseResult expected(const std::vector<std::size_t>& erased) {
 /// the ledger and the round-1 inboxes.
 CaseResult simulate(const std::vector<std::size_t>& erased) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(kN, kN - 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(kN, kN - 1, &ledger, ToyPolicy{kBits});
   CaseResult got;
   for (NodeId v = 0; v < kN; ++v) {
     sim.set_actor(v, std::make_unique<ScriptActor>(
@@ -244,7 +237,7 @@ TEST(EraseAccounting, ErasingAnHonestSendersDeliveryIsRejected) {
   // The threat model forbids after-the-fact removal of honest traffic;
   // the simulator enforces it with a CHECK on the record's sender.
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(kN, kN - 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(kN, kN - 1, &ledger, ToyPolicy{kBits});
   for (NodeId v = 0; v < kN; ++v) {
     sim.set_actor(v, std::make_unique<ScriptActor>(
                          [v](Round r, std::span<const Delivery<ToyMsg>>,

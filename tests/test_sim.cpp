@@ -2,9 +2,11 @@
 // order, cost charging, strongly adaptive corruption + after-the-fact
 // message removal) using a minimal toy message type.
 #include "sim/net.hpp"
+#include "toy_policy.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 namespace ambb {
@@ -13,14 +15,6 @@ namespace {
 struct ToyMsg {
   int tag = 0;
 };
-
-Accounting<ToyMsg> toy_accounting() {
-  Accounting<ToyMsg> acc;
-  acc.size_bits = [](const ToyMsg&) { return std::uint64_t{100}; };
-  acc.kind = [](const ToyMsg&) { return MsgKind{0}; };
-  acc.slot = [](const ToyMsg&, Round) { return Slot{1}; };
-  return acc;
-}
 
 /// Scriptable actor: runs a lambda each round, records its inbox.
 class ScriptActor final : public Actor<ToyMsg> {
@@ -45,7 +39,7 @@ std::unique_ptr<ScriptActor> idle() {
 
 /// Post-API-redesign shorthand: configure() is the only setup entry
 /// point; these tests only ever attach an adversary.
-void bind(Simulation<ToyMsg>& sim, Adversary<ToyMsg>* adv) {
+void bind(ToySim<ToyMsg>& sim, Adversary<ToyMsg>* adv) {
   SimConfig<ToyMsg> sc;
   sc.adversary = adv;
   sim.configure(sc);
@@ -53,7 +47,7 @@ void bind(Simulation<ToyMsg>& sim, Adversary<ToyMsg>* adv) {
 
 TEST(Simulation, MessagesArriveNextRound) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(3, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(3, 1, &ledger, ToyPolicy{});
   int got_at_round = -1;
   sim.set_actor(0, std::make_unique<ScriptActor>(
                        [](Round r, auto, auto, RoundApi<ToyMsg>& api) {
@@ -74,7 +68,7 @@ TEST(Simulation, MessagesArriveNextRound) {
 
 TEST(Simulation, MulticastReachesAllAndSelfCopyIsFree) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(4, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(4, 1, &ledger, ToyPolicy{});
   int deliveries = 0;
   for (NodeId v = 0; v < 4; ++v) {
     sim.set_actor(v, std::make_unique<ScriptActor>(
@@ -92,7 +86,7 @@ TEST(Simulation, MulticastReachesAllAndSelfCopyIsFree) {
 
 TEST(Simulation, HonestBitsVsAdversaryBits) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(3, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(3, 1, &ledger, ToyPolicy{});
 
   class Adv final : public Adversary<ToyMsg> {
    public:
@@ -119,7 +113,7 @@ TEST(Simulation, HonestBitsVsAdversaryBits) {
 
 TEST(Simulation, ByzantineActorsSeeRushedHonestTraffic) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(2, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(2, 1, &ledger, ToyPolicy{});
   bool saw_rushed = false;
 
   class Adv final : public Adversary<ToyMsg> {
@@ -148,7 +142,7 @@ TEST(Simulation, ByzantineActorsSeeRushedHonestTraffic) {
 
 TEST(Simulation, AfterTheFactRemovalErasesAndRecharges) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(3, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(3, 1, &ledger, ToyPolicy{});
   int node1_deliveries = 0;
 
   // Node 0 sends to 1 in round 0; the adversary then corrupts node 0 and
@@ -190,7 +184,7 @@ TEST(Simulation, AfterTheFactRemovalErasesAndRecharges) {
 
 TEST(Simulation, ErasingHonestTrafficIsRejected) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(2, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(2, 1, &ledger, ToyPolicy{});
 
   class Adv final : public Adversary<ToyMsg> {
    public:
@@ -218,7 +212,7 @@ TEST(Simulation, ErasingHonestTrafficIsRejected) {
 
 TEST(Simulation, CorruptionBudgetEnforced) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(3, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(3, 1, &ledger, ToyPolicy{});
 
   class Adv final : public Adversary<ToyMsg> {
    public:
@@ -241,7 +235,7 @@ TEST(Simulation, CorruptionBudgetEnforced) {
 
 TEST(Simulation, InitialCorruptionsOverBudgetThrow) {
   CostLedger ledger({"toy"});
-  Simulation<ToyMsg> sim(3, 1, &ledger, toy_accounting());
+  ToySim<ToyMsg> sim(3, 1, &ledger, ToyPolicy{});
   class Adv final : public Adversary<ToyMsg> {
    public:
     std::vector<NodeId> initial_corruptions() override { return {0, 1}; }

@@ -8,6 +8,7 @@
 #include "common/check.hpp"
 #include "sim/cost.hpp"
 #include "sim/net.hpp"
+#include "toy_policy.hpp"
 
 namespace ambb {
 namespace {
@@ -154,11 +155,7 @@ TEST(Simulation, EraseAtFanoutBoundariesRemovesExactlyOneDelivery) {
 
   const std::uint32_t n = 4;
   CostLedger ledger({"toy"});
-  Accounting<int> acct;
-  acct.size_bits = [](const int&) { return std::uint64_t{8}; };
-  acct.kind = [](const int&) { return MsgKind{0}; };
-  acct.slot = [](const int&, Round) { return Slot{1}; };
-  Simulation<int> sim(n, /*f=*/1, &ledger, acct);
+  ToySim<int> sim(n, /*f=*/1, &ledger, ToyPolicy{8});
   for (NodeId v = 0; v < n; ++v) sim.set_actor(v, std::make_unique<Silent>());
   EdgeEraser adv;
   SimConfig<int> sc;

@@ -2,8 +2,8 @@
 // registry, with the Definition 2 properties as oracles.
 //
 //   ambb_fuzz [--schedules K] [--protocol NAME] [--n N] [--slots L]
-//             [--seed S] [--jobs N] [--node-jobs N] [--net POLICY]
-//             [--out NAME] [--filter SUBSTR] [--list]
+//             [--seed S] [--jobs N] [--net POLICY] [--out NAME]
+//             [--filter SUBSTR] [--list]
 //
 //   --schedules K    schedules per protocol (default 30)
 //   --protocol NAME  fuzz only this registry protocol (default: all)
@@ -14,8 +14,6 @@
 //   --jobs N         worker threads; 0 = one per hardware thread. The
 //                    engine's determinism contract makes the table and
 //                    the json byte-identical for any value.
-//   --node-jobs N    honest-phase shard threads per run (byte-identical
-//                    for every value)
 //   --net POLICY     delay policy (DESIGN.md §16): lockstep (default) |
 //                    bounded:<delta> | async[:<cap>]. Non-lockstep
 //                    campaigns add delay/reorder timing faults to every
@@ -83,8 +81,8 @@ struct Cli {
 void usage(std::FILE* to) {
   std::fprintf(to,
                "usage: ambb_fuzz [--schedules K] [--protocol NAME] [--n N] "
-               "[--slots L] [--seed S] [--jobs N] [--node-jobs N] "
-               "[--net POLICY] [--out NAME] [--filter SUBSTR] [--list]\n");
+               "[--slots L] [--seed S] [--jobs N] [--net POLICY] "
+               "[--out NAME] [--filter SUBSTR] [--list]\n");
 }
 
 bool parse_cli(int argc, char** argv, Cli& cli) {
@@ -197,13 +195,10 @@ int main(int argc, char** argv) {
   }
 
   const engine::Engine eng(cli.common.jobs);
-  const unsigned node_jobs =
-      engine::resolve_node_jobs(cli.common.node_jobs, eng.jobs());
   const bool lockstep = cli.common.net == "lockstep";
   std::vector<engine::Job> jobs;
   jobs.reserve(fuzz_jobs.size());
-  for (auto& fj : fuzz_jobs) {
-    fj.params.node_jobs = node_jobs;
+  for (const auto& fj : fuzz_jobs) {
     // Non-lockstep campaigns relax the synchrony-conditional oracles
     // (termination + validity, see the --net doc above); consistency is
     // the hard safety oracle for every row except the registry-declared

@@ -1,17 +1,12 @@
 // ambb_sweep — run declarative experiment sweeps on the parallel engine.
 //
-//   ambb_sweep --spec FILE [--jobs N] [--node-jobs N] [--filter SUBSTR]
-//              [--out NAME] [--net POLICY] [--trace-dir DIR] [--list]
+//   ambb_sweep --spec FILE [--jobs N] [--filter SUBSTR] [--out NAME]
+//              [--net POLICY] [--trace-dir DIR] [--list]
 //
 //   --spec FILE      sweep specification (format: src/engine/sweep.hpp)
 //   --jobs N         worker threads; 0 or omitted = one per hardware
 //                    thread; 1 = serial (byte-identical results either
 //                    way — that is the engine's determinism contract)
-//   --node-jobs N    threads for the honest-node phase inside each run;
-//                    1 (default) = serial rounds, 0 = auto (hardware
-//                    threads / run-level jobs, so the two axes compose
-//                    without oversubscribing). Results are byte-identical
-//                    for every value.
 //   --filter SUBSTR  keep only jobs whose label contains SUBSTR
 //   --out NAME       write BENCH_<NAME>.json (default: sweep)
 //   --net POLICY     delay policy for blocks without their own 'net' key
@@ -53,9 +48,8 @@ struct Cli {
 
 void usage(std::FILE* to) {
   std::fprintf(to,
-               "usage: ambb_sweep --spec FILE [--jobs N] [--node-jobs N] "
-               "[--filter SUBSTR] [--out NAME] [--net POLICY] "
-               "[--trace-dir DIR] [--list]\n");
+               "usage: ambb_sweep --spec FILE [--jobs N] [--filter SUBSTR] "
+               "[--out NAME] [--net POLICY] [--trace-dir DIR] [--list]\n");
 }
 
 bool parse_cli(int argc, char** argv, Cli& cli) {
@@ -145,12 +139,8 @@ int main(int argc, char** argv) {
   }
 
   const engine::Engine eng(cli.common.jobs);
-  const unsigned node_jobs = engine::resolve_node_jobs(cli.common.node_jobs,
-                                                       eng.jobs());
-  for (auto& sj : sweep_jobs) sj.params.node_jobs = node_jobs;
-  std::printf("ambb_sweep: %zu jobs on %u worker thread%s, %u node shard%s\n",
-              sweep_jobs.size(), eng.jobs(), eng.jobs() == 1 ? "" : "s",
-              node_jobs, node_jobs == 1 ? "" : "s");
+  std::printf("ambb_sweep: %zu jobs on %u worker thread%s\n",
+              sweep_jobs.size(), eng.jobs(), eng.jobs() == 1 ? "" : "s");
 
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<engine::JobOutcome> outcomes =

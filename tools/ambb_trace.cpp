@@ -8,7 +8,7 @@
 //
 //   ambb_trace --protocol NAME [--adversary SPEC] [--n N] [--f F]
 //              [--slots L] [--seed S] [--eps E] [--payload BYTES]
-//              [--net POLICY] [--node-jobs N] [--slot K] [--jsonl FILE]
+//              [--net POLICY] [--slot K] [--jsonl FILE]
 //
 //   --protocol NAME  registry protocol (required; see protocol_explorer)
 //   --adversary SPEC named strategy or "sched:..." / "fuzz[:k]" schedule
@@ -18,7 +18,6 @@
 //   --net POLICY     delay policy (DESIGN.md §16): lockstep (default) |
 //                    bounded:<delta> | async[:<cap>] — replay a sweep or
 //                    fuzz cell under the same network it ran with
-//   --node-jobs N    honest-phase shard threads (byte-identical output)
 //   --slot K         only print the timeline of slot K (summary stays)
 //   --jsonl FILE     also dump the raw deterministic JSONL event stream
 #include <algorithm>
@@ -50,13 +49,13 @@ void usage(std::FILE* to) {
   std::fprintf(to,
                "usage: ambb_trace --protocol NAME [--adversary SPEC] "
                "[--n N] [--f F] [--slots L] [--seed S] [--eps E] "
-               "[--payload BYTES] [--net POLICY] [--node-jobs N] "
-               "[--slot K] [--jsonl FILE]\n");
+               "[--payload BYTES] [--net POLICY] [--slot K] "
+               "[--jsonl FILE]\n");
 }
 
 bool parse_cli(int argc, char** argv, Cli& cli) {
   ambb::cli::CommonFlags common;
-  common.accept = ambb::cli::kNodeJobs | ambb::cli::kNet;
+  common.accept = ambb::cli::kNet;
   ambb::cli::Parser p("ambb_trace", argc, argv);
   while (p.next()) {
     bool ok = true;
@@ -90,7 +89,6 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
       return false;
     }
   }
-  cli.params.node_jobs = common.node_jobs;
   cli.params.net = common.net;
   // Non-ext rows carry a nonzero payload inline, same mapping as the
   // sweep layer (engine/sweep.cpp). Applied after the loop so the flag

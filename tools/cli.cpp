@@ -105,10 +105,6 @@ bool handle_common_flag(Parser& p, CommonFlags* cf, bool* ok) {
     *ok = p.to_unsigned(&cf->jobs);
     return true;
   }
-  if ((cf->accept & kNodeJobs) != 0 && arg == "--node-jobs") {
-    *ok = p.to_unsigned(&cf->node_jobs);
-    return true;
-  }
   if ((cf->accept & kOut) != 0 && arg == "--out") {
     *ok = p.to_str(&cf->out);
     return true;

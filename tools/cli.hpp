@@ -2,7 +2,7 @@
 //
 // Every tool walks argv with a Parser (consistent "<tool>: <flag> needs
 // a value" / "unknown argument" error text), opts into the uniform flag
-// set via CommonFlags (--jobs, --node-jobs, --out, --filter, --net) and
+// set via CommonFlags (--jobs, --out, --filter, --net) and
 // resolves registry protocols through resolve_protocol, which prints an
 // "unknown protocol 'X', did you mean 'Y'?" suggestion plus the
 // available list instead of aborting. Tool-specific flags stay in the
@@ -65,18 +65,16 @@ class Parser {
 /// Which of the uniform flags a tool accepts.
 enum : unsigned {
   kJobs = 1u << 0,
-  kNodeJobs = 1u << 1,
-  kOut = 1u << 2,
-  kFilter = 1u << 3,
-  kNet = 1u << 4,
+  kOut = 1u << 1,
+  kFilter = 1u << 2,
+  kNet = 1u << 3,
 };
 
 /// The uniform flag set. A tool sets `accept` (and its own `out`
 /// default), then calls handle_common_flag for every argument.
 struct CommonFlags {
-  unsigned accept = kJobs | kNodeJobs | kOut | kFilter | kNet;
+  unsigned accept = kJobs | kOut | kFilter | kNet;
   unsigned jobs = 0;           ///< --jobs: 0 = one per hardware thread
-  unsigned node_jobs = 1;      ///< --node-jobs: per-run shard threads
   std::string out;             ///< --out: BENCH_<out>.json basename
   std::string filter;          ///< --filter: label substring
   std::string net = "lockstep";  ///< --net: delay policy (DESIGN.md §16)
