@@ -312,6 +312,17 @@ class ScheduledAdversary final : public Adversary<Msg> {
     }
   }
 
+  /// Erase and timing rules only act on traffic, and a round with
+  /// traffic always runs observe_round; so the only wake needed is for
+  /// the next corruption, corrupt(c, v), which fires in round c - 1.
+  Round next_wake(Round r) const override {
+    Round wake = kNeverWake;
+    for (const auto& c : sched_.corruptions) {
+      if (c.from > r + 1) wake = std::min(wake, c.from - 1);
+    }
+    return wake;
+  }
+
  private:
   struct TypedErase {
     EraseEvent ev;

@@ -297,6 +297,7 @@ RunResult run_hotstuff_demo(const HsConfig& cfg) {
   }
   const std::uint64_t total_rounds =
       static_cast<std::uint64_t>(cfg.slots) * ctx.sched.rounds_per_slot();
+  sim.reserve_rounds(total_rounds);
   const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
   std::unique_ptr<Adversary<Msg>> adversary;
   if (adversary::is_schedule_spec(cfg.adversary)) {

@@ -17,6 +17,9 @@ namespace {
 class SilentDev final : public Deviation {
  public:
   bool silent(Round) const override { return true; }
+  Round next_wake(const LinearNode&, Round, Round) const override {
+    return kNeverWake;
+  }
 };
 
 /// Corrupt leader proposes value A to the lower half of the nodes and
@@ -30,6 +33,9 @@ class EquivocateDev final : public Deviation {
     const Msg b = self.build_fresh_proposal(0xBBBB);
     for (NodeId v = 0; v < n; ++v) api.send(v, v < n / 2 ? a : b);
     return true;
+  }
+  Round next_wake(const LinearNode&, Round, Round honest) const override {
+    return honest;  // only the (gated) Propose step deviates
   }
 };
 
@@ -57,6 +63,9 @@ class SelectiveDev final : public Deviation {
     const std::uint32_t dist = (to + n - base) % n;
     return dist < span;
   }
+  Round next_wake(const LinearNode&, Round, Round honest) const override {
+    return honest;  // filters honest output only
+  }
 
  private:
   const Context* ctx_;
@@ -81,6 +90,16 @@ class FloodDev final : public Deviation {
       return;
     }
   }
+  /// extra() floods until every other node is accused (accusations
+  /// reset per slot without persistent memory, which the honest wake —
+  /// never past the next slot start — catches).
+  Round next_wake(const LinearNode& self, Round r,
+                  Round honest) const override {
+    for (NodeId w = 0; w < self.ctx().n; ++w) {
+      if (w != self.id() && !self.accused(w)) return r + 1;
+    }
+    return honest;
+  }
 };
 
 /// Runs the honest logic but drops every outgoing message independently
@@ -93,6 +112,9 @@ class RandomDropDev final : public Deviation {
 
   bool drop_send(Round, std::uint32_t, Kind, NodeId) override {
     return rng_.chance(p_);
+  }
+  Round next_wake(const LinearNode&, Round, Round honest) const override {
+    return honest;  // draws only per honest send
   }
 
  private:

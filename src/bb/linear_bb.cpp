@@ -987,6 +987,20 @@ void LinearNode::on_round(Round r, std::span<const Delivery<Msg>> inbox,
   if (dev_ != nullptr) dev_->extra(*this, r, offset_, api);
 }
 
+Round LinearNode::next_wake(Round r) const {
+  // on_round tolerates skipped rounds: the schedule cache falls back to
+  // divisions and reset_slot/reset_epoch run on the next call. Waking at
+  // the epoch/slot start keeps those resets on the same round.
+  Round honest = r + 1;
+  if (committed_) {
+    const std::uint64_t rps = ctx_->sched.rounds_per_slot();
+    honest = (r / rps + 1) * rps;
+  } else if (corrupt_proof_have_[cur_leader()]) {
+    honest = (r / Schedule::kRoundsPerEpoch + 1) * Schedule::kRoundsPerEpoch;
+  }
+  return dev_ == nullptr ? honest : dev_->next_wake(*this, r, honest);
+}
+
 // ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------

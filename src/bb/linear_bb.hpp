@@ -228,6 +228,16 @@ class Deviation {
     (void)offset;
     (void)api;
   }
+  /// Wake contract of the deviating node (Actor::next_wake); `honest` is
+  /// the wake of the honest state machine underneath. The default r + 1
+  /// opts out of idle-round elision, as any deviation that may send on
+  /// its own (through extra()) must unless it knows it will not.
+  virtual Round next_wake(const LinearNode& self, Round r,
+                          Round honest) const {
+    (void)self;
+    (void)honest;
+    return r + 1;
+  }
 };
 
 class LinearNode final : public Actor<Msg> {
@@ -238,6 +248,12 @@ class LinearNode final : public Actor<Msg> {
   void on_round(Round r, std::span<const Delivery<Msg>> inbox,
                 const TrafficView<Msg>& rushed,
                 RoundApi<Msg>& api) override;
+
+  /// Quiescent until the next slot start once committed, until the next
+  /// epoch start while the epoch leader has a corrupt-proof (the progress
+  /// steps are gated off and Respond-1/2 answer mail only); otherwise
+  /// every round. A Deviation may override the answer.
+  Round next_wake(Round r) const override;
 
   // ---- Introspection (tests + deviations) ----
   NodeId id() const { return id_; }

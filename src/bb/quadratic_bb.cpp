@@ -202,6 +202,7 @@ RunResult run_quadratic(const QuadConfig& cfg) {
   }
   const std::uint64_t total_rounds =
       static_cast<std::uint64_t>(cfg.slots) * ctx.sched.rounds_per_slot();
+  sim.reserve_rounds(total_rounds);
   const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
   auto adversary =
       make_quad_adversary(cfg.adversary, &ctx, cfg.seed ^ 0xAD7E25A1ULL,

@@ -259,6 +259,7 @@ RunResult run_extension(const ExtConfig& cfg) {
   // 2*slots - 1 and delivered at the start of round 2*slots.
   const std::uint64_t disp_rounds =
       static_cast<std::uint64_t>(cfg.slots) * ctx.sched.rounds_per_slot() + 1;
+  sim.reserve_rounds(disp_rounds);
   const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
   std::unique_ptr<Adversary<Msg>> adversary;
   if (adversary::is_schedule_spec(cfg.adversary)) {

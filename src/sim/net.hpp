@@ -35,11 +35,20 @@
 // is charged at EMISSION time (the sender paid to transmit; the network
 // holding a message does not refund it), and erased deliveries never
 // enter the queue — erasure always wins over delay.
+//
+// Idle-round elision (DESIGN.md §17): after each on_round/observe_round
+// the simulator asks the actor/adversary for its next_wake() and skips
+// it until then unless it has mail (or, for Byzantine actors and the
+// adversary, the round carries traffic). A round in which nothing is
+// due takes an O(1) path that still records a zero-filled RoundStats
+// and a kRoundEnd, so every output stays byte-identical. The default
+// wake is r + 1: families that do not opt in run every round.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -226,6 +235,9 @@ class RoundApi {
   TrafficLog<Msg>* out_;
 };
 
+/// A next_wake() answer meaning "only mail (or traffic) wakes me".
+inline constexpr Round kNeverWake = std::numeric_limits<Round>::max();
+
 /// A node's protocol logic. One Actor instance persists across the entire
 /// multi-shot execution (protocols carry cross-slot state).
 template <typename Msg>
@@ -240,6 +252,15 @@ class Actor {
   virtual void on_round(Round r, std::span<const Delivery<Msg>> inbox,
                         const TrafficView<Msg>& rushed_traffic,
                         RoundApi<Msg>& api) = 0;
+
+  /// Wake contract (DESIGN.md §17), asked right after on_round(r): the
+  /// next round this actor must run even with an empty inbox. Returning
+  /// w promises that every on_round(r') with r < r' < w, an empty inbox
+  /// and (for a Byzantine actor) empty rushed traffic would emit nothing
+  /// and change nothing a later round depends on, so the simulator may
+  /// skip those calls. Mail always wakes the actor, and rushed honest
+  /// traffic always wakes a Byzantine one.
+  virtual Round next_wake(Round r) const { return r + 1; }
 };
 
 /// Control surface for the strongly adaptive corruption step.
@@ -295,6 +316,11 @@ class Adversary {
     (void)traffic;
     (void)ctl;
   }
+
+  /// Wake contract of the adversary, asked right after observe_round(r):
+  /// the next round whose observe_round must run even if that round
+  /// carries no traffic (a round with traffic always runs it).
+  virtual Round next_wake(Round r) const { return r + 1; }
 };
 
 /// Everything a Simulation needs beyond its constructor arguments, in
@@ -333,6 +359,7 @@ class Simulation final : CorruptionCtl<Msg> {
         policy_(std::move(policy)),
         corrupt_(n, 0),
         actors_(n),
+        wake_(n, 0),
         inbox_arena_(std::make_unique<Arena>()),
         inboxes_(n) {
     AMBB_CHECK(n >= 1 && f < n);
@@ -401,8 +428,25 @@ class Simulation final : CorruptionCtl<Msg> {
   /// as each step() completes (same totals as summarize(round_stats())).
   const RoundStatsSummary& summary() const { return summary_; }
 
+  /// Heap bytes held by the traffic arenas: both round logs plus the
+  /// inbox arena. A pure observer (tests pin that elision keeps it equal
+  /// to a run without elision).
+  std::size_t traffic_arena_reserved_bytes() const {
+    return cur_.arena_stats().reserved_bytes +
+           prev_.arena_stats().reserved_bytes +
+           inbox_arena_->stats().reserved_bytes;
+  }
+
   /// Execute one lock-step round.
   void step() {
+    if (quiescent()) {
+      // The O(1) path: what a full step produces when nobody runs — zero
+      // counters, zero ns_*.
+      RoundStats st;
+      st.round = round_;
+      finish_round(st);
+      return;
+    }
     using Clock = std::chrono::steady_clock;
     RoundStats st;
     st.round = round_;
@@ -415,30 +459,41 @@ class Simulation final : CorruptionCtl<Msg> {
     delayed_.clear();
     if (roster_dirty_) rebuild_roster();
 
-    // 1. Honest actors act on their inboxes.
+    // 1. Honest actors act on their inboxes. An actor with no mail whose
+    //    wake lies in the future sleeps through the round.
     auto t0 = Clock::now();
     for (NodeId v : honest_ids_) {
+      if (wake_[v] > round_ && inboxes_[v].empty()) continue;
       RoundApi<Msg> api(v, n_, &cur_);
       actors_[v]->on_round(round_, inbox_of(v), TrafficView<Msg>{}, api);
+      wake_[v] = actors_[v]->next_wake(round_);
     }
     const std::size_t honest_deliveries = cur_.deliveries();
     auto t1 = Clock::now();
 
     // 2. Byzantine actors act, rushing: they see the honest traffic. The
     //    view reads through the log, so it survives the appends Byzantine
-    //    actors make to the same log.
+    //    actors make to the same log. Rushed traffic wakes them all.
     const TrafficView<Msg> rushed(&cur_, honest_deliveries);
     for (NodeId v : corrupt_ids_) {
+      if (honest_deliveries == 0 && wake_[v] > round_ &&
+          inboxes_[v].empty()) {
+        continue;
+      }
       RoundApi<Msg> api(v, n_, &cur_);
       actors_[v]->on_round(round_, inbox_of(v), rushed, api);
+      wake_[v] = actors_[v]->next_wake(round_);
     }
     auto t2 = Clock::now();
 
     // 3. Strongly adaptive step: adversary inspects all round traffic,
-    //    may corrupt senders and erase their deliveries.
-    if (adversary_ != nullptr) {
+    //    may corrupt senders and erase their deliveries. It sleeps only
+    //    through traffic-free rounds before its wake.
+    if (adversary_ != nullptr &&
+        (adversary_wake_ <= round_ || cur_.deliveries() != 0)) {
       const TrafficView<Msg> all(&cur_, cur_.deliveries());
       adversary_->observe_round(round_, all, *this);
+      adversary_wake_ = adversary_->next_wake(round_);
     }
     if (!erased_.empty()) {
       std::sort(erased_.begin(), erased_.end());
@@ -595,6 +650,25 @@ class Simulation final : CorruptionCtl<Msg> {
     st.ns_adversary = ns(t2, t3);
     st.ns_accounting = ns(t3, t4);
     st.ns_delivery = ns(t4, t5);
+    min_wake_ = *std::min_element(wake_.begin(), wake_.end());
+    finish_round(st);
+  }
+
+  void run_rounds(std::uint64_t rounds) {
+    for (std::uint64_t i = 0; i < rounds; ++i) step();
+  }
+
+ private:
+  /// Nothing can happen this round: no actor is due, every inbox is
+  /// empty, the adversary sleeps and no deferred bucket lands in the
+  /// next round's inboxes.
+  bool quiescent() const {
+    return min_wake_ > round_ && touched_inboxes_.empty() &&
+           (adversary_ == nullptr || adversary_wake_ > round_) &&
+           (pending_.empty() || pending_.begin()->first != round_ + 1);
+  }
+
+  void finish_round(const RoundStats& st) {
     accumulate(summary_, st);
     round_stats_.push_back(st);
     {
@@ -604,16 +678,13 @@ class Simulation final : CorruptionCtl<Msg> {
       ev.stats = st;
       trace::emit(trace_, ev);
     }
-
+    // Quiescent rounds swap too, so each busy round writes the same log
+    // it writes without elision: the two arenas' sizes (and so peak RSS)
+    // depend on which rounds each one gets.
     std::swap(cur_, prev_);
     ++round_;
   }
 
-  void run_rounds(std::uint64_t rounds) {
-    for (std::uint64_t i = 0; i < rounds; ++i) step();
-  }
-
- private:
   std::span<const Delivery<Msg>> inbox_of(NodeId v) const {
     return std::span<const Delivery<Msg>>(inboxes_[v].data(),
                                           inboxes_[v].size());
@@ -685,6 +756,7 @@ class Simulation final : CorruptionCtl<Msg> {
     roster_dirty_ = true;
     AMBB_CHECK(adversary_ != nullptr);
     actors_[node] = adversary_->actor_for(node);
+    wake_[node] = 0;  // the replacement runs the next round
     trace::Event ev;
     ev.kind = trace::EventKind::kAdversaryAction;
     ev.round = round_;
@@ -705,6 +777,12 @@ class Simulation final : CorruptionCtl<Msg> {
   std::vector<NodeId> corrupt_ids_;  ///< (rebuilt when corruptions change)
   bool roster_dirty_ = true;
   std::vector<std::unique_ptr<Actor<Msg>>> actors_;
+  /// Per node, the round its actor must next run even without mail
+  /// (Actor::next_wake); min_wake_ is their minimum, refreshed after
+  /// every full step (which is where corruptions replace actors).
+  std::vector<Round> wake_;
+  Round min_wake_ = 0;
+  Round adversary_wake_ = 0;
   /// Inbox buffers draw from a shared arena rewound each round (entries
   /// point into prev_'s records). Declared before inboxes_ so the vectors
   /// die before their backing storage.

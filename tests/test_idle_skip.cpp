@@ -1,0 +1,348 @@
+// Differential test of idle-round elision (DESIGN.md §17).
+//
+// Every Alg-4 configuration below runs twice through the public
+// linear_bb.hpp / linear_adversary.hpp API: once as shipped (LinearNode,
+// its Deviations and the ScheduledAdversary declare next_wake, so the
+// simulator skips quiescent actors and rounds), and once with every
+// actor and the adversary wrapped in an AlwaysAwake decorator that
+// forwards everything but answers next_wake with r + 1 — the simulator
+// then runs every actor in every round, exactly as without elision. The
+// two runs must agree on every measured bit: ledger totals, per-slot and
+// per-kind bits, commit logs, corrupt flags, every RoundStats counter
+// (ns_* excepted), the JSONL trace byte for byte, and the traffic arenas'
+// reserved bytes (which pins that the O(1) path keeps the log swap).
+//
+// The reference run also audits the wake contract itself: the decorator
+// remembers the wake its inner actor declared, and a call before that
+// round with no mail and no rushed traffic must emit nothing. A wrong
+// next_wake therefore fails at the round where the contract breaks, not
+// only where the outputs later diverge.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "bb/linear_adversary.hpp"
+#include "bb/linear_bb.hpp"
+#include "common/rng.hpp"
+#include "crypto/signer.hpp"
+#include "crypto/threshold.hpp"
+#include "graph/expander.hpp"
+#include "sim/net_policy.hpp"
+#include "trace/trace.hpp"
+
+namespace ambb::linear {
+namespace {
+
+// n = 12 is about the smallest size at which some busy rounds outgrow a
+// traffic log's first 64 KiB arena chunk, so a quiescent path that
+// dropped the log swap would change the reserved bytes.
+constexpr std::uint32_t kN = 12;
+constexpr std::uint32_t kF = 3;
+constexpr Slot kSlots = 5;
+constexpr double kEps = 0.1;
+
+/// Counts what the reference run's audit saw.
+struct Audit {
+  /// Calls the shipped simulator would have skipped (inner wake in the
+  /// future, no mail, no rushed traffic): proves the grid exercises
+  /// elision rather than passing vacuously.
+  std::uint64_t sleeping_calls = 0;
+};
+
+/// Forwards everything to the wrapped actor but never sleeps. The inner
+/// actor's output is captured first so the audit can count it, then
+/// re-emitted record by record (multicasts stay multicasts).
+class AlwaysAwake final : public Actor<Msg> {
+ public:
+  AlwaysAwake(NodeId self, std::unique_ptr<Actor<Msg>> inner, Audit* audit)
+      : self_(self), inner_(std::move(inner)), audit_(audit) {}
+
+  void on_round(Round r, std::span<const Delivery<Msg>> inbox,
+                const TrafficView<Msg>& rushed,
+                RoundApi<Msg>& api) override {
+    scratch_.reset(api.n());
+    RoundApi<Msg> capture(api.self(), api.n(), &scratch_);
+    inner_->on_round(r, inbox, rushed, capture);
+    if (r < wake_ && inbox.empty() && rushed.empty()) {
+      ++audit_->sleeping_calls;
+      EXPECT_TRUE(scratch_.records().empty())
+          << "node " << self_ << " declared next_wake " << wake_
+          << " but emitted " << scratch_.records().size()
+          << " records in round " << r;
+    }
+    wake_ = inner_->next_wake(r);
+    for (const auto& rec : scratch_.records()) {
+      if (rec.is_multicast()) {
+        api.multicast(rec.msg);
+      } else {
+        api.send(rec.to, rec.msg);
+      }
+    }
+  }
+
+ private:
+  NodeId self_;
+  std::unique_ptr<Actor<Msg>> inner_;
+  Audit* audit_;
+  Round wake_ = 0;
+  TrafficLog<Msg> scratch_;
+};
+
+/// Adversary counterpart: forwards, never sleeps, wraps every
+/// replacement actor, and audits that a traffic-free round before the
+/// declared wake corrupts nobody.
+class AlwaysAwakeAdversary final : public Adversary<Msg> {
+ public:
+  AlwaysAwakeAdversary(std::unique_ptr<Adversary<Msg>> inner, Audit* audit)
+      : inner_(std::move(inner)), audit_(audit) {}
+
+  std::vector<NodeId> initial_corruptions() override {
+    return inner_->initial_corruptions();
+  }
+
+  std::unique_ptr<Actor<Msg>> actor_for(NodeId node) override {
+    return std::make_unique<AlwaysAwake>(node, inner_->actor_for(node),
+                                         audit_);
+  }
+
+  void observe_round(Round r, const TrafficView<Msg>& traffic,
+                     CorruptionCtl<Msg>& ctl) override {
+    const std::uint32_t budget = ctl.corruption_budget_left();
+    inner_->observe_round(r, traffic, ctl);
+    if (r < wake_ && traffic.empty()) {
+      ++audit_->sleeping_calls;
+      EXPECT_EQ(ctl.corruption_budget_left(), budget)
+          << "adversary declared next_wake " << wake_
+          << " but corrupted in round " << r;
+    }
+    wake_ = inner_->next_wake(r);
+  }
+
+ private:
+  std::unique_ptr<Adversary<Msg>> inner_;
+  Audit* audit_;
+  Round wake_ = 0;
+};
+
+struct Outcome {
+  std::uint64_t honest_bits = 0;
+  std::uint64_t adversary_bits = 0;
+  std::vector<std::uint64_t> per_slot;
+  std::vector<std::uint64_t> per_kind;
+  std::vector<std::tuple<bool, Value, Round>> commits;
+  std::vector<bool> corrupt;
+  std::vector<RoundStats> rounds;
+  std::string jsonl;
+  std::size_t arena_bytes = 0;
+};
+
+struct Params {
+  std::string adversary;
+  std::string net;
+  Options opts;
+  std::uint64_t seed = 1;
+};
+
+/// run_linear's setup and round loop, with an optional AlwaysAwake
+/// wrapping of every actor and of the adversary (`audit` != nullptr).
+Outcome run(const Params& p, Audit* audit) {
+  KeyRegistry registry(kN, p.seed);
+  ThresholdScheme th(registry, kN - kF);
+  Graph expander = build_expander(kN, kEps, p.seed ^ 0xE0A11DE5ULL);
+  CommitLog commits(kN);
+  commits.presize(kSlots);
+  CostLedger ledger(kind_names());
+  ledger.reserve_slots(kSlots + 1);
+  std::ostringstream jsonl;
+  trace::JsonlSink sink(jsonl);
+
+  Context ctx;
+  ctx.n = kN;
+  ctx.f = kF;
+  ctx.wire = WireModel{kN, kDefaultKappaBits, kDefaultValueBits};
+  ctx.sched = Schedule{kF};
+  ctx.registry = &registry;
+  ctx.th = &th;
+  ctx.expander = &expander;
+  ctx.commits = &commits;
+  ctx.opts = p.opts;
+  ctx.input_for_slot = [seed = p.seed](Slot s) {
+    std::uint64_t x = (seed ^ 0x17057EEDULL) + s;
+    return splitmix64(x);
+  };
+  ctx.sender_of = [](Slot s) { return static_cast<NodeId>((s - 1) % kN); };
+  ctx.trace = &sink;
+
+  Sim sim(kN, kF, &ledger, CostPolicy{ctx.wire, ctx.sched});
+  for (NodeId v = 0; v < kN; ++v) {
+    std::unique_ptr<Actor<Msg>> a = std::make_unique<LinearNode>(v, &ctx);
+    if (audit != nullptr) {
+      a = std::make_unique<AlwaysAwake>(v, std::move(a), audit);
+    }
+    sim.set_actor(v, std::move(a));
+  }
+  const std::uint64_t total_rounds = kSlots * ctx.sched.rounds_per_slot();
+  sim.reserve_rounds(total_rounds);
+  const NetPolicy net = make_net_policy(p.net, p.seed);
+  std::unique_ptr<Adversary<Msg>> adversary = make_adversary(
+      p.adversary, &ctx, p.seed ^ 0xAD7E25A1ULL, total_rounds, net);
+  if (audit != nullptr && adversary != nullptr) {
+    adversary =
+        std::make_unique<AlwaysAwakeAdversary>(std::move(adversary), audit);
+  }
+  SimConfig<Msg> sc;
+  sc.trace = &sink;
+  sc.net = net;
+  sc.adversary = adversary.get();
+  sim.configure(sc);
+
+  for (std::uint64_t i = 0; i < total_rounds; ++i) {
+    if (i % ctx.sched.rounds_per_slot() == 0) {
+      trace::Event ev;
+      ev.kind = trace::EventKind::kSlotStart;
+      ev.round = i;
+      ev.slot = ctx.sched.slot_of(i);
+      ev.node = ctx.sender_of(ev.slot);
+      sink.on_event(ev);
+    }
+    if (i % Schedule::kRoundsPerEpoch == 0) {
+      trace::Event ev;
+      ev.kind = trace::EventKind::kEpochPhase;
+      ev.round = i;
+      ev.slot = ctx.sched.slot_of(i);
+      ev.epoch = ctx.sched.epoch_of(i);
+      ev.node = ctx.leader(ev.slot, ev.epoch);
+      ev.detail = "epoch";
+      sink.on_event(ev);
+    }
+    sim.step();
+  }
+
+  Outcome o;
+  o.honest_bits = ledger.honest_bits_total();
+  o.adversary_bits = ledger.adversary_bits_total();
+  o.per_slot = ledger.per_slot();
+  o.per_kind = ledger.per_kind();
+  for (Slot k = 1; k <= kSlots; ++k) {
+    for (NodeId v = 0; v < kN; ++v) {
+      if (commits.has(v, k)) {
+        const CommitRecord& c = commits.get(v, k);
+        o.commits.emplace_back(true, c.value, c.round);
+      } else {
+        o.commits.emplace_back(false, kBotValue, 0);
+      }
+    }
+  }
+  for (NodeId v = 0; v < kN; ++v) o.corrupt.push_back(sim.is_corrupt(v));
+  o.rounds = sim.round_stats();
+  o.jsonl = jsonl.str();
+  o.arena_bytes = sim.traffic_arena_reserved_bytes();
+  return o;
+}
+
+void expect_same(const Outcome& got, const Outcome& ref) {
+  EXPECT_EQ(got.honest_bits, ref.honest_bits);
+  EXPECT_EQ(got.adversary_bits, ref.adversary_bits);
+  EXPECT_EQ(got.per_slot, ref.per_slot);
+  EXPECT_EQ(got.per_kind, ref.per_kind);
+  EXPECT_EQ(got.commits, ref.commits);
+  EXPECT_EQ(got.corrupt, ref.corrupt);
+  ASSERT_EQ(got.rounds.size(), ref.rounds.size());
+  for (std::size_t i = 0; i < ref.rounds.size(); ++i) {
+    const RoundStats& a = got.rounds[i];
+    const RoundStats& b = ref.rounds[i];
+    ASSERT_EQ(std::make_tuple(a.round, a.records, a.deliveries,
+                              a.honest_bits, a.adversary_bits, a.erasures,
+                              a.corruptions, a.delayed),
+              std::make_tuple(b.round, b.records, b.deliveries,
+                              b.honest_bits, b.adversary_bits, b.erasures,
+                              b.corruptions, b.delayed))
+        << "RoundStats differ in round " << i;
+  }
+  EXPECT_TRUE(got.jsonl == ref.jsonl) << "JSONL traces differ";
+  EXPECT_EQ(got.arena_bytes, ref.arena_bytes);
+}
+
+/// A schedule that wakes the sleeping adversary mid-stretch: node 4 is
+/// corrupted at the end of round 29 and its round-30 traffic erased, both
+/// inside the quiet epochs after slot 1 committed; node 1, the slot-2
+/// sender, is corrupted right after its round-56 proposal, whose copies
+/// to odd nodes are erased. Off lockstep, timing faults ride along.
+std::string sched_spec(const std::string& net) {
+  std::string s = "sched:corrupt(30,4);erase(30,4);corrupt(57,1);"
+                  "erase(56,1,1000,2,1)";
+  if (net != "lockstep") s += ";delay(2,60,130,1);reorder(5,0,*)";
+  return s;
+}
+
+class IdleSkip
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
+};
+
+TEST_P(IdleSkip, ElisionMatchesAlwaysAwakeReference) {
+  const auto& [adv, net] = GetParam();
+  const std::pair<const char*, Options> options[] = {
+      {"paper", Options::paper()},
+      {"mr_baseline", Options::mr_baseline()},
+      {"no_memory", Options::no_memory()},
+      {"no_query", Options::no_query()},
+  };
+  Audit audit;
+  for (const auto& [opt_name, opts] : options) {
+    for (std::uint64_t seed : {1u, 7u}) {
+      Params p;
+      p.adversary = adv == "sched" ? sched_spec(net) : adv;
+      p.net = net;
+      p.opts = opts;
+      p.seed = seed;
+      SCOPED_TRACE(p.adversary + " / " + net + " / " + opt_name +
+                   " / seed " + std::to_string(seed));
+      const Outcome ref = run(p, &audit);
+      const Outcome got = run(p, nullptr);
+      expect_same(got, ref);
+    }
+  }
+  EXPECT_GT(audit.sleeping_calls, 0u) << "no call was ever elidable";
+}
+
+TEST(IdleSkip, QuietEpochsTakeTheConstantTimePath) {
+  // Failure-free Alg-4 commits in epoch 0 of every slot, so epochs
+  // 1..f+1 carry no traffic and no node is due: those rounds must take
+  // the O(1) path, which is the only one that reports zero ns_*.
+  Params p;
+  p.adversary = "none";
+  p.net = "lockstep";
+  const Outcome o = run(p, nullptr);
+  std::uint64_t constant_time = 0;
+  for (const RoundStats& st : o.rounds) {
+    if (st.ns_total() == 0) {
+      EXPECT_EQ(st.records, 0u) << "round " << st.round;
+      ++constant_time;
+    }
+  }
+  EXPECT_GT(constant_time, o.rounds.size() / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, IdleSkip,
+    ::testing::Combine(
+        ::testing::Values("none", "silent", "equivocate", "selective",
+                          "flood", "drop", "chaos", "mixed", "adaptive-erase",
+                          "fuzz", "fuzz:1", "fuzz:2", "fuzz:3", "sched"),
+        ::testing::Values("lockstep", "bounded:2", "async:4")),
+    [](const auto& info) {
+      std::string s = std::get<0>(info.param) + "_" + std::get<1>(info.param);
+      for (char& c : s) {
+        if (c == '-' || c == ':') c = '_';
+      }
+      return s;
+    });
+
+}  // namespace
+}  // namespace ambb::linear

@@ -1,7 +1,11 @@
-// Flat-rate accounting policy shared by the simulator unit tests.
+// Flat-rate accounting policy and toy actors shared by the simulator unit
+// tests.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "sim/net.hpp"
 
@@ -30,5 +34,35 @@ struct ToyPolicy {
 
 template <typename Msg>
 using ToySim = Simulation<Msg, ToyPolicy>;
+
+/// Actor that declares its own wake (idle-round elision, DESIGN.md §17):
+/// records every round it runs, runs `act` (may be empty) and answers
+/// next_wake with `wake(r)`.
+template <typename Msg>
+class SleepyActor final : public Actor<Msg> {
+ public:
+  using Act = std::function<void(Round, std::span<const Delivery<Msg>>,
+                                 RoundApi<Msg>&)>;
+  using Wake = std::function<Round(Round)>;
+
+  SleepyActor(Wake wake, Act act = nullptr)
+      : wake_(std::move(wake)), act_(std::move(act)) {}
+
+  void on_round(Round r, std::span<const Delivery<Msg>> inbox,
+                const TrafficView<Msg>&, RoundApi<Msg>& api) override {
+    ran_.push_back(r);
+    if (act_) act_(r, inbox, api);
+  }
+
+  Round next_wake(Round r) const override { return wake_(r); }
+
+  /// Rounds in which on_round ran, in order.
+  const std::vector<Round>& ran() const { return ran_; }
+
+ private:
+  Wake wake_;
+  Act act_;
+  std::vector<Round> ran_;
+};
 
 }  // namespace ambb
