@@ -12,6 +12,9 @@ namespace {
 class SilentDev final : public Deviation {
  public:
   bool silent(Round) const override { return true; }
+  Round next_wake(const QuadNode&, Round, Round) const override {
+    return kNeverWake;
+  }
 };
 
 /// Sender sends value A to even nodes and value B to odd nodes. Honest

@@ -1,5 +1,7 @@
 #include "bb/quadratic_bb.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 
@@ -163,6 +165,35 @@ void QuadNode::on_round(Round r, std::span<const Delivery<Msg>> inbox,
   }
 
   if (dev_ != nullptr) dev_->extra(*this, r, offset, api);
+}
+
+Round QuadNode::next_wake(Round r) const {
+  // on_round tolerates skipped rounds: begin_slot runs on the first call
+  // of a new slot and set_round only stamps events. Waking in every
+  // commit round keeps each slot's commit on its own round; waking right
+  // after it starts the next slot at its offset 0, so sender_of is only
+  // ever asked about slots the run has.
+  const std::uint32_t n = ctx_->n;
+  const std::uint32_t offset = ctx_->sched.offset_of(r);
+  const std::uint32_t commit = n + ctx_->f + 2;
+  std::uint32_t wake = commit;  // offset within this slot
+  if (offset >= commit) {
+    wake = offset + 1;  // the next slot's offset 0
+  } else if (engine_.sender_present()) {
+    // The distance-based accusation rule acts every TrustCast round.
+    if (offset < n && !engine_.has_prop()) wake = offset + 1;
+  } else {
+    // tau = 0 casts the vote; 1 <= tau <= f+1 forwards unseen votes (and
+    // votes late if the sender was removed after tau = 0).
+    const NodeId sender = engine_.slot_sender();
+    if (!voted_.get(sender)) {
+      wake = std::max(offset + 1, n + 1);
+    } else if (!vote_forwarded_[sender].contains(vote_seen_[sender])) {
+      wake = std::max(offset + 1, n + 2);
+    }
+  }
+  const Round honest = r - offset + wake;
+  return dev_ == nullptr ? honest : dev_->next_wake(*this, r, honest);
 }
 
 // ---------------------------------------------------------------------------

@@ -65,6 +65,16 @@ class Deviation {
     (void)offset;
     (void)api;
   }
+  /// Wake contract of the deviating node (Actor::next_wake); `honest` is
+  /// the wake of the honest state machine underneath. The default r + 1
+  /// opts out of idle-round elision, as any deviation that may send on
+  /// its own (override_send, extra()) must unless it knows it will not.
+  virtual Round next_wake(const QuadNode& self, Round r,
+                          Round honest) const {
+    (void)self;
+    (void)honest;
+    return r + 1;
+  }
 };
 
 class QuadNode final : public Actor<Msg> {
@@ -75,6 +85,14 @@ class QuadNode final : public Actor<Msg> {
   void on_round(Round r, std::span<const Delivery<Msg>> inbox,
                 const TrafficView<Msg>& rushed,
                 RoundApi<Msg>& api) override;
+
+  /// Every round while the distance-based accusation rule may fire (a
+  /// TrustCast round, the sender still in G_u, no proposal seen); the
+  /// Dolev-Strong rounds only while this node still owes a vote or a
+  /// forward against a removed sender; always the commit round and the
+  /// round after it (the next slot's offset 0). Mail wakes the node in
+  /// between. A Deviation may override the answer.
+  Round next_wake(Round r) const override;
 
   NodeId id() const { return id_; }
   const Context& ctx() const { return *ctx_; }

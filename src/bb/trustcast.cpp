@@ -199,7 +199,7 @@ void TrustCastEngine::handle(const Msg& m, RoundApi<Msg>& api,
 
 void TrustCastEngine::tc_round_action(std::uint32_t t, RoundApi<Msg>& api) {
   AMBB_CHECK(t >= 1);
-  if (!prop_values_.empty()) return;  // received something from the sender
+  if (has_prop()) return;  // received something from the sender
   if (!graph_.has_vertex(sender_)) return;
   const auto dist = graph_.distances_from(sender_);
   for (NodeId v = 0; v < ctx_->n; ++v) {

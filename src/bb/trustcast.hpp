@@ -134,6 +134,9 @@ class TrustCastEngine {
   /// The unique value received from the sender this slot (nullopt if none
   /// or if the sender equivocated — in which case it is also removed).
   std::optional<Value> received_value() const;
+  /// True once any proposal value from this slot's sender was seen (the
+  /// distance-based accusation rule is off from then on).
+  bool has_prop() const { return !prop_values_.empty(); }
   bool has_accused(NodeId accuser, NodeId accused) const {
     return accuse_sent_seen_[accuser].get(accused);
   }

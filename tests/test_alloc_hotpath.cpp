@@ -1,5 +1,6 @@
 // Steady-state allocation audit for the Algorithm 4 hot path (DESIGN.md
-// §14). Global operator new/delete are replaced with counting hooks and a
+// §14), plus the Algorithm 5.2 trust-graph mutators (§18). Global
+// operator new/delete are replaced with counting hooks and a
 // full multi-shot run is stepped with a per-round observer: once the
 // warmup slots have grown every arena, ArenaVector hint, and reserved
 // container to its high-water mark, each remaining round must perform
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bb/linear_bb.hpp"
+#include "graph/trust_graph.hpp"
 #include "runner/result.hpp"
 
 namespace {
@@ -124,6 +126,33 @@ TEST(AllocHotPath, SteadyStateAlg4RoundsAllocateNothing) {
   // The run itself must still be a real, committing execution.
   EXPECT_GT(r.honest_bits, 0u);
   EXPECT_GT(samples.back(), samples.front());  // warmup did allocate
+}
+
+TEST(AllocHotPath, TrustGraphMutatorsAllocateNothing) {
+  // Algorithm 5.2 prunes after every new accusation (DESIGN.md §18): the
+  // mutators must run on the graph's own words. Cut the two-vertex
+  // component {63, 64}, which straddles the first word boundary, off
+  // from the rest edge by edge, pruning after each cut, then drop a
+  // vertex and prune again.
+  TrustGraph g(65);
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (NodeId v = 0; v < 63; ++v) {
+    g.remove_edge(63, v);
+    g.prune_unconnected(0);
+    g.remove_edge(v, 64);
+    g.prune_unconnected(0);
+  }
+  const std::uint32_t after_cut = g.vertex_count();
+  g.remove_vertex(7);
+  g.prune_unconnected(0);
+  g.remove_edge(1, 2);
+  g.prune_unconnected(1);
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(after_cut, 63u);  // the component fell away
+  EXPECT_FALSE(g.has_vertex(63));
+  EXPECT_FALSE(g.has_vertex(64));
+  EXPECT_EQ(g.vertex_count(), 62u);
 }
 
 TEST(AllocHotPath, HooksActuallyCount) {

@@ -1,22 +1,15 @@
-// Differential test of idle-round elision (DESIGN.md §17).
+// Differential test of idle-round elision (DESIGN.md §17) for Algorithm 4.
 //
 // Every Alg-4 configuration below runs twice through the public
 // linear_bb.hpp / linear_adversary.hpp API: once as shipped (LinearNode,
 // its Deviations and the ScheduledAdversary declare next_wake, so the
 // simulator skips quiescent actors and rounds), and once with every
-// actor and the adversary wrapped in an AlwaysAwake decorator that
-// forwards everything but answers next_wake with r + 1 — the simulator
-// then runs every actor in every round, exactly as without elision. The
-// two runs must agree on every measured bit: ledger totals, per-slot and
-// per-kind bits, commit logs, corrupt flags, every RoundStats counter
-// (ns_* excepted), the JSONL trace byte for byte, and the traffic arenas'
+// actor and the adversary wrapped in the always-awake reference of
+// always_awake.hpp, which also audits the wake contract. The two runs
+// must agree on every measured bit: ledger totals, per-slot and per-kind
+// bits, commit logs, corrupt flags, every RoundStats counter (ns_*
+// excepted), the JSONL trace byte for byte, and the traffic arenas'
 // reserved bytes (which pins that the O(1) path keeps the log swap).
-//
-// The reference run also audits the wake contract itself: the decorator
-// remembers the wake its inner actor declared, and a call before that
-// round with no mail and no rushed traffic must emit nothing. A wrong
-// next_wake therefore fails at the round where the contract breaks, not
-// only where the outputs later diverge.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,6 +29,8 @@
 #include "sim/net_policy.hpp"
 #include "trace/trace.hpp"
 
+#include "always_awake.hpp"
+
 namespace ambb::linear {
 namespace {
 
@@ -47,100 +42,10 @@ constexpr std::uint32_t kF = 3;
 constexpr Slot kSlots = 5;
 constexpr double kEps = 0.1;
 
-/// Counts what the reference run's audit saw.
-struct Audit {
-  /// Calls the shipped simulator would have skipped (inner wake in the
-  /// future, no mail, no rushed traffic): proves the grid exercises
-  /// elision rather than passing vacuously.
-  std::uint64_t sleeping_calls = 0;
-};
-
-/// Forwards everything to the wrapped actor but never sleeps. The inner
-/// actor's output is captured first so the audit can count it, then
-/// re-emitted record by record (multicasts stay multicasts).
-class AlwaysAwake final : public Actor<Msg> {
- public:
-  AlwaysAwake(NodeId self, std::unique_ptr<Actor<Msg>> inner, Audit* audit)
-      : self_(self), inner_(std::move(inner)), audit_(audit) {}
-
-  void on_round(Round r, std::span<const Delivery<Msg>> inbox,
-                const TrafficView<Msg>& rushed,
-                RoundApi<Msg>& api) override {
-    scratch_.reset(api.n());
-    RoundApi<Msg> capture(api.self(), api.n(), &scratch_);
-    inner_->on_round(r, inbox, rushed, capture);
-    if (r < wake_ && inbox.empty() && rushed.empty()) {
-      ++audit_->sleeping_calls;
-      EXPECT_TRUE(scratch_.records().empty())
-          << "node " << self_ << " declared next_wake " << wake_
-          << " but emitted " << scratch_.records().size()
-          << " records in round " << r;
-    }
-    wake_ = inner_->next_wake(r);
-    for (const auto& rec : scratch_.records()) {
-      if (rec.is_multicast()) {
-        api.multicast(rec.msg);
-      } else {
-        api.send(rec.to, rec.msg);
-      }
-    }
-  }
-
- private:
-  NodeId self_;
-  std::unique_ptr<Actor<Msg>> inner_;
-  Audit* audit_;
-  Round wake_ = 0;
-  TrafficLog<Msg> scratch_;
-};
-
-/// Adversary counterpart: forwards, never sleeps, wraps every
-/// replacement actor, and audits that a traffic-free round before the
-/// declared wake corrupts nobody.
-class AlwaysAwakeAdversary final : public Adversary<Msg> {
- public:
-  AlwaysAwakeAdversary(std::unique_ptr<Adversary<Msg>> inner, Audit* audit)
-      : inner_(std::move(inner)), audit_(audit) {}
-
-  std::vector<NodeId> initial_corruptions() override {
-    return inner_->initial_corruptions();
-  }
-
-  std::unique_ptr<Actor<Msg>> actor_for(NodeId node) override {
-    return std::make_unique<AlwaysAwake>(node, inner_->actor_for(node),
-                                         audit_);
-  }
-
-  void observe_round(Round r, const TrafficView<Msg>& traffic,
-                     CorruptionCtl<Msg>& ctl) override {
-    const std::uint32_t budget = ctl.corruption_budget_left();
-    inner_->observe_round(r, traffic, ctl);
-    if (r < wake_ && traffic.empty()) {
-      ++audit_->sleeping_calls;
-      EXPECT_EQ(ctl.corruption_budget_left(), budget)
-          << "adversary declared next_wake " << wake_
-          << " but corrupted in round " << r;
-    }
-    wake_ = inner_->next_wake(r);
-  }
-
- private:
-  std::unique_ptr<Adversary<Msg>> inner_;
-  Audit* audit_;
-  Round wake_ = 0;
-};
-
-struct Outcome {
-  std::uint64_t honest_bits = 0;
-  std::uint64_t adversary_bits = 0;
-  std::vector<std::uint64_t> per_slot;
-  std::vector<std::uint64_t> per_kind;
-  std::vector<std::tuple<bool, Value, Round>> commits;
-  std::vector<bool> corrupt;
-  std::vector<RoundStats> rounds;
-  std::string jsonl;
-  std::size_t arena_bytes = 0;
-};
+using idle_skip::Audit;
+using idle_skip::Outcome;
+using AlwaysAwake = idle_skip::AlwaysAwake<Msg>;
+using AlwaysAwakeAdversary = idle_skip::AlwaysAwakeAdversary<Msg>;
 
 struct Params {
   std::string adversary;
@@ -246,28 +151,7 @@ Outcome run(const Params& p, Audit* audit) {
   return o;
 }
 
-void expect_same(const Outcome& got, const Outcome& ref) {
-  EXPECT_EQ(got.honest_bits, ref.honest_bits);
-  EXPECT_EQ(got.adversary_bits, ref.adversary_bits);
-  EXPECT_EQ(got.per_slot, ref.per_slot);
-  EXPECT_EQ(got.per_kind, ref.per_kind);
-  EXPECT_EQ(got.commits, ref.commits);
-  EXPECT_EQ(got.corrupt, ref.corrupt);
-  ASSERT_EQ(got.rounds.size(), ref.rounds.size());
-  for (std::size_t i = 0; i < ref.rounds.size(); ++i) {
-    const RoundStats& a = got.rounds[i];
-    const RoundStats& b = ref.rounds[i];
-    ASSERT_EQ(std::make_tuple(a.round, a.records, a.deliveries,
-                              a.honest_bits, a.adversary_bits, a.erasures,
-                              a.corruptions, a.delayed),
-              std::make_tuple(b.round, b.records, b.deliveries,
-                              b.honest_bits, b.adversary_bits, b.erasures,
-                              b.corruptions, b.delayed))
-        << "RoundStats differ in round " << i;
-  }
-  EXPECT_TRUE(got.jsonl == ref.jsonl) << "JSONL traces differ";
-  EXPECT_EQ(got.arena_bytes, ref.arena_bytes);
-}
+using idle_skip::expect_same;
 
 /// A schedule that wakes the sleeping adversary mid-stretch: node 4 is
 /// corrupted at the end of round 29 and its round-30 traffic erased, both

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
+
 #include <tuple>
 
 namespace ambb::quad {
@@ -113,6 +115,24 @@ TEST(Quadratic, RepeatOffenderSlotsAreSilent) {
 TEST(Quadratic, FBoundEnforced) {
   auto cfg = base_cfg(4, 4, 1, 1, "none");
   EXPECT_THROW(run_quadratic(cfg), CheckError);
+}
+
+TEST(Quadratic, SenderOfAskedOnlyAboutRunSlots) {
+  // A caller's sender_of need only cover slots 1..slots: the DKG example
+  // (examples/keygen_ceremony.cpp) maps slot k to node k - 1 with
+  // slots = n, which has no sender for slot n + 1.
+  for (const char* adv : {"none", "silent", "equivocate"}) {
+    auto cfg = base_cfg(10, 6, 10, 31337, adv);
+    cfg.sender_of = [](Slot k) {
+      AMBB_CHECK_MSG(k >= 1 && k <= 10, "sender_of asked about slot " << k);
+      return static_cast<NodeId>(k - 1);
+    };
+    const RunResult r = run_quadratic(cfg);
+    EXPECT_TRUE(check_all(r).empty()) << adv;
+    for (Slot k = 1; k <= 10; ++k) {
+      EXPECT_EQ(r.senders[k], static_cast<NodeId>(k - 1)) << adv;
+    }
+  }
 }
 
 TEST(Quadratic, DeterministicAcrossRuns) {
