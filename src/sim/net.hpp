@@ -14,8 +14,11 @@
 //
 // Traffic representation: a round's traffic is a vector of TrafficRecords.
 // A unicast is one record; a multicast is ALSO one record — the payload is
-// stored once and fanned out to the n per-node inboxes only at delivery
-// time, as a (sender, const Msg*) pair. The adversary still addresses
+// stored once and delivered as a (sender, const Msg*) pair. Under lockstep
+// the round's multicasts land once, in one shared inbox stream; only a
+// node whose inbox differs from that stream (it gets a unicast, loses a
+// delivery to erasure or gets a deferred one) is given its own inbox,
+// filled in the same order (DESIGN.md §19). The adversary still addresses
 // *individual* (sender, recipient) deliveries: record i with fanout c_i
 // owns the half-open delivery-index range [base_i, base_i + c_i), where
 // base_i = sum of earlier fanouts, and a multicast's deliveries appear in
@@ -26,10 +29,10 @@
 // Event-queue scheduler (DESIGN.md §16): delivery is driven by a
 // deterministic event queue parameterized by a NetPolicy
 // (sim/net_policy.hpp). Under the default lockstep policy the queue
-// stays empty and the delivery phase is the classic synchronous fan-out
-// — byte-identical to the pre-scheduler simulator. Under bounded/async
-// policies, each surviving delivery may be deferred by extra rounds
-// (policy draw + adversary delay() calls, clamped to the policy bound):
+// stays empty and every inbox is exactly what the pre-scheduler
+// simulator delivered. Under bounded/async policies, each surviving
+// delivery may be deferred by extra rounds (policy draw + adversary
+// delay() calls, clamped to the policy bound):
 // the payload is copied into a due-round bucket and delivered, before
 // that round's fresh lock-step traffic, in emission order. Accounting
 // is charged at EMISSION time (the sender paid to transmit; the network
@@ -361,7 +364,9 @@ class Simulation final : CorruptionCtl<Msg> {
         actors_(n),
         wake_(n, 0),
         inbox_arena_(std::make_unique<Arena>()),
-        inboxes_(n) {
+        inboxes_(n),
+        shared_(inbox_arena_.get()),
+        own_(n, 0) {
     AMBB_CHECK(n >= 1 && f < n);
     AMBB_CHECK(ledger != nullptr);
     for (auto& ib : inboxes_) ib.set_arena(inbox_arena_.get());
@@ -463,7 +468,7 @@ class Simulation final : CorruptionCtl<Msg> {
     //    wake lies in the future sleeps through the round.
     auto t0 = Clock::now();
     for (NodeId v : honest_ids_) {
-      if (wake_[v] > round_ && inboxes_[v].empty()) continue;
+      if (wake_[v] > round_ && !has_mail(v)) continue;
       RoundApi<Msg> api(v, n_, &cur_);
       actors_[v]->on_round(round_, inbox_of(v), TrafficView<Msg>{}, api);
       wake_[v] = actors_[v]->next_wake(round_);
@@ -476,8 +481,7 @@ class Simulation final : CorruptionCtl<Msg> {
     //    actors make to the same log. Rushed traffic wakes them all.
     const TrafficView<Msg> rushed(&cur_, honest_deliveries);
     for (NodeId v : corrupt_ids_) {
-      if (honest_deliveries == 0 && wake_[v] > round_ &&
-          inboxes_[v].empty()) {
+      if (honest_deliveries == 0 && wake_[v] > round_ && !has_mail(v)) {
         continue;
       }
       RoundApi<Msg> api(v, n_, &cur_);
@@ -529,15 +533,19 @@ class Simulation final : CorruptionCtl<Msg> {
     // 5. Deliver surviving messages for the next round. Inboxes reference
     //    the record payloads, so the log must outlive the next round's
     //    sends: double-buffer and swap instead of clearing in place.
-    //    The inbox vectors share one arena, rewound wholesale here (the
-    //    old contents were consumed in steps 1-2); each vector remembers
-    //    its high-water size, so refilling is one arena bump per inbox.
-    //    Only inboxes that actually received something last round need a
-    //    reset — deliver_to tracked them (an inbox holds arena storage iff
-    //    it was pushed to since its last reset, so nothing dangles when
-    //    the arena rewinds).
-    for (NodeId v : touched_inboxes_) inboxes_[v].reset();
+    //    The shared multicast stream and the own inboxes draw from one
+    //    arena, rewound wholesale here (the old contents were consumed in
+    //    steps 1-2); each vector remembers its high-water size, so
+    //    refilling is one arena bump per vector. Only last round's own
+    //    inboxes need a reset — touched_inboxes_ lists exactly them (an
+    //    inbox holds arena storage only while its node is own, so nothing
+    //    dangles when the arena rewinds).
+    for (NodeId v : touched_inboxes_) {
+      inboxes_[v].reset();
+      own_[v] = 0;
+    }
     touched_inboxes_.clear();
+    shared_.reset();
     inbox_arena_->reset();
     //    Event queue first: deliveries deferred by earlier rounds that
     //    mature now land BEFORE this round's fresh lock-step traffic, in
@@ -552,41 +560,44 @@ class Simulation final : CorruptionCtl<Msg> {
         pending_ready_ = std::move(due->second);
         pending_.erase(due);
         for (const PendingMsg& pm : pending_ready_) {
-          auto& ib = inboxes_[pm.to];
-          if (ib.empty()) touched_inboxes_.push_back(pm.to);
-          ib.push_back(Delivery<Msg>{pm.from, &pm.msg});
+          mark_own(pm.to);
+          inboxes_[pm.to].push_back(Delivery<Msg>{pm.from, &pm.msg});
         }
       }
     }
     if (net_.lockstep()) {
-      //  Lock-step fast path: textually the pre-scheduler delivery loop,
-      //  so existing goldens cannot move (no per-delivery policy draws).
-      if (erased_.empty()) {
-        for (const auto& rec : cur_.records()) {
-          if (rec.is_multicast()) {
-            for (NodeId v = 0; v < n_; ++v) deliver_to(v, rec);
-          } else {
-            deliver_to(rec.to, rec);
-          }
+      //  Lock-step path (DESIGN.md §19). A node whose inbox is exactly
+      //  the round's multicasts in record order reads the shared stream;
+      //  a pre-pass marks the rest own: unicast and erased-delivery
+      //  recipients. Then one pass fills the stream and the own inboxes
+      //  in record order, each multicast visiting the own nodes in
+      //  ascending id — its delivery-index order — so the sorted erasure
+      //  cursor still steps through every erased index.
+      auto er = erased_.begin();
+      for (const auto& rec : cur_.records()) {
+        if (!rec.is_multicast()) mark_own(rec.to);
+        const std::size_t end = rec.base + cur_.fanout(rec);
+        for (; er != erased_.end() && *er < end; ++er) {
+          mark_own(cur_.recipient_of(rec, *er));
         }
-      } else {
-        auto er = erased_.begin();
-        for (const auto& rec : cur_.records()) {
-          if (rec.is_multicast()) {
-            for (NodeId v = 0; v < n_; ++v) {
-              if (er != erased_.end() && *er == rec.base + v) {
-                ++er;
-                continue;
-              }
-              deliver_to(v, rec);
-            }
-          } else {
-            if (er != erased_.end() && *er == rec.base) {
+      }
+      std::sort(touched_inboxes_.begin(), touched_inboxes_.end());
+      er = erased_.begin();
+      for (const auto& rec : cur_.records()) {
+        const Delivery<Msg> delivery{rec.from, &rec.msg};
+        if (rec.is_multicast()) {
+          shared_.push_back(delivery);
+          for (NodeId v : touched_inboxes_) {
+            if (er != erased_.end() && *er == rec.base + v) {
               ++er;
               continue;
             }
-            deliver_to(rec.to, rec);
+            inboxes_[v].push_back(delivery);
           }
+        } else if (er != erased_.end() && *er == rec.base) {
+          ++er;
+        } else {
+          inboxes_[rec.to].push_back(delivery);
         }
       }
     } else {
@@ -632,6 +643,11 @@ class Simulation final : CorruptionCtl<Msg> {
         }
       }
     }
+    //    Exact, so the O(1) path runs in the same rounds as with one
+    //    inbox per node: an own inbox emptied by erasure holds no mail.
+    any_mail_ = (!shared_.empty() && touched_inboxes_.size() < n_) ||
+                std::any_of(touched_inboxes_.begin(), touched_inboxes_.end(),
+                            [this](NodeId v) { return !inboxes_[v].empty(); });
     auto t5 = Clock::now();
 
     st.records = static_cast<std::uint32_t>(cur_.records().size());
@@ -663,7 +679,7 @@ class Simulation final : CorruptionCtl<Msg> {
   /// empty, the adversary sleeps and no deferred bucket lands in the
   /// next round's inboxes.
   bool quiescent() const {
-    return min_wake_ > round_ && touched_inboxes_.empty() &&
+    return min_wake_ > round_ && !any_mail_ &&
            (adversary_ == nullptr || adversary_wake_ > round_) &&
            (pending_.empty() || pending_.begin()->first != round_ + 1);
   }
@@ -685,15 +701,27 @@ class Simulation final : CorruptionCtl<Msg> {
     ++round_;
   }
 
+  /// Node v's deliveries for this round: its own inbox if it has one,
+  /// else the shared multicast stream.
   std::span<const Delivery<Msg>> inbox_of(NodeId v) const {
-    return std::span<const Delivery<Msg>>(inboxes_[v].data(),
-                                          inboxes_[v].size());
+    const auto& ib = own_[v] ? inboxes_[v] : shared_;
+    return std::span<const Delivery<Msg>>(ib.data(), ib.size());
   }
 
+  bool has_mail(NodeId v) const {
+    return own_[v] ? !inboxes_[v].empty() : !shared_.empty();
+  }
+
+  void mark_own(NodeId v) {
+    if (own_[v]) return;
+    own_[v] = 1;
+    touched_inboxes_.push_back(v);
+  }
+
+  /// Timing-path delivery: every recipient gets its own inbox.
   void deliver_to(NodeId v, const typename TrafficLog<Msg>::Record& rec) {
-    auto& ib = inboxes_[v];
-    if (ib.empty()) touched_inboxes_.push_back(v);
-    ib.push_back(Delivery<Msg>{rec.from, &rec.msg});
+    mark_own(v);
+    inboxes_[v].push_back(Delivery<Msg>{rec.from, &rec.msg});
   }
 
   bool erased_covers(std::size_t d) const {
@@ -784,11 +812,17 @@ class Simulation final : CorruptionCtl<Msg> {
   Round min_wake_ = 0;
   Round adversary_wake_ = 0;
   /// Inbox buffers draw from a shared arena rewound each round (entries
-  /// point into prev_'s records). Declared before inboxes_ so the vectors
-  /// die before their backing storage.
+  /// point into prev_'s records). Declared before inboxes_ and shared_ so
+  /// the vectors die before their backing storage.
   std::unique_ptr<Arena> inbox_arena_;
-  std::vector<ArenaVector<Delivery<Msg>>> inboxes_;
-  std::vector<NodeId> touched_inboxes_;  ///< pushed-to since their reset
+  std::vector<ArenaVector<Delivery<Msg>>> inboxes_;  ///< read iff own_[v]
+  /// One entry per lock-step multicast of last round, in record order:
+  /// the inbox of every node that is not own (DESIGN.md §19).
+  ArenaVector<Delivery<Msg>> shared_;
+  std::vector<std::uint8_t> own_;
+  std::vector<NodeId> touched_inboxes_;  ///< the own nodes
+  /// Some node has a non-empty inbox (exact: feeds quiescent()).
+  bool any_mail_ = false;
   TrafficLog<Msg> cur_;   ///< records emitted this round
   TrafficLog<Msg> prev_;  ///< last round's records, referenced by inboxes
   /// Delivery indices erased this round (sorted + deduped after step 3).

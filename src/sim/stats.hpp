@@ -43,7 +43,7 @@ struct RoundStats {
   std::uint64_t ns_byzantine = 0;   ///< step 2: rushing Byzantine actors
   std::uint64_t ns_adversary = 0;   ///< step 3: observe_round
   std::uint64_t ns_accounting = 0;  ///< step 4: ledger charges
-  std::uint64_t ns_delivery = 0;    ///< step 5: inbox fan-out
+  std::uint64_t ns_delivery = 0;    ///< step 5: inbox delivery
 
   std::uint64_t ns_total() const {
     return ns_honest + ns_byzantine + ns_adversary + ns_accounting +

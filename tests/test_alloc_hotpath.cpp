@@ -1,5 +1,6 @@
 // Steady-state allocation audit for the Algorithm 4 hot path (DESIGN.md
-// §14), plus the Algorithm 5.2 trust-graph mutators (§18). Global
+// §14), the Algorithm 5.2 trust-graph mutators (§18) and the shared
+// multicast inbox (§19), whose footprint is pinned too. Global
 // operator new/delete are replaced with counting hooks and a
 // full multi-shot run is stepped with a per-round observer: once the
 // warmup slots have grown every arena, ArenaVector hint, and reserved
@@ -24,6 +25,8 @@
 #include "bb/linear_bb.hpp"
 #include "graph/trust_graph.hpp"
 #include "runner/result.hpp"
+#include "sim/net.hpp"
+#include "toy_policy.hpp"
 
 namespace {
 
@@ -153,6 +156,80 @@ TEST(AllocHotPath, TrustGraphMutatorsAllocateNothing) {
   EXPECT_FALSE(g.has_vertex(63));
   EXPECT_FALSE(g.has_vertex(64));
   EXPECT_EQ(g.vertex_count(), 62u);
+}
+
+struct CastMsg {
+  std::uint64_t tag = 0;
+};
+
+/// Multicasts `per_round` messages every round and counts what it
+/// receives; allocation-free itself.
+class Multicaster final : public Actor<CastMsg> {
+ public:
+  explicit Multicaster(std::uint32_t per_round) : per_round_(per_round) {}
+
+  void on_round(Round r, std::span<const Delivery<CastMsg>> inbox,
+                const TrafficView<CastMsg>&, RoundApi<CastMsg>& api) override {
+    last_inbox = inbox.size();
+    for (std::uint32_t i = 0; i < per_round_; ++i) {
+      api.multicast(CastMsg{r * per_round_ + i});
+    }
+  }
+
+  std::size_t last_inbox = 0;
+
+ private:
+  std::uint32_t per_round_;
+};
+
+/// An n-node toy sim in which every node multicasts `per_round` messages
+/// every round.
+std::vector<Multicaster*> all_multicast(ToySim<CastMsg>& sim,
+                                        std::uint32_t per_round) {
+  std::vector<Multicaster*> out;
+  for (NodeId v = 0; v < sim.n(); ++v) {
+    auto a = std::make_unique<Multicaster>(per_round);
+    out.push_back(a.get());
+    sim.set_actor(v, std::move(a));
+  }
+  return out;
+}
+
+TEST(AllocHotPath, AllMulticastRoundsAllocateNothing) {
+  constexpr std::uint32_t kWarmup = 4, kRounds = 32;
+  CostLedger ledger({"toy"});
+  ToySim<CastMsg> sim(16, 5, &ledger, ToyPolicy{});
+  const auto actors = all_multicast(sim, 3);
+  sim.reserve_rounds(kWarmup + kRounds);
+  sim.run_rounds(kWarmup);
+  for (std::uint32_t i = 0; i < kRounds; ++i) {
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    sim.step();
+    const std::uint64_t delta =
+        g_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(delta, 0u) << "round " << kWarmup + i << " performed "
+                         << delta << " heap allocations";
+  }
+  for (const Multicaster* a : actors) EXPECT_EQ(a->last_inbox, 16u * 3);
+}
+
+TEST(AllocHotPath, AllMulticastFootprintIsLinearInRecords) {
+  // Each multicast lands once in the shared stream, not once per node:
+  // after rounds of R records at n = 64, the arenas hold O(R) bytes —
+  // well under the R * n inbox entries a per-node fan-out needs.
+  constexpr std::uint32_t kN = 64, kPerNode = 16;
+  constexpr std::size_t kRecords = std::size_t{kN} * kPerNode;
+  CostLedger ledger({"toy"});
+  ToySim<CastMsg> sim(kN, 1, &ledger, ToyPolicy{});
+  const auto actors = all_multicast(sim, kPerNode);
+  sim.run_rounds(4);
+  for (const Multicaster* a : actors) EXPECT_EQ(a->last_inbox, kRecords);
+
+  constexpr std::size_t kEntry =
+      sizeof(TrafficLog<CastMsg>::Record) + sizeof(Delivery<CastMsg>);
+  const std::size_t reserved = sim.traffic_arena_reserved_bytes();
+  EXPECT_LE(reserved, 3 * Arena::kDefaultChunkBytes + 8 * kRecords * kEntry);
+  EXPECT_LT(reserved, kRecords * kN * sizeof(Delivery<CastMsg>));
 }
 
 TEST(AllocHotPath, HooksActuallyCount) {
