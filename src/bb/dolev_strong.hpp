@@ -27,6 +27,7 @@
 #include "common/wire.hpp"
 #include "crypto/multisig.hpp"
 #include "crypto/signer.hpp"
+#include "runner/drive.hpp"
 #include "runner/result.hpp"
 #include "sim/commit_log.hpp"
 #include "sim/net.hpp"
@@ -148,22 +149,14 @@ class DsNode final : public Actor<Msg> {
   std::vector<Value> extracted_;
 };
 
-struct DsConfig {
-  std::uint32_t n = 8;
-  std::uint32_t f = 5;
-  Slot slots = 4;
-  std::uint64_t seed = 1;
+/// Driver configuration. Named adversaries: silent | equivocate | stagger.
+struct DsConfig : RunConfig {
+  DsConfig() {
+    n = 8;
+    f = 5;
+    slots = 4;
+  }
   bool use_multisig = false;
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  std::uint32_t value_bits = kDefaultValueBits;
-  std::string adversary = "none";  // none | silent | equivocate | stagger
-  /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
-  /// "bounded:<delta>" | "async[:<cap>]".
-  std::string net = "lockstep";
-  /// Optional event sink, not owned (see src/trace/).
-  trace::TraceSink* trace = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
 };
 
 RunResult run_dolev_strong(const DsConfig& cfg);

@@ -21,6 +21,7 @@
 #include "common/types.hpp"
 #include "common/wire.hpp"
 #include "crypto/threshold.hpp"
+#include "runner/drive.hpp"
 #include "runner/result.hpp"
 #include "sim/commit_log.hpp"
 #include "sim/net.hpp"
@@ -92,21 +93,13 @@ struct CostPolicy {
 
 using Sim = Simulation<Msg, CostPolicy>;
 
-struct HsConfig {
-  std::uint32_t n = 8;
-  std::uint32_t f = 2;
-  Slot slots = 4;
-  std::uint64_t seed = 1;
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  std::uint32_t value_bits = kDefaultValueBits;
-  std::string adversary = "none";  // none | selective
-  /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
-  /// "bounded:<delta>" | "async[:<cap>]".
-  std::string net = "lockstep";
-  /// Optional event sink, not owned (see src/trace/).
-  trace::TraceSink* trace = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
+/// Driver configuration. Named adversary: selective.
+struct HsConfig : RunConfig {
+  HsConfig() {
+    n = 8;
+    f = 2;
+    slots = 4;
+  }
 };
 
 /// NOTE: under the "selective" adversary this intentionally FAILS the

@@ -189,27 +189,7 @@ std::unique_ptr<Adversary<Msg>> make_adaptive_erase(const Context* ctx,
 
 std::unique_ptr<Adversary<Msg>> make_adversary(const std::string& spec,
                                                const Context* ctx,
-                                               std::uint64_t seed,
-                                               Round horizon,
-                                               NetPolicy net) {
-  if (spec == "none") return nullptr;
-  if (adversary::is_schedule_spec(spec)) {
-    adversary::ScheduleEnv<Msg> env;
-    env.n = ctx->n;
-    env.f = ctx->f;
-    env.seed = seed;
-    env.horizon = horizon;
-    env.trace = ctx->trace;
-    env.net = net;
-    // No-op Deviation marker: the corrupted-seat replica is behaviourally
-    // honest, but any honest-only invariant in LinearNode must treat it
-    // as Byzantine (it may start from fresh state mid-run).
-    env.honest_factory = [ctx](NodeId node) {
-      return std::make_unique<LinearNode>(node, ctx,
-                                          std::make_unique<Deviation>());
-    };
-    return adversary::make_scheduled_adversary<Msg>(spec, env);
-  }
+                                               std::uint64_t seed) {
   if (spec == "silent" || spec == "equivocate" || spec == "selective" ||
       spec == "flood" || spec == "drop") {
     return make_static(ctx, seed, [spec](std::uint32_t) { return spec; });

@@ -2,7 +2,8 @@
 // analysed in Section 4.2 plus a strongly-adaptive after-the-fact removal
 // demonstration.
 //
-// Specs accepted by make_adversary():
+// Adversary specs of Algorithm 4 (make_adversary() builds the named ones;
+// the shared driver, runner/drive.hpp, handles "none" and the schedules):
 //   "none"          no corruptions (failure-free baseline)
 //   "silent"        corrupt nodes never send: forces accusations and
 //                   corrupt-proofs; exercises the expensive-slot path
@@ -25,7 +26,7 @@
 // ScheduledAdversary carries the corruption/erase schedule, and the
 // Deviation-based Byzantine actors plug in via its byzantine-factory
 // override. "sched:"/"fuzz" specs use the generic FaultedActor wrapping
-// around honest LinearNodes instead.
+// around honest LinearNode replicas instead.
 #pragma once
 
 #include <memory>
@@ -35,15 +36,11 @@
 
 namespace ambb::linear {
 
-/// Returns nullptr for "none". Throws CheckError on an unknown spec.
-/// `horizon` is the total number of rounds the driver will run (used by
-/// the "fuzz" schedule generator to place events). `net` is the run's
-/// delay policy: it gates delay/reorder timing faults (rejected under
-/// lockstep) and scales fuzz-generated delays.
+/// The named strategies above. "none" and the schedule specs are
+/// handled by the shared driver (runner/drive.hpp). Throws CheckError on
+/// an unknown spec.
 std::unique_ptr<Adversary<Msg>> make_adversary(const std::string& spec,
                                                const Context* ctx,
-                                               std::uint64_t seed,
-                                               Round horizon,
-                                               NetPolicy net = {});
+                                               std::uint64_t seed);
 
 }  // namespace ambb::linear

@@ -67,6 +67,7 @@
 #include "crypto/signer.hpp"
 #include "crypto/threshold.hpp"
 #include "graph/expander.hpp"
+#include "runner/drive.hpp"
 #include "runner/result.hpp"
 #include "sim/commit_log.hpp"
 #include "sim/net.hpp"
@@ -392,34 +393,13 @@ class LinearNode final : public Actor<Msg> {
 };
 
 /// Driver configuration for a full multi-shot run.
-struct LinearConfig {
-  std::uint32_t n = 16;
-  std::uint32_t f = 4;
-  Slot slots = 8;
-  std::uint64_t seed = 1;
+struct LinearConfig : RunConfig, SimHooks<Sim> {
   double eps = 0.1;  ///< f must be <= (1/2 - eps) n
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  std::uint32_t value_bits = kDefaultValueBits;
   Options opts;
-  std::string adversary = "none";
-  /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
-  /// "bounded:<delta>" | "async[:<cap>]". The run seed is mixed in per
-  /// run (make_net_policy), so the execution stays seed-deterministic.
-  std::string net = "lockstep";
-  /// Optional event sink, not owned (see src/trace/). Attaching a sink
-  /// never changes the run.
-  trace::TraceSink* trace = nullptr;
-  /// Optional overrides; defaults: round-robin sender, hash-like inputs.
-  std::function<Value(Slot)> input_for_slot;
   /// Causal-input variant (Sequentiality, Definition 2): the sender of
   /// slot k may derive its input from values committed at slots j < k.
   /// Must only read slots < k. Takes precedence over input_for_slot.
   std::function<Value(Slot, const CommitLog&)> input_with_log;
-  std::function<NodeId(Slot)> sender_of;
-  /// Test hooks: called after every simulated round / once before
-  /// teardown, with access to the live simulation (actors included).
-  std::function<void(Round, Sim&)> on_round_end;
-  std::function<void(Sim&)> inspect;
 };
 
 RunResult run_linear(const LinearConfig& cfg);

@@ -30,6 +30,7 @@
 
 #include "common/types.hpp"
 #include "common/wire.hpp"
+#include "runner/drive.hpp"
 #include "runner/result.hpp"
 #include "sim/commit_log.hpp"
 #include "sim/net.hpp"
@@ -88,21 +89,14 @@ struct CostPolicy {
 
 using Sim = Simulation<Msg, CostPolicy>;
 
-struct PkConfig {
-  std::uint32_t n = 10;
-  std::uint32_t f = 3;  ///< must satisfy 3f < n
-  Slot slots = 4;
-  std::uint64_t seed = 1;
-  std::uint32_t kappa_bits = kDefaultKappaBits;
-  std::uint32_t value_bits = kDefaultValueBits;
-  std::string adversary = "none";  // none | silent | equivocate | confuse
-  /// Network delay policy (DESIGN.md §16): "lockstep" (default) |
-  /// "bounded:<delta>" | "async[:<cap>]".
-  std::string net = "lockstep";
-  /// Optional event sink, not owned (see src/trace/).
-  trace::TraceSink* trace = nullptr;
-  std::function<Value(Slot)> input_for_slot;
-  std::function<NodeId(Slot)> sender_of;
+/// Driver configuration; must satisfy 3f < n. Named adversaries:
+/// silent | equivocate | confuse.
+struct PkConfig : RunConfig {
+  PkConfig() {
+    n = 10;
+    f = 3;
+    slots = 4;
+  }
 };
 
 RunResult run_phase_king(const PkConfig& cfg);

@@ -169,28 +169,7 @@ std::unique_ptr<Deviation> make_quad_deviation(const std::string& role) {
 
 std::unique_ptr<Adversary<Msg>> make_quad_adversary(const std::string& spec,
                                                     const Context* ctx,
-                                                    std::uint64_t seed,
-                                                    Round horizon,
-                                                    NetPolicy net) {
-  if (spec == "none") return nullptr;
-  if (adversary::is_schedule_spec(spec)) {
-    adversary::ScheduleEnv<Msg> env;
-    env.n = ctx->n;
-    env.f = ctx->f;
-    env.seed = seed;
-    env.horizon = horizon;
-    env.trace = ctx->trace;
-    env.net = net;
-    // The corrupted-seat replica runs honest logic but carries a no-op
-    // Deviation marker: honest-only invariant CHECKs (TrustCast's
-    // vote-or-value guarantee) must not fire for a Byzantine node
-    // replaying honest logic from mid-run fresh state.
-    env.honest_factory = [ctx](NodeId node) {
-      return std::make_unique<QuadNode>(node, ctx,
-                                        std::make_unique<Deviation>());
-    };
-    return adversary::make_scheduled_adversary<Msg>(spec, env);
-  }
+                                                    std::uint64_t seed) {
   if (spec == "silent" || spec == "equivocate" || spec == "conspiracy" ||
       spec == "lateprop" || spec == "floodaccuse" || spec == "framer") {
     // Static strategy = corrupt-first-f schedule + Deviation actors via

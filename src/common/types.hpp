@@ -1,6 +1,7 @@
 // Core scalar types and protocol-wide constants shared by every module.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -34,5 +35,14 @@ using Value = std::uint64_t;
 
 /// Sentinel broadcast value representing bottom (no value / commit-bot).
 inline constexpr Value kBotValue = std::numeric_limits<Value>::max();
+
+/// floor(frac * n) for a fraction frac >= 0, with frac first snapped to
+/// the nearest 1e-9 so the floor is exact integer arithmetic. The plain
+/// double product truncates float noise: (0.5 - 0.15) * 180 evaluates to
+/// 62.99999999999999, not 63.
+inline std::uint32_t floor_frac(double frac, std::uint32_t n) {
+  const auto num = static_cast<std::uint64_t>(std::llround(frac * 1e9));
+  return static_cast<std::uint32_t>(num * n / 1000000000ULL);
+}
 
 }  // namespace ambb

@@ -1,7 +1,6 @@
 #include "engine/sweep.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -26,12 +25,10 @@ std::vector<std::uint32_t> fs_for(const SweepSpec& spec,
                                        spec.f_frac_den)};
   }
   if (spec.f_frac >= 0.0) {
-    // Double fallback: snap the fraction to the nearest 1e-9, then apply
-    // the same exact floor. static_cast<uint32_t>(f_frac * n) truncated
-    // float noise (0.3 * 10 = 2.999... -> 2); this yields 3.
-    const auto num = static_cast<std::uint64_t>(
-        std::llround(spec.f_frac * 1e9));
-    return {static_cast<std::uint32_t>(num * n / 1000000000ULL)};
+    // Double fallback: the same exact floor after a 1e-9 snap.
+    // static_cast<uint32_t>(f_frac * n) truncated float noise
+    // (0.3 * 10 = 2.999... -> 2); this yields 3.
+    return {floor_frac(spec.f_frac, n)};
   }
   if (!spec.fs.empty()) return spec.fs;
   // No fault-load key at all: a third of the nodes, the conventional

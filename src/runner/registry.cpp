@@ -17,20 +17,26 @@ namespace ambb {
 
 namespace {
 
-RunResult run_linear_with(const RunRequest& rq, linear::Options opts) {
+/// The shared driver's config core of a registry run.
+RunConfig core_of(const RunRequest& rq) {
   const CommonParams& p = rq.params;
-  linear::LinearConfig cfg;
-  cfg.n = p.n;
-  cfg.f = p.f;
-  cfg.slots = p.slots;
-  cfg.seed = p.seed;
-  cfg.eps = p.eps;
-  cfg.kappa_bits = p.kappa_bits;
-  cfg.value_bits = p.value_bits;
+  RunConfig core;
+  core.n = p.n;
+  core.f = p.f;
+  core.slots = p.slots;
+  core.seed = p.seed;
+  core.kappa_bits = p.kappa_bits;
+  core.value_bits = p.value_bits;
+  core.adversary = p.adversary;
+  core.net = p.net;
+  core.trace = rq.trace;
+  return core;
+}
+
+RunResult run_linear_with(const RunRequest& rq, linear::Options opts) {
+  auto cfg = with_core<linear::LinearConfig>(core_of(rq));
+  cfg.eps = rq.params.eps;
   cfg.opts = opts;
-  cfg.adversary = p.adversary;
-  cfg.net = p.net;
-  cfg.trace = rq.trace;
   return run_linear(cfg);
 }
 
@@ -103,18 +109,7 @@ std::vector<ProtocolInfo> build() {
                       false},
       [](std::uint32_t n) { return n - 1; },
       [](const RunRequest& rq) {
-        const CommonParams& p = rq.params;
-        quad::QuadConfig cfg;
-        cfg.n = p.n;
-        cfg.f = p.f;
-        cfg.slots = p.slots;
-        cfg.seed = p.seed;
-        cfg.kappa_bits = p.kappa_bits;
-        cfg.value_bits = p.value_bits;
-        cfg.adversary = p.adversary;
-        cfg.net = p.net;
-        cfg.trace = rq.trace;
-        return run_quadratic(cfg);
+        return run_quadratic(with_core<quad::QuadConfig>(core_of(rq)));
       }});
   // TrustCast's agreement argument is a delivery deadline ("an honest
   // sender's message reaches every trusted edge this round"), not a
@@ -124,18 +119,8 @@ std::vector<ProtocolInfo> build() {
   const AdversaryPolicy ds_policy{
       {"none", "silent", "equivocate", "stagger"}, {}, false};
   auto run_ds = [](const RunRequest& rq, bool use_multisig) {
-    const CommonParams& p = rq.params;
-    ds::DsConfig cfg;
-    cfg.n = p.n;
-    cfg.f = p.f;
-    cfg.slots = p.slots;
-    cfg.seed = p.seed;
+    auto cfg = with_core<ds::DsConfig>(core_of(rq));
     cfg.use_multisig = use_multisig;
-    cfg.kappa_bits = p.kappa_bits;
-    cfg.value_bits = p.value_bits;
-    cfg.adversary = p.adversary;
-    cfg.net = p.net;
-    cfg.trace = rq.trace;
     return run_dolev_strong(cfg);
   };
 
@@ -165,18 +150,7 @@ std::vector<ProtocolInfo> build() {
       AdversaryPolicy{{"none", "silent", "equivocate", "confuse"}, {}, false},
       [](std::uint32_t n) { return (n - 1) / 3; },
       [](const RunRequest& rq) {
-        const CommonParams& p = rq.params;
-        pk::PkConfig cfg;
-        cfg.n = p.n;
-        cfg.f = p.f;
-        cfg.slots = p.slots;
-        cfg.seed = p.seed;
-        cfg.kappa_bits = p.kappa_bits;
-        cfg.value_bits = p.value_bits;
-        cfg.adversary = p.adversary;
-        cfg.net = p.net;
-        cfg.trace = rq.trace;
-        return run_phase_king(cfg);
+        return run_phase_king(with_core<pk::PkConfig>(core_of(rq)));
       }});
 
   // Long-message extension rows (DESIGN.md §13): erasure-coded dispersal
@@ -248,18 +222,7 @@ std::vector<ProtocolInfo> build() {
                       /*sched_may_stall=*/true},
       [](std::uint32_t n) { return (n - 1) / 3; },
       [](const RunRequest& rq) {
-        const CommonParams& p = rq.params;
-        hs::HsConfig cfg;
-        cfg.n = p.n;
-        cfg.f = p.f;
-        cfg.slots = p.slots;
-        cfg.seed = p.seed;
-        cfg.kappa_bits = p.kappa_bits;
-        cfg.value_bits = p.value_bits;
-        cfg.adversary = p.adversary;
-        cfg.net = p.net;
-        cfg.trace = rq.trace;
-        return run_hotstuff_demo(cfg);
+        return run_hotstuff_demo(with_core<hs::HsConfig>(core_of(rq)));
       }});
 
   return out;

@@ -8,6 +8,11 @@
 // the reference an elided run must match on every measured bit
 // (Outcome / expect_same).
 //
+// The reference copies of each family's driver loop are themselves tied
+// to the production driver: production_outcome() runs the registry row on
+// the same parameters, and the unwrapped copy must match it, so a drift
+// between copy and driver fails a test too.
+//
 // The reference run also audits the wake contract itself: the decorator
 // remembers the wake its inner actor declared, and a call before that
 // round with no mail and no rushed traffic must emit nothing. A wrong
@@ -21,13 +26,16 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "runner/registry.hpp"
 #include "sim/net.hpp"
 #include "sim/stats.hpp"
+#include "trace/trace.hpp"
 
 namespace ambb::idle_skip {
 
@@ -136,6 +144,42 @@ struct Outcome {
     return c;
   }
 };
+
+/// The commit log of `slots` slots x `n` nodes, absent entries included.
+inline std::vector<std::tuple<bool, Value, Round>> commit_rows(
+    const CommitLog& log, std::uint32_t n, Slot slots) {
+  std::vector<std::tuple<bool, Value, Round>> out;
+  for (Slot k = 1; k <= slots; ++k) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (log.has(v, k)) {
+        const CommitRecord& c = log.get(v, k);
+        out.emplace_back(true, c.value, c.round);
+      } else {
+        out.emplace_back(false, kBotValue, 0);
+      }
+    }
+  }
+  return out;
+}
+
+/// Runs registry row `proto` traced. The registry does not expose its
+/// simulation, so arena_bytes is left to the caller.
+inline Outcome production_outcome(const std::string& proto,
+                                  const CommonParams& p) {
+  std::ostringstream jsonl;
+  trace::JsonlSink sink(jsonl);
+  const RunResult r = protocol(proto).run(RunRequest(p, &sink));
+  Outcome o;
+  o.honest_bits = r.honest_bits;
+  o.adversary_bits = r.adversary_bits;
+  o.per_slot = r.per_slot_bits;
+  o.per_kind = r.per_kind_bits;
+  o.commits = commit_rows(r.commits, r.n, r.slots);
+  for (std::uint8_t c : r.corrupt) o.corrupt.push_back(c != 0);
+  o.rounds = r.round_stats;
+  o.jsonl = jsonl.str();
+  return o;
+}
 
 /// Equal on every measured bit; RoundStats compared without ns_*.
 inline void expect_same(const Outcome& got, const Outcome& ref) {

@@ -9,7 +9,8 @@
 // which also audits the wake contract. The two runs must agree on every
 // measured bit: ledger totals, per-slot and per-kind bits, commit logs,
 // corrupt flags, every RoundStats counter (ns_* excepted), the JSONL
-// trace byte for byte, and the traffic arenas' reserved bytes.
+// trace byte for byte, and the traffic arenas' reserved bytes. The
+// unwrapped copy must also match the "quadratic" registry row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,8 +21,9 @@
 #include <utility>
 
 #include "bb/quadratic_bb.hpp"
-#include "common/rng.hpp"
 #include "crypto/signer.hpp"
+#include "runner/drive.hpp"
+#include "runner/registry.hpp"
 #include "sim/net_policy.hpp"
 #include "trace/trace.hpp"
 
@@ -47,15 +49,33 @@ struct Params {
   std::uint64_t seed = 1;
 };
 
+/// The registry parameters of `p`.
+CommonParams common(const Params& p) {
+  CommonParams c;
+  c.n = p.n;
+  c.f = p.f;
+  c.slots = p.slots;
+  c.seed = p.seed;
+  c.adversary = p.adversary;
+  c.net = p.net;
+  return c;
+}
+
 /// run_quadratic's setup and round loop, with an optional AlwaysAwake
 /// wrapping of every actor and of the adversary (`audit` != nullptr).
 Outcome run(const Params& p, Audit* audit) {
   KeyRegistry registry(p.n, p.seed);
-  CommitLog commits(p.n);
-  commits.presize(p.slots);
-  CostLedger ledger(kind_names());
   std::ostringstream jsonl;
   trace::JsonlSink sink(jsonl);
+  RunConfig core;
+  core.n = p.n;
+  core.f = p.f;
+  core.slots = p.slots;
+  core.seed = p.seed;
+  core.adversary = p.adversary;
+  core.net = p.net;
+  core.trace = &sink;
+  RunState st(core, kind_names());
 
   Context ctx;
   ctx.n = p.n;
@@ -63,17 +83,12 @@ Outcome run(const Params& p, Audit* audit) {
   ctx.wire = WireModel{p.n, kDefaultKappaBits, kDefaultValueBits};
   ctx.sched = Schedule{p.n, p.f};
   ctx.registry = &registry;
-  ctx.commits = &commits;
-  ctx.input_for_slot = [seed = p.seed](Slot s) {
-    std::uint64_t x = (seed ^ 0x5EEDF00DULL) + s;
-    return splitmix64(x);
-  };
-  ctx.sender_of = [n = p.n](Slot s) {
-    return static_cast<NodeId>((s - 1) % n);
-  };
+  ctx.commits = &st.commits;
+  ctx.input_for_slot = st.input_for_slot;
+  ctx.sender_of = st.sender_of;
   ctx.trace = &sink;
 
-  Sim sim(p.n, p.f, &ledger, CostPolicy{ctx.wire, ctx.sched});
+  Sim sim(p.n, p.f, &st.ledger, CostPolicy{ctx.wire, ctx.sched});
   for (NodeId v = 0; v < p.n; ++v) {
     std::unique_ptr<Actor<Msg>> a = std::make_unique<QuadNode>(v, &ctx);
     if (audit != nullptr) {
@@ -85,8 +100,15 @@ Outcome run(const Params& p, Audit* audit) {
       std::uint64_t{p.slots} * ctx.sched.rounds_per_slot();
   sim.reserve_rounds(total_rounds);
   const NetPolicy net = make_net_policy(p.net, p.seed);
-  std::unique_ptr<Adversary<Msg>> adversary = make_quad_adversary(
-      p.adversary, &ctx, p.seed ^ 0xAD7E25A1ULL, total_rounds, net);
+  std::unique_ptr<Adversary<Msg>> adversary = select_adversary<Msg>(
+      core, kAdversarySalt, total_rounds, net,
+      [&ctx](NodeId v) {
+        return std::make_unique<QuadNode>(v, &ctx,
+                                          std::make_unique<Deviation>());
+      },
+      [&ctx](const std::string& spec, std::uint64_t seed) {
+        return make_quad_adversary(spec, &ctx, seed);
+      });
   if (audit != nullptr && adversary != nullptr) {
     adversary =
         std::make_unique<AlwaysAwakeAdversary>(std::move(adversary), audit);
@@ -118,20 +140,11 @@ Outcome run(const Params& p, Audit* audit) {
   }
 
   Outcome o;
-  o.honest_bits = ledger.honest_bits_total();
-  o.adversary_bits = ledger.adversary_bits_total();
-  o.per_slot = ledger.per_slot();
-  o.per_kind = ledger.per_kind();
-  for (Slot k = 1; k <= p.slots; ++k) {
-    for (NodeId v = 0; v < p.n; ++v) {
-      if (commits.has(v, k)) {
-        const CommitRecord& c = commits.get(v, k);
-        o.commits.emplace_back(true, c.value, c.round);
-      } else {
-        o.commits.emplace_back(false, kBotValue, 0);
-      }
-    }
-  }
+  o.honest_bits = st.ledger.honest_bits_total();
+  o.adversary_bits = st.ledger.adversary_bits_total();
+  o.per_slot = st.ledger.per_slot();
+  o.per_kind = st.ledger.per_kind();
+  o.commits = idle_skip::commit_rows(st.commits, p.n, p.slots);
   for (NodeId v = 0; v < p.n; ++v) o.corrupt.push_back(sim.is_corrupt(v));
   o.rounds = sim.round_stats();
   o.jsonl = jsonl.str();
@@ -171,6 +184,9 @@ TEST_P(IdleSkipQuad, ElisionMatchesAlwaysAwakeReference) {
     const Outcome ref = run(p, &audit);
     const Outcome got = run(p, nullptr);
     expect_same(got, ref);
+    Outcome prod = idle_skip::production_outcome("quadratic", common(p));
+    prod.arena_bytes = got.arena_bytes;
+    expect_same(got, prod);
   }
   EXPECT_GT(audit.sleeping_calls, 0u) << "no call was ever elidable";
 }

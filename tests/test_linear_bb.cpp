@@ -99,6 +99,18 @@ TEST(Linear, FBoundEnforced) {
   EXPECT_THROW(run_linear(cfg), CheckError);
 }
 
+TEST(Linear, FBoundExactOnTheBoundary) {
+  // (0.5 - 0.15) * 180 evaluates to 62.99999999999999 in binary floating
+  // point, but f = 63 sits exactly on the bound f <= (1/2 - eps) n.
+  auto cfg = base_cfg(180, 63, 1, 1, "none");
+  cfg.eps = 0.15;
+  RunResult r;
+  ASSERT_NO_THROW(r = run_linear(cfg));
+  EXPECT_EQ(check_all(r), std::vector<std::string>{});
+  cfg.f = 64;
+  EXPECT_THROW(run_linear(cfg), CheckError);
+}
+
 TEST(Linear, AblationOptionsStillCorrect) {
   for (auto opts : {Options::mr_baseline(), Options::no_memory()}) {
     for (const char* adv : {"none", "silent", "selective", "mixed"}) {
