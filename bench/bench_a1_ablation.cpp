@@ -75,23 +75,10 @@ void run_table() {
       "pinned at the quadratic baseline.\n");
 }
 
-void BM_Variant(::benchmark::State& state) {
-  static const char* kProtos[] = {"linear", "linear-nomem", "mr-baseline"};
-  for (auto _ : state) {
-    auto r = registry_run(kProtos[state.range(0)],
-                          variant_params("mixed", 24));
-    ::benchmark::DoNotOptimize(r.honest_bits);
-    state.counters["amortized_bits"] = r.amortized();
-  }
-}
-BENCHMARK(BM_Variant)->DenseRange(0, 2)->Unit(::benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ambb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main() {
   ambb::bench::run_table();
   return ambb::bench::finish_bench("a1_ablation");
 }

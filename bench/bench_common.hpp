@@ -3,10 +3,6 @@
 // from Sections 4.2/5.1/5.4/Appendix A — DESIGN.md's experiment index),
 // printing the measured rows next to the paper's asymptotic prediction.
 //
-// Wall-clock timing of full multi-shot executions is registered through
-// google-benchmark; the communication measurements (the paper's actual
-// metric) are printed as tables after the timing runs.
-//
 // Job execution is delegated to the experiment engine (src/engine/):
 // each bench expands its grid into independent engine jobs, runs them on
 // a fixed worker pool (AMBB_BENCH_JOBS=N; default one worker per
@@ -22,8 +18,6 @@
 // violation into every recorded run, to prove the non-zero-exit
 // plumbing works.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
@@ -109,13 +103,6 @@ inline std::vector<RunResult> run_jobs(const std::vector<Job>& jobs) {
   return results;
 }
 
-/// One-off checked execution (single-job batch through the engine).
-template <class Fn>
-RunResult timed_checked(const std::string& label, Fn&& run,
-                        bool allow_stall = false) {
-  return run_jobs({Job{label, std::forward<Fn>(run), allow_stall}})[0];
-}
-
 /// Engine job for a registry protocol at the given params, with an
 /// explicit label and stall policy. Benches that predate the registry's
 /// auto-label format keep their historical labels (they are pinned by the
@@ -140,21 +127,6 @@ inline Job registry_job(const std::string& proto, const CommonParams& p,
 inline Job registry_job(const std::string& proto, const CommonParams& p) {
   return registry_job(proto, p,
                       proto + "/" + p.adversary + "/n" + std::to_string(p.n));
-}
-
-/// Unchecked direct run for google-benchmark timing loops (no engine, no
-/// property checks — these loops measure wall clock only; the measured
-/// communication numbers all flow through run_jobs).
-inline RunResult registry_run(const std::string& proto,
-                              const CommonParams& p) {
-  return protocol(proto).run(p);
-}
-
-/// Run a protocol from the registry and sanity-check the run (so the
-/// numbers we print always come from correct executions).
-inline RunResult checked_run(const std::string& proto,
-                             const CommonParams& p) {
-  return run_jobs({registry_job(proto, p)})[0];
 }
 
 /// Print the per-run round-stats summary table, write BENCH_<name>.json

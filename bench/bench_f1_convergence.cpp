@@ -58,28 +58,10 @@ void run_series() {
       "constant).\n");
 }
 
-void BM_LinearRun(::benchmark::State& state) {
-  CommonParams p;
-  p.n = 32;
-  p.f = 12;
-  p.slots = static_cast<ambb::Slot>(state.range(0));
-  p.seed = 7;
-  p.adversary = "mixed";
-  for (auto _ : state) {
-    auto r = registry_run("linear", p);
-    ::benchmark::DoNotOptimize(r.honest_bits);
-    state.counters["amortized_bits"] = r.amortized();
-  }
-}
-BENCHMARK(BM_LinearRun)->Arg(8)->Arg(32)->Arg(128)
-    ->Unit(::benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ambb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main() {
   ambb::bench::run_series();
   return ambb::bench::finish_bench("f1_convergence");
 }

@@ -159,27 +159,10 @@ void run_scaling() {
   std::printf("%s", t.render().c_str());
 }
 
-void BM_ScalingLinear(::benchmark::State& state) {
-  CommonParams p;
-  p.n = static_cast<std::uint32_t>(state.range(0));
-  p.f = static_cast<std::uint32_t>(0.3 * p.n);
-  p.slots = 16;
-  p.eps = 0.2;
-  p.seed = 7;
-  p.adversary = "mixed";
-  for (auto _ : state) {
-    auto r = registry_run("linear", p);
-    ::benchmark::DoNotOptimize(r.honest_bits);
-  }
-}
-BENCHMARK(BM_ScalingLinear)->Arg(24)->Arg(48)->Unit(::benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ambb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main() {
   ambb::bench::run_scaling();
   return ambb::bench::finish_bench("f2_scaling");
 }

@@ -69,29 +69,10 @@ void run_breakdown() {
       "they are the amortized O(kn^3) term.\n");
 }
 
-void BM_Adversary(::benchmark::State& state) {
-  static const char* kAdvs[] = {"none", "silent", "selective", "mixed"};
-  CommonParams p;
-  p.n = 24;
-  p.f = 9;
-  p.slots = 24;
-  p.seed = 11;
-  p.adversary = kAdvs[state.range(0)];
-  for (auto _ : state) {
-    auto r = registry_run("linear", p);
-    ::benchmark::DoNotOptimize(r.honest_bits);
-    state.counters["amortized_bits"] = r.amortized();
-  }
-  state.SetLabel(p.adversary);
-}
-BENCHMARK(BM_Adversary)->DenseRange(0, 3)->Unit(::benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ambb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main() {
   ambb::bench::run_breakdown();
   return ambb::bench::finish_bench("f3_adversaries");
 }

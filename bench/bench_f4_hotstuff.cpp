@@ -64,27 +64,10 @@ void run_comparison() {
                   static_cast<double>(lr.honest_bits)).c_str());
 }
 
-void BM_HotstuffSlot(::benchmark::State& state) {
-  CommonParams p;
-  p.n = 16;
-  p.f = 5;
-  p.slots = 16;
-  p.seed = 3;
-  p.adversary = state.range(0) == 0 ? "none" : "selective";
-  for (auto _ : state) {
-    auto r = registry_run("hotstuff", p);
-    ::benchmark::DoNotOptimize(r.honest_bits);
-  }
-  state.SetLabel(p.adversary);
-}
-BENCHMARK(BM_HotstuffSlot)->Arg(0)->Arg(1)->Unit(::benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ambb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main() {
   ambb::bench::run_comparison();
   return ambb::bench::finish_bench("f4_hotstuff");
 }

@@ -71,27 +71,10 @@ void run_tables() {
       "L — so amortized cost falls toward the per-slot prop term.\n");
 }
 
-void BM_QuadRun(::benchmark::State& state) {
-  CommonParams p;
-  p.n = 16;
-  p.f = 8;
-  p.slots = static_cast<ambb::Slot>(state.range(0));
-  p.seed = 13;
-  p.adversary = "silent";
-  for (auto _ : state) {
-    auto r = registry_run("quadratic", p);
-    ::benchmark::DoNotOptimize(r.honest_bits);
-    state.counters["amortized_bits"] = r.amortized();
-  }
-}
-BENCHMARK(BM_QuadRun)->Arg(16)->Arg(64)->Unit(::benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ambb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main() {
   ambb::bench::run_tables();
   return ambb::bench::finish_bench("f5_trustcast");
 }

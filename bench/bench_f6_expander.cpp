@@ -1,7 +1,7 @@
 // Experiment F6 — Section 3 / Lemma 1's precondition: constant-degree
 // (n, 2eps, 1-2eps)-expanders exist and our construction finds them.
 // Reports degree, spectral gap estimate, and sampled-expansion quality
-// across n and eps, plus construction wall-clock via google-benchmark.
+// across n and eps.
 #include "bench_common.hpp"
 
 #include "common/rng.hpp"
@@ -63,36 +63,10 @@ void run_table() {
       "well below the degree certifies spectral expansion.\n");
 }
 
-void BM_BuildExpander(::benchmark::State& state) {
-  const std::uint32_t n = static_cast<std::uint32_t>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    Graph g = build_expander(n, 0.1, seed++);
-    ::benchmark::DoNotOptimize(g.edge_count());
-  }
-}
-BENCHMARK(BM_BuildExpander)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(::benchmark::kMillisecond);
-
-void BM_NeighborhoodQuery(::benchmark::State& state) {
-  Graph g = build_expander(128, 0.1, 5);
-  Rng rng(3);
-  std::vector<std::uint32_t> set;
-  for (auto v : rng.sample_distinct(128, 26)) {
-    set.push_back(static_cast<std::uint32_t>(v));
-  }
-  for (auto _ : state) {
-    ::benchmark::DoNotOptimize(g.neighborhood_size(set));
-  }
-}
-BENCHMARK(BM_NeighborhoodQuery);
-
 }  // namespace
 }  // namespace ambb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main() {
   ambb::bench::run_table();
   return ambb::bench::finish_bench("f6_expander");
 }

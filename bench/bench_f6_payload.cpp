@@ -109,24 +109,10 @@ void run_table() {
       "overhead that raw undercuts at the smallest payloads.\n");
 }
 
-void BM_ExtLinearPayload(::benchmark::State& st) {
-  const auto payload = static_cast<std::uint64_t>(st.range(0));
-  CommonParams p = cell_params(payload, true);
-  for (auto _ : st) {
-    ::benchmark::DoNotOptimize(
-        registry_run("ext:linear", p).honest_bits);
-    ++p.seed;  // fresh execution per iteration
-  }
-}
-BENCHMARK(BM_ExtLinearPayload)->Arg(4096)->Arg(65536)
-    ->Unit(::benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ambb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main() {
   ambb::bench::run_table();
   return ambb::bench::finish_bench("f6_payload");
 }

@@ -116,25 +116,10 @@ void run_table() {
       "variant (DESIGN.md).\n");
 }
 
-void BM_Table1Row(::benchmark::State& state) {
-  const Row& row = kRows[static_cast<std::size_t>(state.range(0))];
-  CommonParams p = params_for(row, 16, "none");
-  p.slots = 8;
-  for (auto _ : state) {
-    RunResult r = protocol(row.proto).run(p);
-    ::benchmark::DoNotOptimize(r.honest_bits);
-    state.counters["bits_per_slot"] =
-        static_cast<double>(r.honest_bits) / p.slots;
-  }
-}
-BENCHMARK(BM_Table1Row)->DenseRange(0, 5)->Unit(::benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ambb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main() {
   ambb::bench::run_table();
   return ambb::bench::finish_bench("table1");
 }

@@ -7,8 +7,9 @@
 #                          # sweep --trace-dir smoke run
 #   scripts/ci.sh tsan     # only the TSan build + `ctest -L "engine|ext|arena|sched"`
 #   scripts/ci.sh asan     # only the ASan+UBSan build + `ctest -L "adversary|engine|ext|arena|sched"`
-#   scripts/ci.sh perf_smoke  # bench_f2_scaling smoke rows vs the
-#                             # committed BENCH_f2_scaling.json
+#   scripts/ci.sh perf_smoke  # bench_f2_scaling smoke rows and a full
+#                             # bench_f6_payload run vs the committed
+#                             # BENCH_f2_scaling.json / BENCH_f6_payload.json
 #
 # The TSan stage rebuilds into build-tsan/ (see CMakePresets.json) and runs
 # exactly the engine-labelled tests: they exercise the worker pool with
@@ -44,10 +45,12 @@
 #
 # The perf_smoke stage is the measurement-drift gate for the zero-copy
 # hot path: it runs bench_f2_scaling in AMBB_F2_SMOKE=1 mode (one small-n
-# row per series, timing loops filtered out) and diffs every measurement
-# field against the committed BENCH_f2_scaling.json by run label
-# (scripts/check_bench_fields.py). Wall-clock and ns_* fields are
-# excluded: the gate catches semantic drift, not machine noise.
+# row per series) and diffs every measurement field against the committed
+# BENCH_f2_scaling.json by run label (scripts/check_bench_fields.py). It
+# then regenerates BENCH_f6_payload.json, the only committed bench file
+# that runs the extension driver (ext:* rows and their base phase), and
+# diffs it the same way. Wall-clock and ns_* fields are excluded: the
+# gate catches semantic drift, not machine noise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,17 +107,19 @@ asan() {
 perf_smoke() {
   echo "== perf_smoke: configure + build =="
   cmake --preset default
-  cmake --build --preset default -j "$jobs" --target bench_f2_scaling
+  cmake --build --preset default -j "$jobs" \
+      --target bench_f2_scaling bench_f6_payload
   echo "== perf_smoke: bench_f2_scaling (AMBB_F2_SMOKE=1) =="
   local dir
   dir="$(mktemp -d)"
-  # --benchmark_filter matches nothing: skip the wall-clock timing loops,
-  # the gate only needs the checked measurement rows.
-  (cd "$dir" && AMBB_F2_SMOKE=1 "$OLDPWD/build/bench/bench_f2_scaling" \
-      --benchmark_filter='^$')
-  echo "== perf_smoke: measurement-field diff vs committed golden =="
+  (cd "$dir" && AMBB_F2_SMOKE=1 "$OLDPWD/build/bench/bench_f2_scaling")
+  echo "== perf_smoke: bench_f6_payload =="
+  (cd "$dir" && "$OLDPWD/build/bench/bench_f6_payload")
+  echo "== perf_smoke: measurement-field diff vs committed goldens =="
   python3 scripts/check_bench_fields.py \
       BENCH_f2_scaling.json "$dir/BENCH_f2_scaling.json"
+  python3 scripts/check_bench_fields.py \
+      BENCH_f6_payload.json "$dir/BENCH_f6_payload.json"
   rm -rf "$dir"
 }
 
