@@ -3,8 +3,9 @@
 #
 #   scripts/ci.sh          # full: tier-1, trace lane, TSan engine, ASan+UBSan
 #   scripts/ci.sh tier1    # only the tier-1 build + full test suite
-#   scripts/ci.sh trace    # only the trace suite (`ctest -L trace`) + a
-#                          # sweep --trace-dir smoke run
+#   scripts/ci.sh trace    # only the trace suite (`ctest -L trace`), a
+#                          # sweep --trace-dir smoke run and one ambb_trace
+#                          # replay
 #   scripts/ci.sh tsan     # only the TSan build + `ctest -L "engine|ext|arena|sched"`
 #   scripts/ci.sh asan     # only the ASan+UBSan build + `ctest -L "adversary|engine|ext|arena|sched"`
 #   scripts/ci.sh perf_smoke  # bench_f2_scaling smoke rows and a full
@@ -19,9 +20,11 @@
 # The trace stage runs the TraceSink suite (golden JSONL, pure-observer
 # and --jobs determinism checks) and then smoke-tests the end-to-end
 # surface: ambb_sweep --trace-dir must write one trace per job and exit
-# zero. The JsonlSink-under-the-worker-pool case is additionally covered
-# by the TSan stage, because test_trace_determinism carries the engine
-# label too.
+# zero, and one ambb_trace replay must exit zero and print its cache
+# line (digest and MAC memo hits, misses and evictions). The
+# JsonlSink-under-the-worker-pool case is additionally covered by the
+# TSan stage, because test_trace_determinism carries the engine label
+# too.
 #
 # The ASan+UBSan stage rebuilds into build-asan/ and runs the adversary
 # and engine suites: the fault-injection paths (after-the-fact erasure,
@@ -82,6 +85,13 @@ trace() {
   (cd "$dir" && "$OLDPWD/build/tools/ambb_sweep" \
       --spec "$OLDPWD/tools/specs/payload_scaling.spec" \
       --filter ext-lin --out payload_smoke)
+  echo "== trace: ambb_trace replay smoke =="
+  build/tools/ambb_trace --protocol linear --adversary mixed --n 16 \
+      --slots 8 > "$dir/replay.txt"
+  grep -q '^caches: digest .*; mac ' "$dir/replay.txt" || {
+    echo "ambb_trace printed no cache line" >&2
+    exit 1
+  }
   rm -rf "$dir"
 }
 

@@ -85,10 +85,14 @@ VerifyCache::VerifyCache(std::uint32_t log2_entries)
 
 const Digest* VerifyCache::find(std::uint32_t owner, std::uint64_t domain,
                                 const Digest& d) const {
-  const Entry& e = table_[index_of(owner, domain, d)];
-  if (e.used && e.owner == owner && e.domain == domain && e.digest == d) {
-    stats_.hits += 1;
-    return &e.mac;
+  // A key sits in its home slot or in the other slot of its pair.
+  const std::size_t i = index_of(owner, domain, d);
+  for (const std::size_t j : {i, i ^ 1}) {
+    const Entry& e = table_[j];
+    if (e.used && e.owner == owner && e.domain == domain && e.digest == d) {
+      stats_.hits += 1;
+      return &e.mac;
+    }
   }
   stats_.misses += 1;
   return nullptr;
@@ -100,7 +104,10 @@ void VerifyCache::clear() {
 
 void VerifyCache::store(std::uint32_t owner, std::uint64_t domain,
                         const Digest& d, const Digest& mac) {
-  Entry& e = table_[index_of(owner, domain, d)];
+  // Take a free slot of the pair, home first; with both taken, overwrite
+  // the home slot.
+  const std::size_t i = index_of(owner, domain, d);
+  Entry& e = table_[i].used && !table_[i ^ 1].used ? table_[i ^ 1] : table_[i];
   if (e.used) stats_.evictions += 1;
   e.domain = domain;
   e.owner = owner;

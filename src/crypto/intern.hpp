@@ -9,9 +9,10 @@
 //   DigestCache  (domain tag, canonical bytes)        -> SHA-256 digest
 //   VerifyCache  (key owner, domain tag, digest)      -> HMAC value
 //
-// Direct-mapped with overwrite-on-collision: a collision costs one
-// recomputation, never correctness — the cache is a pure observer of a
-// pure function. Lookups compare the FULL key (tag and bytes), so two
+// Overwrite-on-collision: DigestCache is direct-mapped, VerifyCache is
+// two-way (a key may sit in either slot of its pair). A collision costs
+// one recomputation, never correctness — the cache is a pure observer of
+// a pure function. Lookups compare the FULL key (tag and bytes), so two
 // tag-distinct encodings can never alias an entry; domain separation is
 // preserved bit-for-bit.
 //
@@ -34,13 +35,16 @@
 
 namespace ambb {
 
+/// Lookup counters of one cache.
+struct CacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;  ///< overwrites of a live entry
+};
+
 class DigestCache {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;  ///< overwrites of a live entry
-  };
+  using Stats = CacheStats;
 
   static constexpr std::uint32_t kDefaultLog2Entries = 14;
   /// Keys at most this long are stored inline in the table; longer keys
@@ -80,18 +84,18 @@ class DigestCache {
 };
 
 /// Flat MAC memo for KeyRegistry: every sign/verify/mac_as/master_mac is a
-/// pure function of (key owner, domain tag, digest). Replaces the former
-/// unordered_map node-per-insert cache with a fixed direct-mapped table so
-/// steady-state inserts never touch the heap.
+/// pure function of (key owner, domain tag, digest). A fixed two-way
+/// table, so steady-state inserts never touch the heap.
+///
+/// Each MAC is reused within the round that produced it, not across the
+/// run, so the table is sized to that window: at 2^13 entries (650 KB per
+/// thread) it fits in a core's L2 and hits as often as a 2^15 table
+/// (DESIGN.md §14).
 class VerifyCache {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
+  using Stats = CacheStats;
 
-  static constexpr std::uint32_t kDefaultLog2Entries = 15;
+  static constexpr std::uint32_t kDefaultLog2Entries = 13;
 
   explicit VerifyCache(std::uint32_t log2_entries = kDefaultLog2Entries);
 
@@ -124,9 +128,15 @@ class VerifyCache {
   std::size_t index_of(std::uint32_t owner, std::uint64_t domain,
                        const Digest& d) const {
     // The digest is SHA-256 output; its first bytes are already uniform.
+    // The n shares or signatures on one digest differ only in the owner,
+    // so the owner must reach the low bits the mask keeps. Multiplying by
+    // an odd constant permutes the low bits, so owners 0..capacity-1 on
+    // one (domain, digest) always take distinct slots. Folding the high
+    // half in afterwards would lose that (at 2^13 entries, owners 9 and
+    // 283 would share a slot).
     std::uint64_t h = 0;
     for (int i = 0; i < 8; ++i) h = h << 8 | d[i];
-    h ^= domain ^ (std::uint64_t{owner} << 32);
+    h ^= domain ^ (std::uint64_t{owner} * 0x9E3779B97F4A7C15ULL);
     return static_cast<std::size_t>(h & mask_);
   }
 

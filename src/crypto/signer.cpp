@@ -17,6 +17,22 @@ Digest derive_key(const Digest& master, std::uint64_t index) {
   return hmac_sha256(master, d);
 }
 
+/// The calling thread's MAC memo. It is per-thread, keyed on the registry
+/// uid: the registry stays immutable after construction, so any thread may
+/// read it without a race, and keying on uid (rather than folding it into
+/// the cache key) guarantees a thread that switches registries can never
+/// be served a MAC computed under different keys — the whole cache is
+/// dropped instead.
+struct TlMacCache {
+  std::uint64_t reg = 0;  ///< registry uid, 0 = empty
+  VerifyCache cache;
+};
+
+TlMacCache& mac_cache() {
+  thread_local TlMacCache tl;
+  return tl;
+}
+
 constexpr std::uint64_t fnv1a_str(const char* s) {
   std::uint64_t h = 1469598103934665603ULL;
   for (; *s != '\0'; ++s) {
@@ -46,16 +62,7 @@ KeyRegistry::KeyRegistry(std::uint32_t n, std::uint64_t master_seed) : n_(n) {
 
 Digest KeyRegistry::cached_mac(std::uint32_t owner, const PrfKey& key,
                                std::uint64_t domain, const Digest& d) const {
-  // The MAC memo is per-thread, keyed on the registry uid: the registry
-  // stays immutable after construction, so any thread may read it without
-  // a race, and keying on uid (rather than
-  // folding it into the cache key) guarantees a thread that switches
-  // registries can never be served a MAC computed under different keys —
-  // the whole cache is dropped instead.
-  thread_local struct TlMacCache {
-    std::uint64_t reg = 0;  ///< registry uid, 0 = empty
-    VerifyCache cache;
-  } tl;
+  TlMacCache& tl = mac_cache();
   if (tl.reg != uid_) {
     tl.cache.clear();
     tl.reg = uid_;
@@ -64,6 +71,10 @@ Digest KeyRegistry::cached_mac(std::uint32_t owner, const PrfKey& key,
   const Digest out = key.mac(domain, d);
   tl.cache.store(owner, domain, d, out);
   return out;
+}
+
+VerifyCache::Stats KeyRegistry::mac_cache_stats() {
+  return mac_cache().cache.stats();
 }
 
 Signature KeyRegistry::sign(NodeId signer, const Digest& d) const {

@@ -59,6 +59,13 @@ class KeyRegistry {
   /// with different keys.
   std::uint64_t uid() const { return uid_; }
 
+  /// Hit/miss/eviction counters of the calling thread's MAC memo,
+  /// cumulative over every registry the thread has used (a registry
+  /// switch drops the entries, not the counters). Like
+  /// DigestCache::local().stats(), it only observes: take it before and
+  /// after a run and subtract.
+  static VerifyCache::Stats mac_cache_stats();
+
  private:
   static constexpr std::uint32_t kMasterOwner = 0xFFFFFFFFu;
 

@@ -1,6 +1,7 @@
 // Interning caches (DESIGN.md §14) are pure observers: every answer they
 // return must be bit-identical to the uncached computation, under hits,
-// misses, forced index collisions, and the long-key spill path. Also pins
+// misses, forced index collisions, and the long-key spill path; the MAC
+// memo must give every key owner on one digest its own entry. Also pins
 // the SHA-256 span/string_view overload agreement and the single-block
 // finalize_block fast path the PRF keys rely on.
 #include <gtest/gtest.h>
@@ -96,21 +97,7 @@ TEST(VerifyCache, FindStoreRoundTripAndCollisionEviction) {
   VerifyCache vc(/*log2_entries=*/1);  // two entries
   ASSERT_EQ(vc.capacity(), 2u);
 
-  // Mirror of VerifyCache::index_of at mask = 1, to construct a digest
-  // that deterministically collides with d1's slot.
-  auto slot = [](std::uint32_t owner, std::uint64_t domain, const Digest& d) {
-    std::uint64_t h = 0;
-    for (int i = 0; i < 8; ++i) h = h << 8 | d[i];
-    h ^= domain ^ (std::uint64_t{owner} << 32);
-    return h & 1;
-  };
-
   const Digest d1 = Sha256::hash("message-1");
-  Digest d2{};
-  for (int k = 2;; ++k) {
-    d2 = Sha256::hash("message-" + std::to_string(k));
-    if (slot(4, 11, d2) == slot(4, 11, d1)) break;
-  }
   const Digest m1 = Sha256::hash("mac-1");
   const Digest m2 = Sha256::hash("mac-2");
 
@@ -125,13 +112,47 @@ TEST(VerifyCache, FindStoreRoundTripAndCollisionEviction) {
   EXPECT_EQ(vc.find(5, 11, d1), nullptr);
   EXPECT_EQ(vc.find(4, 12, d1), nullptr);
 
-  // Colliding store overwrites (direct-mapped) and counts an eviction.
-  vc.store(4, 11, d2, m2);
+  // Store further digests until one overwrites d1's entry. The colliding
+  // d2 is found by behaviour (store a candidate, then probe d1), not by
+  // mirroring the index function, so this holds for any slot index.
+  Digest d2{};
+  for (int k = 2; vc.find(4, 11, d1) != nullptr; ++k) {
+    ASSERT_LT(k, 64) << "no store ever evicted d1";
+    d2 = Sha256::hash("message-" + std::to_string(k));
+    vc.store(4, 11, d2, m2);
+  }
+
+  // The colliding store overwrote d1 and counted an eviction.
   EXPECT_EQ(vc.find(4, 11, d1), nullptr);
   const Digest* hit2 = vc.find(4, 11, d2);
   ASSERT_NE(hit2, nullptr);
   EXPECT_EQ(*hit2, m2);
   EXPECT_GT(vc.stats().evictions, 0u);
+}
+
+TEST(VerifyCache, DistinctOwnersOnOneDigestAllHit) {
+  // The n threshold shares (or signatures) on one digest differ only in
+  // the key owner. At the default capacity each must keep its own entry;
+  // if the owner never reached the slot index they would evict each other
+  // and the memo would never hit.
+  VerifyCache vc;
+  constexpr std::uint64_t kDomain = 0x5DEECE66DULL;
+  const Digest d = Sha256::hash("vote-digest");
+  std::vector<std::uint32_t> owners;
+  for (std::uint32_t o = 0; o < 128; ++o) owners.push_back(o);
+  owners.push_back(0xFFFFFFFFu);  // KeyRegistry's master (dealer) key
+  auto mac_of = [](std::uint32_t o) {
+    return Sha256::hash("mac-" + std::to_string(o));
+  };
+
+  for (std::uint32_t o : owners) vc.store(o, kDomain, d, mac_of(o));
+  for (std::uint32_t o : owners) {
+    const Digest* m = vc.find(o, kDomain, d);
+    ASSERT_NE(m, nullptr) << "owner " << o;
+    EXPECT_EQ(*m, mac_of(o)) << "owner " << o;
+  }
+  EXPECT_EQ(vc.stats().hits, owners.size());
+  EXPECT_EQ(vc.stats().evictions, 0u);
 }
 
 TEST(Sha256, StringViewOverloadIsTheSpanOverload) {

@@ -31,6 +31,8 @@
 
 #include "cli.hpp"
 #include "common/check.hpp"
+#include "crypto/intern.hpp"
+#include "crypto/signer.hpp"
 #include "runner/registry.hpp"
 #include "trace/trace.hpp"
 
@@ -108,6 +110,21 @@ const char* node_mark(const RunResult& r, NodeId v) {
   return v < r.corrupt.size() && r.corrupt[v] ? "*" : "";
 }
 
+/// One memo's counters as a delta across the replayed run.
+void print_memo(const char* name, const CacheStats& before,
+                const CacheStats& after) {
+  const std::uint64_t hits = after.hits - before.hits;
+  const std::uint64_t misses = after.misses - before.misses;
+  const std::uint64_t lookups = hits + misses;
+  std::printf("%s %llu hits / %llu misses (%.1f%%), %llu evictions", name,
+              static_cast<unsigned long long>(hits),
+              static_cast<unsigned long long>(misses),
+              lookups == 0 ? 0.0 : 100.0 * static_cast<double>(hits) /
+                                       static_cast<double>(lookups),
+              static_cast<unsigned long long>(after.evictions -
+                                              before.evictions));
+}
+
 /// Per-slot tallies of the protocol-detection events, for the delta
 /// summary at the bottom of the report.
 struct SlotDelta {
@@ -140,12 +157,16 @@ int main(int argc, char** argv) {
 
   trace::CollectorSink sink;
   RunResult r;
+  const DigestCache::Stats digest_before = DigestCache::local().stats();
+  const VerifyCache::Stats mac_before = KeyRegistry::mac_cache_stats();
   try {
     r = info.run(RunRequest{cli.params, &sink});
   } catch (const CheckError& e) {
     std::fprintf(stderr, "ambb_trace: run failed: %s\n", e.what());
     return 1;
   }
+  const DigestCache::Stats digest_after = DigestCache::local().stats();
+  const VerifyCache::Stats mac_after = KeyRegistry::mac_cache_stats();
 
   if (!cli.jsonl.empty()) {
     std::ofstream os(cli.jsonl, std::ios::binary | std::ios::trunc);
@@ -336,6 +357,11 @@ int main(int argc, char** argv) {
               "%zu corrupt votes, %zu adversary actions over %llu rounds\n",
               acc, edges, votes, adv,
               static_cast<unsigned long long>(r.rounds));
+  std::printf("caches: ");
+  print_memo("digest", digest_before, digest_after);
+  std::printf("; ");
+  print_memo("mac", mac_before, mac_after);
+  std::printf("\n");
   if (any_stall) std::printf("liveness: at least one slot stalled\n");
   return 0;
 }
