@@ -20,19 +20,6 @@ struct Series {
   std::vector<double> ns, costs;
 };
 
-/// CI smoke mode (scripts/ci.sh perf_smoke lane): AMBB_F2_SMOKE=1 trims
-/// every series to its smallest n. The labels of the surviving rows are
-/// unchanged, so their measurement fields can be diffed bit-for-bit
-/// against the committed BENCH_f2_scaling.json.
-bool smoke_mode() { return std::getenv("AMBB_F2_SMOKE") != nullptr; }
-
-/// The full sweep, or just its head in smoke mode.
-std::vector<std::uint32_t> sweep(std::initializer_list<std::uint32_t> ns) {
-  std::vector<std::uint32_t> v(ns);
-  if (smoke_mode()) v.resize(1);
-  return v;
-}
-
 void run_scaling() {
   print_header(
       "F2 / Table 1 scaling exponents: log-log slope of steady-state "
@@ -48,8 +35,8 @@ void run_scaling() {
 
   // The n=128/256 rows are new with the zero-copy hot path (DESIGN.md
   // §14); n=512 is a ~minute-scale run.
-  const std::vector<std::uint32_t> alg4_ns =
-      sweep({24u, 32u, 48u, 64u, 128u, 256u, 512u});
+  const std::vector<std::uint32_t> alg4_ns = {24u,  32u,  48u, 64u,
+                                               128u, 256u, 512u};
   Series alg4{"Alg.4 (mixed adv, eps=0.2)", 0.7, 1.6, {}, {}};
   for (std::uint32_t n : alg4_ns) {
     CommonParams p;
@@ -64,7 +51,7 @@ void run_scaling() {
     alg4.ns.push_back(n);
   }
 
-  const std::vector<std::uint32_t> mr_ns = sweep({24u, 32u, 48u, 64u});
+  const std::vector<std::uint32_t> mr_ns = {24u, 32u, 48u, 64u};
   Series mr{"MR-style baseline (mixed adv)", 1.6, 2.5, {}, {}};
   for (std::uint32_t n : mr_ns) {
     CommonParams p;
@@ -79,7 +66,7 @@ void run_scaling() {
     mr.ns.push_back(n);
   }
 
-  const std::vector<std::uint32_t> quad_ns = sweep({12u, 16u, 24u, 32u});
+  const std::vector<std::uint32_t> quad_ns = {12u, 16u, 24u, 32u};
   Series s_quad{"Alg.5.2 (silent adv, f=n/2)", 1.5, 2.6, {}, {}};
   for (std::uint32_t n : quad_ns) {
     CommonParams p;
@@ -93,7 +80,7 @@ void run_scaling() {
     s_quad.ns.push_back(n);
   }
 
-  const std::vector<std::uint32_t> dsw_ns = sweep({12u, 16u, 24u, 32u});
+  const std::vector<std::uint32_t> dsw_ns = {12u, 16u, 24u, 32u};
   Series dsw{"Dolev-Strong plain (stagger, f=n/2)", 2.3, 3.4, {}, {}};
   for (std::uint32_t n : dsw_ns) {
     CommonParams p;
@@ -107,7 +94,7 @@ void run_scaling() {
     dsw.ns.push_back(n);
   }
 
-  const std::vector<std::uint32_t> pk_ns = sweep({10u, 13u, 19u, 25u});
+  const std::vector<std::uint32_t> pk_ns = {10u, 13u, 19u, 25u};
   Series s_pk{"phase-king (confuse, f<n/3)", 1.6, 3.2, {}, {}};
   for (std::uint32_t n : pk_ns) {
     CommonParams p;
@@ -137,12 +124,6 @@ void run_scaling() {
   }
   for (std::size_t k = 0; k < pk_ns.size(); ++k) {
     s_pk.costs.push_back(results[i++].amortized());
-  }
-
-  if (smoke_mode()) {
-    std::printf("\nAMBB_F2_SMOKE=1: single-n rows only, slope table "
-                "skipped (needs the full sweep).\n");
-    return;
   }
 
   TextTable t({"protocol", "n sweep", "measured slope", "paper-expected"});

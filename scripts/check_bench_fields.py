@@ -2,10 +2,11 @@
 """Compare the measurement fields of two BENCH_*.json files by run label.
 
 Used by the perf-smoke lane in scripts/ci.sh: a freshly generated bench
-JSON (typically an AMBB_F2_SMOKE=1 subset) is diffed against the committed
-golden. Runs are matched by label; labels present in only one file are
-skipped (the smoke subset is a strict subset of the golden sweep), but at
-least one label must match. Every MEASUREMENT field must be bit-identical
+JSON is diffed against the committed golden. For F2 the candidate is the
+ambb_sweep output of tools/specs/f2_scaling.spec, the n <= 64 head of the
+bench grid (20 of its 23 rows). Runs are matched by label; labels present
+in only one file are skipped, but at least one label must match. Every
+MEASUREMENT field must be bit-identical
 — these are deterministic outputs of the simulation and may never drift
 under a pure performance change. Wall-clock and ns_* timing fields are
 environment noise and are excluded.

@@ -8,7 +8,7 @@
 #                          # replay
 #   scripts/ci.sh tsan     # only the TSan build + `ctest -L "engine|ext|arena|sched"`
 #   scripts/ci.sh asan     # only the ASan+UBSan build + `ctest -L "adversary|engine|ext|arena|sched"`
-#   scripts/ci.sh perf_smoke  # bench_f2_scaling smoke rows and a full
+#   scripts/ci.sh perf_smoke  # the f2_scaling.spec sweep and a full
 #                             # bench_f6_payload run vs the committed
 #                             # BENCH_f2_scaling.json / BENCH_f6_payload.json
 #
@@ -47,8 +47,9 @@
 # the lifetime + threading mix the sanitizers exist to check.
 #
 # The perf_smoke stage is the measurement-drift gate for the zero-copy
-# hot path: it runs bench_f2_scaling in AMBB_F2_SMOKE=1 mode (one small-n
-# row per series) and diffs every measurement field against the committed
+# hot path: it runs tools/specs/f2_scaling.spec through ambb_sweep (the
+# n <= 64 head of the bench_f2_scaling grid: 20 of its 23 rows, under the
+# same labels) and diffs every measurement field against the committed
 # BENCH_f2_scaling.json by run label (scripts/check_bench_fields.py). It
 # then regenerates BENCH_f6_payload.json, the only committed bench file
 # that runs the extension driver (ext:* rows and their base phase), and
@@ -118,11 +119,12 @@ perf_smoke() {
   echo "== perf_smoke: configure + build =="
   cmake --preset default
   cmake --build --preset default -j "$jobs" \
-      --target bench_f2_scaling bench_f6_payload
-  echo "== perf_smoke: bench_f2_scaling (AMBB_F2_SMOKE=1) =="
+      --target ambb_sweep bench_f6_payload
+  echo "== perf_smoke: f2_scaling.spec sweep =="
   local dir
   dir="$(mktemp -d)"
-  (cd "$dir" && AMBB_F2_SMOKE=1 "$OLDPWD/build/bench/bench_f2_scaling")
+  (cd "$dir" && "$OLDPWD/build/tools/ambb_sweep" \
+      --spec "$OLDPWD/tools/specs/f2_scaling.spec" --out f2_scaling)
   echo "== perf_smoke: bench_f6_payload =="
   (cd "$dir" && "$OLDPWD/build/bench/bench_f6_payload")
   echo "== perf_smoke: measurement-field diff vs committed goldens =="

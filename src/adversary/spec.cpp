@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace ambb::adversary {
 
@@ -59,25 +60,24 @@ std::vector<Op> split_ops(const std::string& body) {
   return ops;
 }
 
-std::uint64_t parse_u64(const Op& op, std::size_t idx) {
+/// Argument `idx` as a T, range-checked against T: a node id past 2^32-1
+/// is an error, not a wrap to a small id.
+template <class T>
+T parse_num(const Op& op, std::size_t idx) {
+  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
   const std::string& t = op.args[idx];
-  std::uint64_t v = 0;
-  AMBB_CHECK_MSG(!t.empty(), "sched spec: empty number in '" << op.name << "'");
-  for (char c : t) {
-    AMBB_CHECK_MSG(c >= '0' && c <= '9', "sched spec: bad number '"
-                                             << t << "' in op '" << op.name
-                                             << "'");
-    AMBB_CHECK_MSG(v <= (std::numeric_limits<std::uint64_t>::max() - 9) / 10,
-                   "sched spec: number '" << t << "' overflows");
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
+  const auto v = parse_uint<T>(t);
+  AMBB_CHECK_MSG(v.has_value(),
+                 "sched spec: bad number '" << t << "' in op '" << op.name
+                                            << "' (digits only, at most "
+                                            << kMax << ")");
+  return *v;
 }
 
 /// Round argument that may be "*" (= end of run).
 Round parse_round_or_star(const Op& op, std::size_t idx) {
   if (op.args[idx] == "*") return kRoundMax;
-  return parse_u64(op, idx);
+  return parse_num<Round>(op, idx);
 }
 
 void need_args(const Op& op, std::size_t lo, std::size_t hi) {
@@ -90,8 +90,8 @@ void need_args(const Op& op, std::size_t lo, std::size_t hi) {
 ActorFault window_fault(FaultKind kind, const Op& op) {
   ActorFault a;
   a.kind = kind;
-  a.node = static_cast<NodeId>(parse_u64(op, 0));
-  a.from = parse_u64(op, 1);
+  a.node = parse_num<NodeId>(op, 0);
+  a.from = parse_num<Round>(op, 1);
   a.to = parse_round_or_star(op, 2);
   return a;
 }
@@ -112,7 +112,7 @@ std::uint64_t fuzz_profile(const std::string& spec) {
   Op op;
   op.name = "fuzz";
   op.args.push_back(spec.substr(5));
-  return parse_u64(op, 0);
+  return parse_num<std::uint64_t>(op, 0);
 }
 
 FaultSchedule parse_schedule_spec(const std::string& spec) {
@@ -122,10 +122,9 @@ FaultSchedule parse_schedule_spec(const std::string& spec) {
   for (const Op& op : split_ops(spec.substr(sizeof(kSchedPrefix) - 1))) {
     if (op.name == "corrupt") {
       need_args(op, 2, std::numeric_limits<std::size_t>::max());
-      const Round from = parse_u64(op, 0);
+      const Round from = parse_num<Round>(op, 0);
       for (std::size_t i = 1; i < op.args.size(); ++i) {
-        s.corruptions.push_back(
-            CorruptEvent{from, static_cast<NodeId>(parse_u64(op, i))});
+        s.corruptions.push_back(CorruptEvent{from, parse_num<NodeId>(op, i)});
       }
     } else if (op.name == "erase") {
       need_args(op, 2, 5);
@@ -133,14 +132,14 @@ FaultSchedule parse_schedule_spec(const std::string& spec) {
                      "sched spec: erase takes (r,v), (r,v,d) or "
                      "(r,v,d,mod,rem)");
       EraseEvent e;
-      e.round = parse_u64(op, 0);
-      e.sender = static_cast<NodeId>(parse_u64(op, 1));
+      e.round = parse_num<Round>(op, 0);
+      e.sender = parse_num<NodeId>(op, 1);
       if (op.args.size() >= 3) {
-        e.density_permille = static_cast<std::uint32_t>(parse_u64(op, 2));
+        e.density_permille = parse_num<std::uint32_t>(op, 2);
       }
       if (op.args.size() == 5) {
-        e.to_mod = static_cast<std::uint32_t>(parse_u64(op, 3));
-        e.to_rem = static_cast<std::uint32_t>(parse_u64(op, 4));
+        e.to_mod = parse_num<std::uint32_t>(op, 3);
+        e.to_rem = parse_num<std::uint32_t>(op, 4);
       }
       s.erasures.push_back(e);
     } else if (op.name == "silence") {
@@ -152,30 +151,30 @@ FaultSchedule parse_schedule_spec(const std::string& spec) {
     } else if (op.name == "stagger") {
       need_args(op, 4, 4);
       ActorFault a = window_fault(FaultKind::kStagger, op);
-      a.delay = static_cast<std::uint32_t>(parse_u64(op, 3));
+      a.delay = parse_num<std::uint32_t>(op, 3);
       s.actor_faults.push_back(a);
     } else if (op.name == "selective") {
       need_args(op, 4, std::numeric_limits<std::size_t>::max());
       ActorFault a = window_fault(FaultKind::kSelective, op);
       for (std::size_t i = 3; i < op.args.size(); ++i) {
-        a.keep.push_back(static_cast<NodeId>(parse_u64(op, i)));
+        a.keep.push_back(parse_num<NodeId>(op, i));
       }
       s.actor_faults.push_back(a);
     } else if (op.name == "delay") {
       need_args(op, 4, 4);
       NetFault t;
       t.kind = NetFaultKind::kDelay;
-      t.sender = static_cast<NodeId>(parse_u64(op, 0));
-      t.from = parse_u64(op, 1);
+      t.sender = parse_num<NodeId>(op, 0);
+      t.from = parse_num<Round>(op, 1);
       t.to = parse_round_or_star(op, 2);
-      t.extra = static_cast<std::uint32_t>(parse_u64(op, 3));
+      t.extra = parse_num<std::uint32_t>(op, 3);
       s.net_faults.push_back(t);
     } else if (op.name == "reorder") {
       need_args(op, 3, 3);
       NetFault t;
       t.kind = NetFaultKind::kReorder;
-      t.sender = static_cast<NodeId>(parse_u64(op, 0));
-      t.from = parse_u64(op, 1);
+      t.sender = parse_num<NodeId>(op, 0);
+      t.from = parse_num<Round>(op, 1);
       t.to = parse_round_or_star(op, 2);
       s.net_faults.push_back(t);
     } else {

@@ -16,35 +16,4 @@ Encoder& Encoder::scratch() {
   return e;
 }
 
-std::uint8_t Decoder::get_u8() {
-  AMBB_CHECK_MSG(pos_ < buf_.size(), "decoder underrun");
-  return buf_[pos_++];
-}
-
-std::uint16_t Decoder::get_u16() {
-  std::uint16_t hi = get_u8();
-  return static_cast<std::uint16_t>(hi << 8 | get_u8());
-}
-
-std::uint32_t Decoder::get_u32() {
-  std::uint32_t hi = get_u16();
-  return hi << 16 | get_u16();
-}
-
-std::uint64_t Decoder::get_u64() {
-  std::uint64_t hi = get_u32();
-  return hi << 32 | get_u32();
-}
-
-std::vector<std::uint8_t> Decoder::get_bytes(std::size_t len) {
-  // NOT `pos_ + len <= size()`: a hostile length near SIZE_MAX would wrap
-  // the sum and pass the check. pos_ <= size() is a class invariant, so
-  // the subtraction below cannot underflow.
-  AMBB_CHECK_MSG(len <= buf_.size() - pos_, "decoder underrun");
-  std::vector<std::uint8_t> out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-  pos_ += len;
-  return out;
-}
-
 }  // namespace ambb

@@ -1,4 +1,6 @@
-// Canonical byte encoding used to derive signing digests and wire sizes.
+// Canonical byte encoding used to derive signing digests. Wire sizes do
+// not come from here: the cost metric is priced by WireModel and each
+// family's size_bits (DESIGN.md §8).
 //
 // Every signed object in the protocols is encoded through an Encoder before
 // being hashed; this guarantees that two semantically different messages
@@ -8,9 +10,7 @@
 // Hot-path usage: the digest helpers run millions of times per benchmark
 // run, so the Encoder supports a scratch-backed mode — Encoder::scratch()
 // returns a cleared thread-local instance whose buffer capacity persists
-// across calls, making steady-state encodings heap-allocation-free. An
-// Encoder can also be constructed over an external reusable buffer for
-// callers that manage their own scratch storage.
+// across calls, making steady-state encodings heap-allocation-free.
 #pragma once
 
 #include <cstdint>
@@ -25,17 +25,11 @@ namespace ambb {
 
 class Encoder {
  public:
-  Encoder() : buf_(&own_) {}
+  Encoder() = default;
 
-  /// Scratch-backed mode: encode into `external` (cleared on entry, never
-  /// shrunk) instead of an owned buffer. The buffer must outlive the
-  /// Encoder.
-  explicit Encoder(std::vector<std::uint8_t>* external) : buf_(external) {
-    buf_->clear();
-  }
-
-  // buf_ may point at own_, so copies/moves would dangle; encoders are
-  // cheap to construct where needed and scratch() covers the hot path.
+  // `auto e = Encoder::scratch();` would copy the thread-local instance
+  // and leave it marked busy; encoders are cheap to construct where
+  // needed and scratch() covers the hot path.
   Encoder(const Encoder&) = delete;
   Encoder& operator=(const Encoder&) = delete;
 
@@ -49,22 +43,22 @@ class Encoder {
   /// corrupt the outer encoding; now it throws.
   static Encoder& scratch();
 
-  void reserve(std::size_t n) { buf_->reserve(n); }
+  void reserve(std::size_t n) { buf_.reserve(n); }
   void clear() {
-    buf_->clear();
+    buf_.clear();
     busy_ = false;
   }
 
-  void put_u8(std::uint8_t v) { buf_->push_back(v); }
+  void put_u8(std::uint8_t v) { buf_.push_back(v); }
   void put_u16(std::uint16_t v) {
     put_u8(static_cast<std::uint8_t>(v >> 8));
     put_u8(static_cast<std::uint8_t>(v));
   }
   /// Checked narrowing put: for wider fields (Epoch is uint32_t, chain
   /// lengths are size_t) whose canonical encoding is u16. A value >= 2^16
-  /// would silently alias digests and wire bytes; this throws instead.
+  /// would silently alias digests; this throws instead.
   void put_u16_checked(std::uint64_t v) {
-    AMBB_CHECK_MSG(v <= 0xFFFFu, "u16 codec field overflow: " << v);
+    AMBB_CHECK_MSG(v <= 0xFFFFu, "u16 encoder field overflow: " << v);
     put_u16(static_cast<std::uint16_t>(v));
   }
   void put_u32(std::uint32_t v) {
@@ -76,7 +70,7 @@ class Encoder {
     put_u32(static_cast<std::uint32_t>(v));
   }
   void put_bytes(std::span<const std::uint8_t> bytes) {
-    buf_->insert(buf_->end(), bytes.begin(), bytes.end());
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
   /// Tag strings disambiguate message kinds inside digests ("vote", ...).
   /// Length-prefixed so distinct tag sequences cannot collide.
@@ -87,41 +81,20 @@ class Encoder {
 
   const std::vector<std::uint8_t>& bytes() const {
     busy_ = false;  // encoding consumed; scratch() may be re-acquired
-    return *buf_;
+    return buf_;
   }
   std::span<const std::uint8_t> view() const {
     busy_ = false;  // encoding consumed; scratch() may be re-acquired
-    return std::span<const std::uint8_t>(buf_->data(), buf_->size());
+    return std::span<const std::uint8_t>(buf_.data(), buf_.size());
   }
-  std::size_t size() const { return buf_->size(); }
+  std::size_t size() const { return buf_.size(); }
 
  private:
-  std::vector<std::uint8_t> own_;
-  std::vector<std::uint8_t>* buf_;
+  std::vector<std::uint8_t> buf_;
   /// Reentrancy guard for the thread-local scratch instance: set by
   /// scratch(), released when the encoding is consumed (view()/bytes())
   /// or abandoned (clear()). Always false for ordinary instances.
   mutable bool busy_ = false;
-};
-
-/// Matching decoder; used by codec round-trip tests and by components that
-/// genuinely re-parse (e.g. signature-chain validation in Dolev-Strong).
-class Decoder {
- public:
-  explicit Decoder(std::span<const std::uint8_t> bytes) : buf_(bytes) {}
-
-  std::uint8_t get_u8();
-  std::uint16_t get_u16();
-  std::uint32_t get_u32();
-  std::uint64_t get_u64();
-  std::vector<std::uint8_t> get_bytes(std::size_t len);
-
-  bool exhausted() const { return pos_ == buf_.size(); }
-  std::size_t remaining() const { return buf_.size() - pos_; }
-
- private:
-  std::span<const std::uint8_t> buf_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace ambb

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "sim/net_policy.hpp"
 #include "trace/trace.hpp"
 
@@ -100,8 +103,9 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
               // registry: the Dolev-Strong relay step, TrustCast,
               // chunk dispersal), which may legally split under delays.
               const bool stall_ok = may_stall(info, adv) || !lockstep_net;
-              for (std::uint64_t seed = spec.seed_begin;
-                   seed <= spec.seed_end; ++seed) {
+              // Ends on seed == seed_end, not seed > seed_end: the
+              // latter never holds when seed_end is 2^64-1.
+              for (std::uint64_t seed = spec.seed_begin;; ++seed) {
                 for (std::uint32_t rep = 0; rep < spec.repetitions; ++rep) {
                   SweepJob sj;
                   sj.protocol = spec.protocol;
@@ -139,6 +143,7 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
                   sj.label = label.str();
                   out.push_back(std::move(sj));
                 }
+                if (seed == spec.seed_end) break;
               }
             }
           }
@@ -239,12 +244,21 @@ std::vector<std::string> tokens_of(const std::string& line) {
 
 template <class T>
 T parse_num(const std::string& tok, int lineno) {
-  std::istringstream is(tok);
-  T v{};
-  is >> v;
-  AMBB_CHECK_MSG(!is.fail() && is.eof(),
-                 "spec line " << lineno << ": bad number '" << tok << "'");
-  return v;
+  if constexpr (std::is_integral_v<T>) {
+    constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+    const auto v = parse_uint<T>(tok);
+    AMBB_CHECK_MSG(v.has_value(),
+                   "spec line " << lineno << ": bad number '" << tok
+                                << "' (digits only, at most " << kMax << ")");
+    return *v;
+  } else {
+    std::istringstream is(tok);
+    T v{};
+    is >> v;
+    AMBB_CHECK_MSG(!is.fail() && is.eof(),
+                   "spec line " << lineno << ": bad number '" << tok << "'");
+    return v;
+  }
 }
 
 /// "f-frac" accepts a rational "p/q" or a decimal literal ("0.3" = 3/10),

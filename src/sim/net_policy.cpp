@@ -3,25 +3,20 @@
 #include <cstdint>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace ambb {
 
 namespace {
 
-/// Digit-only parse with an overflow check; rejects empty and any
-/// non-digit so "bounded:3x" and "bounded:-1" fail loudly.
+/// Digit-only parse (common/parse.hpp), so "bounded:3x" and "bounded:-1"
+/// fail loudly.
 std::uint32_t parse_u32_field(const std::string& spec, const std::string& s) {
-  AMBB_CHECK_MSG(!s.empty(), "bad net spec '" + spec + "': missing number");
-  std::uint64_t v = 0;
-  for (char c : s) {
-    AMBB_CHECK_MSG(c >= '0' && c <= '9',
-                   "bad net spec '" + spec + "': '" + s + "' is not a number");
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    AMBB_CHECK_MSG(v <= 0xFFFFFFFFULL,
-                   "bad net spec '" + spec + "': number out of range");
-  }
-  return static_cast<std::uint32_t>(v);
+  const auto v = parse_uint<std::uint32_t>(s);
+  AMBB_CHECK_MSG(v.has_value(), "bad net spec '" + spec + "': '" + s +
+                                    "' is not a number in [0, 4294967295]");
+  return *v;
 }
 
 }  // namespace

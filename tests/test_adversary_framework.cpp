@@ -102,6 +102,11 @@ TEST(SchedSpec, RejectsMalformedSpecs) {
       "sched:stagger(1,0,5)",           // stagger needs the delay
       "sched:selective(1,0,5)",         // selective needs a keep-set
       "sched:corrupt(0,1)x",            // junk between ops
+      "sched:corrupt(0,4294967296)",    // node id past 2^32-1, not node 0
+      "sched:corrupt(0,-1)",            // signed
+      "sched:erase(1,0,4294967296)",    // u32 density out of range
+      "sched:stagger(1,0,5,4294967296)",  // u32 delay out of range
+      "sched:corrupt(18446744073709551616,1)",  // round past 2^64-1
   };
   for (const char* spec : bad) {
     EXPECT_THROW(adversary::parse_schedule_spec(spec), CheckError) << spec;

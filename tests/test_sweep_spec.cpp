@@ -4,7 +4,9 @@
 // parse errors.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -424,10 +426,77 @@ TEST(SpecParser, PayloadKeyParsesAList) {
   EXPECT_EQ(jobs[2].params.payload_bytes, 32768u);
 }
 
+TEST(SpecParser, UnsignedKeysRejectNegativeAndOutOfRangeNumbers) {
+  // istringstream read "-1" into an unsigned key as its maximum value
+  // without failing, so "n -1" silently asked for ~4 billion nodes.
+  const char* bad[] = {
+      "n -1",      "slots -3",   "seeds -1 -1", "seeds 1 -1",
+      "reps -2",   "kappa +128", "n 4294967296", "slots 0x10",
+      "n 1e3",     "f -1",       "payload -1",  "slots-per-n -3",
+  };
+  for (const char* line : bad) {
+    const std::string text =
+        std::string("sweep x\nprotocol linear\n") + line + "\n";
+    EXPECT_THROW(parse_spec(text), CheckError) << line;
+  }
+  // The full range of each key's type still parses.
+  const auto specs = parse_spec(
+      "sweep x\nprotocol linear\nn 4294967295\n"
+      "seeds 0 18446744073709551615\n");
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(specs[0].ns, std::vector<std::uint32_t>{4294967295u});
+  EXPECT_EQ(specs[0].seed_end, 18446744073709551615ull);
+}
+
+TEST(SweepExpand, SeedRangeEndingAtU64MaxTerminates) {
+  // The seed loop used to test seed <= seed_end, which always holds for
+  // seed_end = 2^64-1: the counter wrapped and the job list never ended.
+  const auto specs = parse_spec(
+      "sweep top\nprotocol linear\nn 8\nf 2\nslots 2\n"
+      "seeds 18446744073709551614 18446744073709551615\n");
+  const auto jobs = expand_all(specs);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].params.seed, 18446744073709551614ull);
+  EXPECT_EQ(jobs[1].params.seed, 18446744073709551615ull);
+  EXPECT_EQ(jobs[1].label, "top/none/n8/s18446744073709551615");
+
+  SweepSpec one;
+  one.protocol = "linear";
+  one.ns = {8};
+  one.seed_begin = one.seed_end = 18446744073709551615ull;
+  EXPECT_EQ(expand(one).size(), 1u);
+}
+
+TEST(SpecParser, EveryCheckedInSpecFileParsesAndExpands) {
+  // Job count per checked-in spec; a new spec file must be added here.
+  // f2_scaling is the n <= 64 head of the bench_f2_scaling grid, which
+  // scripts/ci.sh perf_smoke diffs against BENCH_f2_scaling.json.
+  const std::map<std::string, std::size_t> want_jobs = {
+      {"f2_scaling.spec", 20},
+      {"payload_scaling.spec", 16},
+      {"worst_sched.spec", 14},
+  };
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(AMBB_SPECS_DIR)) {
+    if (entry.path().extension() != ".spec") continue;
+    const std::string name = entry.path().filename().string();
+    SCOPED_TRACE(name);
+    const auto want = want_jobs.find(name);
+    ASSERT_NE(want, want_jobs.end()) << "no expected job count";
+    ++files;
+    std::ifstream in(entry.path());
+    ASSERT_TRUE(in.good());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    EXPECT_EQ(expand_all(parse_spec(ss.str())).size(), want->second);
+  }
+  EXPECT_EQ(files, want_jobs.size());
+}
+
 TEST(SpecParser, PayloadScalingSpecFileRoundTrips) {
-  // The checked-in crossover spec (tools/specs/payload_scaling.spec) must
-  // keep parsing and expanding: 4 blocks x 4 payloads, ext rows paired
-  // with raw baselines whose value_bits carry the payload inline.
+  // The crossover spec: 4 blocks x 4 payloads, ext rows paired with raw
+  // baselines whose value_bits carry the payload inline.
   std::ifstream in(std::string(AMBB_SPECS_DIR) + "/payload_scaling.spec");
   ASSERT_TRUE(in.good());
   std::stringstream ss;

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "sim/net_policy.hpp"
 
 namespace ambb::cli {
@@ -24,32 +25,16 @@ const char* Parser::value() {
   return argv_[++i_];
 }
 
-namespace {
-
-bool parse_u64_strict(const char* v, std::uint64_t* out) {
-  if (*v == '\0') return false;
-  std::uint64_t acc = 0;
-  for (const char* c = v; *c != '\0'; ++c) {
-    if (*c < '0' || *c > '9') return false;
-    if (acc > (std::numeric_limits<std::uint64_t>::max() - 9) / 10) {
-      return false;
-    }
-    acc = acc * 10 + static_cast<std::uint64_t>(*c - '0');
-  }
-  *out = acc;
-  return true;
-}
-
-}  // namespace
-
 bool Parser::to_u64(std::uint64_t* out) {
   const char* v = value();
   if (v == nullptr) return false;
-  if (!parse_u64_strict(v, out)) {
+  const auto parsed = parse_uint(v);
+  if (!parsed) {
     std::fprintf(stderr, "%s: %s expects a number, got '%s'\n", tool_,
                  arg_.c_str(), v);
     return false;
   }
+  *out = *parsed;
   return true;
 }
 
