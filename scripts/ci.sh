@@ -8,9 +8,10 @@
 #                          # replay
 #   scripts/ci.sh tsan     # only the TSan build + `ctest -L "engine|ext|arena|sched"`
 #   scripts/ci.sh asan     # only the ASan+UBSan build + `ctest -L "adversary|engine|ext|arena|sched"`
-#   scripts/ci.sh perf_smoke  # the f2_scaling.spec sweep and a full
-#                             # bench_f6_payload run vs the committed
-#                             # BENCH_f2_scaling.json / BENCH_f6_payload.json
+#   scripts/ci.sh perf_smoke  # regenerate BENCH_f2_scaling.json and
+#                             # BENCH_f6_payload.json from their spec
+#                             # files and diff them against the committed
+#                             # ones
 #
 # The TSan stage rebuilds into build-tsan/ (see CMakePresets.json) and runs
 # exactly the engine-labelled tests: they exercise the worker pool with
@@ -18,13 +19,13 @@
 # engine, sweep expansion, registry, simulator — trips it.
 #
 # The trace stage runs the TraceSink suite (golden JSONL, pure-observer
-# and --jobs determinism checks) and then smoke-tests the end-to-end
-# surface: ambb_sweep --trace-dir must write one trace per job and exit
-# zero, and one ambb_trace replay must exit zero and print its cache
-# line (digest and MAC memo hits, misses and evictions). The
-# JsonlSink-under-the-worker-pool case is additionally covered by the
-# TSan stage, because test_trace_determinism carries the engine label
-# too.
+# and --jobs determinism checks, the ambb_trace --eps range check) and
+# then smoke-tests the end-to-end surface: ambb_sweep --trace-dir must
+# write one trace per job and exit zero, and one ambb_trace replay must
+# exit zero and print its cache line (digest and MAC memo hits, misses
+# and evictions). The JsonlSink-under-the-worker-pool case is
+# additionally covered by the TSan stage, because test_trace_determinism
+# carries the engine label too.
 #
 # The ASan+UBSan stage rebuilds into build-asan/ and runs the adversary
 # and engine suites: the fault-injection paths (after-the-fact erasure,
@@ -46,15 +47,15 @@
 # rounds and its registry runs execute on the engine worker pool, exactly
 # the lifetime + threading mix the sanitizers exist to check.
 #
-# The perf_smoke stage is the measurement-drift gate for the zero-copy
-# hot path: it runs tools/specs/f2_scaling.spec through ambb_sweep (the
-# n <= 64 head of the bench_f2_scaling grid: 20 of its 23 rows, under the
-# same labels) and diffs every measurement field against the committed
-# BENCH_f2_scaling.json by run label (scripts/check_bench_fields.py). It
-# then regenerates BENCH_f6_payload.json, the only committed bench file
-# that runs the extension driver (ext:* rows and their base phase), and
-# diffs it the same way. Wall-clock and ns_* fields are excluded: the
-# gate catches semantic drift, not machine noise.
+# The perf_smoke stage is the measurement-drift gate: it builds only
+# ambb_sweep, regenerates both committed BENCH files from their spec
+# files (tools/specs/f2_scaling.spec, all 23 rows including the
+# minute-scale alg4 n = 512 run, and tools/specs/payload_scaling.spec,
+# the only committed file that runs the extension driver) and diffs
+# every measurement field against the committed file by run label
+# (scripts/check_bench_fields.py; the label sets must be equal).
+# Wall-clock and ns_* fields are excluded: the gate catches semantic
+# drift, not machine noise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,7 +86,7 @@ trace() {
   echo "== trace: payload-scaling sweep smoke =="
   (cd "$dir" && "$OLDPWD/build/tools/ambb_sweep" \
       --spec "$OLDPWD/tools/specs/payload_scaling.spec" \
-      --filter ext-lin --out payload_smoke)
+      --filter ext:linear/ --out payload_smoke)
   echo "== trace: ambb_trace replay smoke =="
   build/tools/ambb_trace --protocol linear --adversary mixed --n 16 \
       --slots 8 > "$dir/replay.txt"
@@ -118,15 +119,15 @@ asan() {
 perf_smoke() {
   echo "== perf_smoke: configure + build =="
   cmake --preset default
-  cmake --build --preset default -j "$jobs" \
-      --target ambb_sweep bench_f6_payload
-  echo "== perf_smoke: f2_scaling.spec sweep =="
+  cmake --build --preset default -j "$jobs" --target ambb_sweep
   local dir
   dir="$(mktemp -d)"
+  echo "== perf_smoke: f2_scaling.spec sweep =="
   (cd "$dir" && "$OLDPWD/build/tools/ambb_sweep" \
       --spec "$OLDPWD/tools/specs/f2_scaling.spec" --out f2_scaling)
-  echo "== perf_smoke: bench_f6_payload =="
-  (cd "$dir" && "$OLDPWD/build/bench/bench_f6_payload")
+  echo "== perf_smoke: payload_scaling.spec sweep =="
+  (cd "$dir" && "$OLDPWD/build/tools/ambb_sweep" \
+      --spec "$OLDPWD/tools/specs/payload_scaling.spec" --out f6_payload)
   echo "== perf_smoke: measurement-field diff vs committed goldens =="
   python3 scripts/check_bench_fields.py \
       BENCH_f2_scaling.json "$dir/BENCH_f2_scaling.json"

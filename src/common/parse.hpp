@@ -1,10 +1,12 @@
-// Strict unsigned-integer parsing shared by every text front end: the
-// spec-file parser, the sched: grammar, net policies and the tools' flags.
+// Strict number parsing shared by every text front end: the spec-file
+// parser, the sched: grammar, net policies and the tools' flags.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <type_traits>
 
@@ -27,6 +29,18 @@ std::optional<T> parse_uint(std::string_view s) {
     v = v * 10 + d;
   }
   return static_cast<T>(v);
+}
+
+/// The linear family's expander parameter: a whole decimal token in the
+/// open interval (0, 0.5); nullopt otherwise ("-0.2", "0.5", "nan").
+inline std::optional<double> parse_eps(std::string_view s) {
+  const std::string tok(s);
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  if (tok.empty() || *end != '\0' || !(v > 0.0 && v < 0.5)) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 }  // namespace ambb

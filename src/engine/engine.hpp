@@ -1,6 +1,6 @@
 // Deterministic parallel experiment engine.
 //
-// The benches and parameter-sweep tests expand (protocol x n x f x L x
+// ambb_sweep and the parameter-sweep tests expand (protocol x n x f x L x
 // adversary x seed) grids whose cells are INDEPENDENT executions: every
 // driver builds its own Simulation, CostLedger, KeyRegistry and
 // seed-derived RNG, so nothing is shared between cells (see the
@@ -20,8 +20,8 @@
 // Failure isolation: a job that throws (AMBB_CHECK/CheckError or any
 // std::exception) or whose BB property check fails is captured as a
 // structured failure in its JobOutcome; the remaining jobs run to
-// completion. Callers decide whether failures are fatal (the benches and
-// ambb_sweep exit non-zero; tests assert).
+// completion. Callers decide whether failures are fatal (ambb_sweep and
+// ambb_fuzz exit non-zero; tests assert).
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,5 @@
-// Machine-readable run reporting shared by the bench harnesses and the
-// ambb_sweep CLI: one RunRecord per checked execution, serialized to
-// BENCH_<name>.json.
+// Machine-readable run reporting shared by ambb_sweep and ambb_fuzz: one
+// RunRecord per checked execution, serialized to BENCH_<name>.json.
 //
 // Schema history:
 //   v1  (PR 1)  — {bench, violations, runs[]}; serial execution only.

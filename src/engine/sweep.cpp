@@ -5,8 +5,8 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
-#include <type_traits>
 
+#include "adversary/spec.hpp"
 #include "common/check.hpp"
 #include "common/parse.hpp"
 #include "sim/net_policy.hpp"
@@ -27,12 +27,6 @@ std::vector<std::uint32_t> fs_for(const SweepSpec& spec,
     return {static_cast<std::uint32_t>(spec.f_frac_num * n /
                                        spec.f_frac_den)};
   }
-  if (spec.f_frac >= 0.0) {
-    // Double fallback: the same exact floor after a 1e-9 snap.
-    // static_cast<uint32_t>(f_frac * n) truncated float noise
-    // (0.3 * 10 = 2.999... -> 2); this yields 3.
-    return {floor_frac(spec.f_frac, n)};
-  }
   if (!spec.fs.empty()) return spec.fs;
   // No fault-load key at all: a third of the nodes, the conventional
   // "some faults, every family tolerates it" default.
@@ -43,6 +37,16 @@ std::vector<Slot> slots_for(const SweepSpec& spec, std::uint32_t n) {
   if (spec.slots_per_n != 0) return {spec.slots_per_n * n};
   if (!spec.slots_list.empty()) return spec.slots_list;
   return {Slot{8}};
+}
+
+/// Parse a "sched:..." / "fuzz[:k]" adversary (named strategies need no
+/// parse), so a malformed literal fails before any job runs.
+void parse_schedule_literal(const std::string& adv) {
+  if (adversary::is_fuzz_spec(adv)) {
+    adversary::fuzz_profile(adv);
+  } else if (adversary::is_schedule_spec(adv)) {
+    adversary::parse_schedule_spec(adv);
+  }
 }
 
 }  // namespace
@@ -60,6 +64,7 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
     AMBB_CHECK_MSG(accepts_adversary(info, adv),
                    "sweep '" << spec.name << "': protocol '" << spec.protocol
                              << "' does not accept adversary '" << adv << "'");
+    parse_schedule_literal(adv);
   }
   // An empty net list is the off-axis sentinel {"lockstep"}; every entry
   // must parse so a typo fails at expansion, not mid-sweep.
@@ -244,20 +249,22 @@ std::vector<std::string> tokens_of(const std::string& line) {
 
 template <class T>
 T parse_num(const std::string& tok, int lineno) {
-  if constexpr (std::is_integral_v<T>) {
-    constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
-    const auto v = parse_uint<T>(tok);
-    AMBB_CHECK_MSG(v.has_value(),
-                   "spec line " << lineno << ": bad number '" << tok
-                                << "' (digits only, at most " << kMax << ")");
-    return *v;
-  } else {
-    std::istringstream is(tok);
-    T v{};
-    is >> v;
-    AMBB_CHECK_MSG(!is.fail() && is.eof(),
-                   "spec line " << lineno << ": bad number '" << tok << "'");
-    return v;
+  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+  const auto v = parse_uint<T>(tok);
+  AMBB_CHECK_MSG(v.has_value(),
+                 "spec line " << lineno << ": bad number '" << tok
+                              << "' (digits only, at most " << kMax << ")");
+  return *v;
+}
+
+/// Run a parse that throws CheckError and prefix its message with the
+/// spec line, so a bad literal names the line it was written on.
+template <class Fn>
+void on_line(int lineno, Fn&& parse) {
+  try {
+    parse();
+  } catch (const CheckError& e) {
+    throw CheckError("spec line " + std::to_string(lineno) + ": " + e.what());
   }
 }
 
@@ -265,7 +272,6 @@ T parse_num(const std::string& tok, int lineno) {
 /// both parsed into an exact numerator/denominator. At most 9 fractional
 /// digits so num * n cannot overflow 64 bits.
 void parse_f_frac(const std::string& tok, int lineno, SweepSpec* cur) {
-  cur->f_frac = -1.0;
   const auto slash = tok.find('/');
   if (slash != std::string::npos) {
     cur->f_frac_num =
@@ -310,10 +316,13 @@ void parse_f_frac(const std::string& tok, int lineno, SweepSpec* cur) {
 
 }  // namespace
 
-std::vector<SweepSpec> parse_spec(const std::string& text) {
+std::vector<SweepSpec> parse_spec(const std::string& text,
+                                  const std::vector<std::string>& reports,
+                                  std::string* report) {
   std::vector<SweepSpec> specs;
   std::vector<int> spec_lines;  // line of each block's 'sweep' key
   SweepSpec* cur = nullptr;
+  std::string report_name;
 
   std::istringstream is(text);
   std::string line;
@@ -325,6 +334,17 @@ std::vector<SweepSpec> parse_spec(const std::string& text) {
     const std::string& key = toks[0];
     const std::size_t nargs = toks.size() - 1;
 
+    if (key == "report") {
+      AMBB_CHECK_MSG(nargs == 1 && cur == nullptr && report_name.empty(),
+                     "spec line " << lineno
+                                  << ": one 'report NAME' line goes before "
+                                     "the first 'sweep' block");
+      AMBB_CHECK_MSG(
+          std::find(reports.begin(), reports.end(), toks[1]) != reports.end(),
+          "spec line " << lineno << ": unknown report '" << toks[1] << "'");
+      report_name = toks[1];
+      continue;
+    }
     if (key == "sweep") {
       AMBB_CHECK_MSG(nargs == 1, "spec line " << lineno
                                               << ": 'sweep' needs one name");
@@ -367,6 +387,9 @@ std::vector<SweepSpec> parse_spec(const std::string& text) {
       cur->slots_per_n = parse_num<std::uint32_t>(toks[1], lineno);
     } else if (key == "adversary") {
       cur->adversaries.assign(toks.begin() + 1, toks.end());
+      on_line(lineno, [&] {
+        for (const auto& adv : cur->adversaries) parse_schedule_literal(adv);
+      });
     } else if (key == "seeds") {
       AMBB_CHECK_MSG(nargs == 2,
                      "spec line " << lineno << ": 'seeds' needs begin end");
@@ -375,7 +398,11 @@ std::vector<SweepSpec> parse_spec(const std::string& text) {
     } else if (key == "reps") {
       cur->repetitions = parse_num<std::uint32_t>(toks[1], lineno);
     } else if (key == "eps") {
-      cur->eps = parse_num<double>(toks[1], lineno);
+      const auto eps = parse_eps(toks[1]);
+      AMBB_CHECK_MSG(eps.has_value(), "spec line " << lineno << ": eps '"
+                                                   << toks[1]
+                                                   << "' is not in (0, 0.5)");
+      cur->eps = *eps;
     } else if (key == "kappa") {
       cur->kappa_bits = parse_num<std::uint32_t>(toks[1], lineno);
     } else if (key == "value-bits") {
@@ -390,9 +417,9 @@ std::vector<SweepSpec> parse_spec(const std::string& text) {
       }
     } else if (key == "net") {
       cur->nets.assign(toks.begin() + 1, toks.end());
-      for (std::size_t i = 1; i < toks.size(); ++i) {
-        parse_net_policy(toks[i]);  // fail on the offending line, not later
-      }
+      on_line(lineno, [&] {
+        for (const auto& net : cur->nets) parse_net_policy(net);
+      });
     } else {
       AMBB_CHECK_MSG(false,
                      "spec line " << lineno << ": unknown key '" << key << "'");
@@ -404,6 +431,7 @@ std::vector<SweepSpec> parse_spec(const std::string& text) {
                                 << specs[i].name
                                 << "' has no 'protocol' key");
   }
+  if (report != nullptr) *report = report_name;
   return specs;
 }
 

@@ -12,6 +12,9 @@
 // Spec files (ambb_sweep --spec) are line-oriented:
 //
 //   # comment
+//   report f2_scaling          # file level, before the first block: the
+//                              #   figure analysis ambb_sweep runs on the
+//                              #   outcomes (tools/figures.cpp)
 //   sweep alg4                 # starts a block; the name prefixes labels
 //   protocol linear            # registry name (required)
 //   n 24 32 48 64              # list of n values (required)
@@ -19,10 +22,11 @@
 //   f 4 6 8                    #   explicit f list, or:
 //   f max                      #   registry max_f(n)
 //   slots-per-n 3              # L = 3n, or: slots 8 16
-//   adversary mixed none       # list; default "none"
+//   adversary mixed none       # list; default "none"; "sched:..." and
+//                              #   "fuzz[:k]" entries must parse
 //   seeds 7 9                  # inclusive seed range; default 1 1
 //   reps 2                     # repetitions per config; default 1
-//   eps 0.2                    # linear-family expander parameter
+//   eps 0.2                    # linear-family expander, in (0, 0.5)
 //   kappa 256                  # security parameter bits
 //   value-bits 256             # input value width
 //   payload 4096 65536         # payload bytes per slot (DESIGN.md §13):
@@ -66,11 +70,6 @@ struct SweepSpec {
   /// truncation (0.3 * 10 < 3.0 in double, so the old cast gave f=2).
   std::uint64_t f_frac_num = 0;
   std::uint64_t f_frac_den = 0;
-  /// Programmatic double fallback: f = floor(round(f_frac * 1e9) * n /
-  /// 1e9) when >= 0, i.e. the fraction is snapped to the nearest 1e-9
-  /// before the exact floor — same rule, for callers that only have a
-  /// double in hand.
-  double f_frac = -1.0;
   bool f_max = false;             ///< f = registry max_f(n)
 
   std::vector<Slot> slots_list;   ///< explicit slot counts
@@ -116,8 +115,9 @@ struct SweepJob {
 };
 
 /// Cross-product expansion in the documented stable order. Validates the
-/// protocol name, the adversary names and f < n against the registry;
-/// throws CheckError on invalid specs.
+/// protocol name, the adversary names and f < n against the registry,
+/// and parses every net policy and "sched:"/"fuzz[:k]" adversary; throws
+/// CheckError on invalid specs.
 std::vector<SweepJob> expand(const SweepSpec& spec);
 
 /// Expansion of several specs back to back (label order = spec order).
@@ -149,7 +149,11 @@ std::string trace_path(const std::string& dir, std::size_t index,
 std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs,
                                 const std::string& trace_dir);
 
-/// Parse the spec-file format described in the header comment.
-std::vector<SweepSpec> parse_spec(const std::string& text);
+/// Parse the spec-file format described in the header comment. A
+/// `report` line must name one of `reports`; the name is stored in
+/// *report ("" when the file has none).
+std::vector<SweepSpec> parse_spec(const std::string& text,
+                                  const std::vector<std::string>& reports = {},
+                                  std::string* report = nullptr);
 
 }  // namespace ambb::engine

@@ -1,5 +1,5 @@
-// Plain-text table formatting for the benchmark harnesses (each bench
-// prints the rows/series of the paper artifact it regenerates).
+// Plain-text table formatting for the tools (ambb_sweep prints each paper
+// figure's rows/series with it, tools/figures.cpp).
 #pragma once
 
 #include <string>

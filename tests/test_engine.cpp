@@ -55,8 +55,8 @@ TEST(ParallelMap, FirstThrowingIndexIsRethrownAfterAllDrain) {
   EXPECT_EQ(ran.load(), 8);
 }
 
-/// A small cross-protocol grid via the sweep expander — the same path the
-/// benches and ambb_sweep take.
+/// A small cross-protocol grid via the sweep expander — the same path
+/// ambb_sweep takes.
 std::vector<Job> small_grid() {
   SweepSpec pk;
   pk.name = "pk";

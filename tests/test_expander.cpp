@@ -97,12 +97,17 @@ TEST_P(BuildExpanderTest, MeetsPaperParameters) {
                                 64, static_cast<std::uint32_t>(16.0 / eps)));
 }
 
+// Includes the F6 figure's grid: eps in {0.05, 0.1, 0.2} x n in {32, 64,
+// 128, 256}.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BuildExpanderTest,
     ::testing::Values(ExpanderParam{16, 0.1}, ExpanderParam{32, 0.1},
                       ExpanderParam{64, 0.1}, ExpanderParam{128, 0.1},
                       ExpanderParam{64, 0.05}, ExpanderParam{64, 0.2},
-                      ExpanderParam{48, 0.15}));
+                      ExpanderParam{48, 0.15}, ExpanderParam{256, 0.1},
+                      ExpanderParam{32, 0.05}, ExpanderParam{128, 0.05},
+                      ExpanderParam{256, 0.05}, ExpanderParam{32, 0.2},
+                      ExpanderParam{128, 0.2}, ExpanderParam{256, 0.2}));
 
 TEST(BuildExpander, DeterministicForSameSeed) {
   Graph a = build_expander(50, 0.1, 77);

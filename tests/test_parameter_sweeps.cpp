@@ -35,7 +35,10 @@ const RunResult& eps_result(double eps, const std::string& adv) {
       spec.name = "eps" + std::to_string(static_cast<int>(e * 100));
       spec.protocol = "linear";
       spec.ns = {20};
-      spec.f_frac = 0.5 - e;  // maximal fault load for this eps
+      // Maximal fault load for this eps: f = floor((1/2 - eps) n), exact
+      // in hundredths.
+      spec.f_frac_num = 50 - static_cast<std::uint64_t>(e * 100 + 0.5);
+      spec.f_frac_den = 100;
       spec.eps = e;
       spec.slots_list = {6};
       spec.adversaries = {kEpsAdversaries[0], kEpsAdversaries[1],

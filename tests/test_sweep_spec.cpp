@@ -13,6 +13,7 @@
 
 #include "common/check.hpp"
 #include "engine/sweep.hpp"
+#include "figures.hpp"
 #include "runner/registry.hpp"
 
 namespace ambb::engine {
@@ -68,46 +69,19 @@ TEST(SweepExpand, CrossProductOrderIsNThenFThenSlotsThenAdvThenSeedThenRep) {
 }
 
 TEST(SweepExpand, FFracFloorsPerNMatchingBenchArithmetic) {
+  // f = floor(3n / 10) in integers: the f the F2 grid has always used at
+  // n = 24, 32, 48 (7, 9, 14), and exact at n = 10, where the old double
+  // product truncated 0.3 * 10 = 2.999... to f = 2.
   SweepSpec spec;
   spec.protocol = "linear";
-  spec.ns = {24, 32, 48};
-  spec.f_frac = 0.3;
+  spec.ns = {10, 20, 24, 32, 48, 64};
+  spec.f_frac_num = 3;
+  spec.f_frac_den = 10;
   const auto jobs = expand(spec);
-  ASSERT_EQ(jobs.size(), 3u);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    // Same f the benches compute at these n (7, 9, 14): the exact-floor
-    // rewrite must not move any existing golden.
-    EXPECT_EQ(jobs[i].params.f,
-              static_cast<std::uint32_t>(0.3 * spec.ns[i]));
-  }
-}
-
-TEST(SweepExpand, FFracIsExactWhereFloatTruncationLostAUnit) {
-  // Regression: 0.3 * 10 is 2.999... in binary; the old
-  // static_cast<uint32_t>(f_frac * n) truncated it to f=2. floor(3*10/10)
-  // is exactly 3 — via the rational path AND the double fallback (which
-  // snaps to the nearest 1e-9 before flooring).
-  const std::vector<std::uint32_t> ns = {10, 20, 24, 32, 48, 64};
   const std::vector<std::uint32_t> want = {3, 6, 7, 9, 14, 19};
-
-  SweepSpec rational;
-  rational.protocol = "linear";
-  rational.ns = ns;
-  rational.f_frac_num = 3;
-  rational.f_frac_den = 10;
-
-  SweepSpec fallback;
-  fallback.protocol = "linear";
-  fallback.ns = ns;
-  fallback.f_frac = 0.3;
-
-  const auto jr = expand(rational);
-  const auto jf = expand(fallback);
-  ASSERT_EQ(jr.size(), ns.size());
-  ASSERT_EQ(jf.size(), ns.size());
-  for (std::size_t i = 0; i < ns.size(); ++i) {
-    EXPECT_EQ(jr[i].params.f, want[i]) << "rational, n=" << ns[i];
-    EXPECT_EQ(jf[i].params.f, want[i]) << "fallback, n=" << ns[i];
+  ASSERT_EQ(jobs.size(), want.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(jobs[i].params.f, want[i]) << "n=" << spec.ns[i];
   }
 }
 
@@ -356,11 +330,9 @@ slots 4 6
   EXPECT_EQ(s0.name, "alg4");
   EXPECT_EQ(s0.protocol, "linear");
   EXPECT_EQ(s0.ns, (std::vector<std::uint32_t>{24, 32}));
-  // "f-frac 0.3" parses into the EXACT rational 3/10 (the double member
-  // stays unset: it is only the programmatic fallback).
+  // "f-frac 0.3" parses into the EXACT rational 3/10.
   EXPECT_EQ(s0.f_frac_num, 3u);
   EXPECT_EQ(s0.f_frac_den, 10u);
-  EXPECT_LT(s0.f_frac, 0.0);
   EXPECT_EQ(s0.slots_per_n, 3u);
   EXPECT_EQ(s0.adversaries, (std::vector<std::string>{"mixed", "none"}));
   EXPECT_EQ(s0.seed_begin, 7u);
@@ -382,18 +354,17 @@ slots 4 6
   EXPECT_EQ(expand_all(specs).size(), 24u + 2u);
 }
 
-TEST(SpecParser, ErrorsCarryTheOffendingLine) {
-  auto expect_parse_error = [](const std::string& text,
-                               const std::string& needle) {
-    try {
-      parse_spec(text);
-      FAIL() << "expected CheckError for:\n" << text;
-    } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
-    }
-  };
+void expect_parse_error(const std::string& text, const std::string& needle) {
+  try {
+    parse_spec(text);
+    FAIL() << "expected CheckError for:\n" << text;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
 
+TEST(SpecParser, ErrorsCarryTheOffendingLine) {
   expect_parse_error("protocol linear\n", "key before any 'sweep'");
   expect_parse_error("sweep x\nfrobnicate 3\n", "unknown key 'frobnicate'");
   expect_parse_error("sweep x\nprotocol linear\nn\n", "needs a value");
@@ -412,6 +383,51 @@ TEST(SpecParser, ErrorsCarryTheOffendingLine) {
                      "spec line 5");
   expect_parse_error("sweep x\nprotocol linear\npayload 4096 huge\n",
                      "spec line 3");
+  expect_parse_error("sweep x\nprotocol linear\nnet lockstep bogus\n",
+                     "spec line 3");
+  expect_parse_error("report nope\nsweep x\nprotocol linear\n",
+                     "spec line 1: unknown report 'nope'");
+  expect_parse_error("sweep x\nreport nope\nprotocol linear\n",
+                     "spec line 2: one 'report NAME' line goes before");
+}
+
+TEST(SpecParser, ScheduleLiteralsFailOnTheirSpecLine) {
+  // A malformed "sched:" or "fuzz:" entry used to list as a job and fail
+  // only when that job ran.
+  for (const char* adv :
+       {"sched:corrupt(0,4294967296)", "sched:frobnicate(1)", "fuzz:x"}) {
+    expect_parse_error(
+        std::string("sweep x\nprotocol linear\nadversary none ") + adv + "\n",
+        "spec line 3");
+    SweepSpec spec;
+    spec.protocol = "linear";
+    spec.adversaries = {adv};
+    EXPECT_THROW(expand(spec), CheckError) << adv;
+  }
+  EXPECT_EQ(expand_all(parse_spec("sweep x\nprotocol linear\n"
+                                  "adversary sched:corrupt(0,1) fuzz:3\n"))
+                .size(),
+            2u);
+}
+
+TEST(SpecParser, EpsOutsideTheOpenHalfIntervalFailsOnItsLine) {
+  // "eps -0.2" used to list fine and then fail every linear job inside
+  // build_expander.
+  for (const char* eps : {"-0.2", "0", "0.5", "nan", "0.2x"}) {
+    expect_parse_error(std::string("sweep x\nprotocol linear\neps ") + eps,
+                       "spec line 3");
+  }
+  EXPECT_DOUBLE_EQ(
+      parse_spec("sweep x\nprotocol linear\neps 0.05\n")[0].eps, 0.05);
+}
+
+TEST(SpecParser, ReportLineNamesAKnownAnalysis) {
+  std::string report = "stale";
+  parse_spec("sweep x\nprotocol linear\n", {"f2_scaling"}, &report);
+  EXPECT_EQ(report, "");
+  parse_spec("# c\nreport f2_scaling\nsweep x\nprotocol linear\n",
+             {"f2_scaling"}, &report);
+  EXPECT_EQ(report, "f2_scaling");
 }
 
 TEST(SpecParser, PayloadKeyParsesAList) {
@@ -469,11 +485,13 @@ TEST(SweepExpand, SeedRangeEndingAtU64MaxTerminates) {
 
 TEST(SpecParser, EveryCheckedInSpecFileParsesAndExpands) {
   // Job count per checked-in spec; a new spec file must be added here.
-  // f2_scaling is the n <= 64 head of the bench_f2_scaling grid, which
-  // scripts/ci.sh perf_smoke diffs against BENCH_f2_scaling.json.
+  // f2_scaling and payload_scaling generate the committed BENCH files
+  // (23 and 20 rows), which scripts/ci.sh perf_smoke regenerates.
   const std::map<std::string, std::size_t> want_jobs = {
-      {"f2_scaling.spec", 20},
-      {"payload_scaling.spec", 16},
+      {"a1_ablation.spec", 24},    {"f1_convergence.spec", 6},
+      {"f2_scaling.spec", 23},     {"f3_adversaries.spec", 7},
+      {"f4_hotstuff.spec", 2},     {"f5_trustcast.spec", 10},
+      {"payload_scaling.spec", 20}, {"table1.spec", 12},
       {"worst_sched.spec", 14},
   };
   std::size_t files = 0;
@@ -489,25 +507,43 @@ TEST(SpecParser, EveryCheckedInSpecFileParsesAndExpands) {
     ASSERT_TRUE(in.good());
     std::stringstream ss;
     ss << in.rdbuf();
-    EXPECT_EQ(expand_all(parse_spec(ss.str())).size(), want->second);
+    std::string report;
+    EXPECT_EQ(expand_all(parse_spec(ss.str(), figures::names(), &report))
+                  .size(),
+              want->second);
+    // Every figure's spec names its analysis; worst_sched is a plain grid.
+    EXPECT_EQ(report.empty(), name == "worst_sched.spec") << report;
   }
   EXPECT_EQ(files, want_jobs.size());
 }
 
+TEST(Figures, F6PayloadCountsAMissingCrossoverAsAFailedClaim) {
+  // ext:linear never beats inline linear at 64 bytes; by 4 KiB it does.
+  for (const std::string payloads : {"64", "64 4096"}) {
+    const std::string cell = "\nn 16\nf 4\nslots 4\npayload " + payloads;
+    const auto jobs = expand_all(parse_spec("sweep e\nprotocol ext:linear" +
+                                            cell + "\nsweep r\nprotocol "
+                                                   "linear" + cell + "\n"));
+    const auto outs = Engine(1).run(to_engine_jobs(jobs));
+    EXPECT_EQ(figures::report("f6_payload", jobs, outs),
+              payloads == "64" ? 1u : 0u);
+  }
+}
+
 TEST(SpecParser, PayloadScalingSpecFileRoundTrips) {
-  // The crossover spec: 4 blocks x 4 payloads, ext rows paired with raw
+  // The crossover spec: 4 blocks x 5 payloads, ext rows paired with raw
   // baselines whose value_bits carry the payload inline.
   std::ifstream in(std::string(AMBB_SPECS_DIR) + "/payload_scaling.spec");
   ASSERT_TRUE(in.good());
   std::stringstream ss;
   ss << in.rdbuf();
 
-  const auto specs = parse_spec(ss.str());
+  const auto specs = parse_spec(ss.str(), figures::names());
   ASSERT_EQ(specs.size(), 4u);
   const auto jobs = expand_all(specs);
-  ASSERT_EQ(jobs.size(), 16u);
+  ASSERT_EQ(jobs.size(), 20u);
   for (const auto& j : jobs) {
-    EXPECT_GE(j.params.payload_bytes, 512u) << j.label;
+    EXPECT_GE(j.params.payload_bytes, 64u) << j.label;
     EXPECT_NE(j.label.find("/p"), std::string::npos) << j.label;
     const bool is_ext = j.protocol.rfind("ext:", 0) == 0;
     if (is_ext) {

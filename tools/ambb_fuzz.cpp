@@ -50,8 +50,7 @@
 // schedules, so one campaign exercises light and maximal fault loads.
 //
 // AMBB_BENCH_INJECT_VIOLATION=1 injects a synthetic violation into every
-// run (proves the non-zero-exit plumbing, same contract as the bench
-// harnesses).
+// run (proves the non-zero-exit plumbing).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

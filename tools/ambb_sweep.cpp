@@ -21,6 +21,8 @@
 // a BB property is reported as a structured failure row — and an "error"
 // field in the json — instead of killing the sweep; the exit code is
 // non-zero iff any job failed.
+// A spec file's `report NAME` line then prints that paper figure
+// (tools/figures.cpp) unless --filter is set; a failed claim is a violation.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +37,7 @@
 #include "engine/engine.hpp"
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
+#include "figures.hpp"
 #include "runner/table.hpp"
 
 namespace {
@@ -101,8 +104,10 @@ int main(int argc, char** argv) {
   text << in.rdbuf();
 
   std::vector<engine::SweepJob> sweep_jobs;
+  std::string report;
   try {
-    std::vector<engine::SweepSpec> specs = engine::parse_spec(text.str());
+    std::vector<engine::SweepSpec> specs =
+        engine::parse_spec(text.str(), figures::names(), &report);
     // --net is the default delay policy: blocks with their own 'net' key
     // keep it, everything else inherits the flag.
     if (cli.common.net != "lockstep") {
@@ -153,8 +158,8 @@ int main(int argc, char** argv) {
   records.reserve(outcomes.size());
   std::size_t violations = 0;
   std::size_t failed_jobs = 0;
-  TextTable t({"run", "rounds", "honest bits", "adv bits", "amortized",
-               "wall ms", "status"});
+  TextTable t({"run", "rounds", "records", "deliveries", "erase", "corrupt",
+               "honest bits", "adv bits", "amortized", "wall ms", "status"});
   for (const auto& out : outcomes) {
     engine::RunRecord rec = engine::to_record(out);
     std::string status = "ok";
@@ -165,6 +170,10 @@ int main(int argc, char** argv) {
       status = "VIOLATION";
     }
     t.add_row({rec.label, std::to_string(rec.rounds),
+               std::to_string(rec.stats.records),
+               std::to_string(rec.stats.deliveries),
+               std::to_string(rec.stats.erasures),
+               std::to_string(rec.stats.corruptions),
                TextTable::bits_human(static_cast<double>(rec.honest_bits)),
                TextTable::bits_human(static_cast<double>(rec.adversary_bits)),
                TextTable::bits_human(rec.amortized),
@@ -183,6 +192,15 @@ int main(int argc, char** argv) {
       std::printf("!! %s: %zu property violations (first: %s)\n",
                   out.label.c_str(), out.violations.size(),
                   out.violations[0].c_str());
+    }
+  }
+
+  if (!report.empty() && cli.common.filter.empty() && failed_jobs == 0) {
+    try {
+      violations += figures::report(report, sweep_jobs, outcomes);
+    } catch (const CheckError& e) {  // the spec lacks a job the figure reads
+      std::printf("!! report '%s' failed: %s\n", report.c_str(), e.what());
+      ++violations;
     }
   }
 

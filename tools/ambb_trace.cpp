@@ -79,7 +79,7 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
     } else if (p.arg() == "--seed") {
       if (!p.to_u64(&cli.params.seed)) return false;
     } else if (p.arg() == "--eps") {
-      if (!p.to_double(&cli.params.eps)) return false;
+      if (!p.to_eps(&cli.params.eps)) return false;
     } else if (p.arg() == "--payload") {
       if (!p.to_u64(&cli.params.payload_bytes)) return false;
     } else if (p.arg() == "--slot") {

@@ -1,8 +1,6 @@
 #include "cli.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "common/check.hpp"
@@ -57,18 +55,16 @@ bool Parser::to_unsigned(unsigned* out) {
   return true;
 }
 
-bool Parser::to_double(double* out) {
+bool Parser::to_eps(double* out) {
   const char* v = value();
   if (v == nullptr) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double d = std::strtod(v, &end);
-  if (end == v || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "%s: %s expects a number, got '%s'\n", tool_,
-                 arg_.c_str(), v);
+  const auto eps = parse_eps(v);
+  if (!eps) {
+    std::fprintf(stderr, "%s: %s expects a number in (0, 0.5), got '%s'\n",
+                 tool_, arg_.c_str(), v);
     return false;
   }
-  *out = d;
+  *out = *eps;
   return true;
 }
 

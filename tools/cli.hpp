@@ -44,8 +44,9 @@ class Parser {
   bool to_u32(std::uint32_t* out);
   bool to_u64(std::uint64_t* out);
   bool to_unsigned(unsigned* out);
-  /// value() + strtod; false + error on trailing garbage.
-  bool to_double(double* out);
+  /// value() + parse_eps: false + "<tool>: <flag> expects a number in
+  /// (0, 0.5), got '...'" for anything outside that open interval.
+  bool to_eps(double* out);
   /// value() into a string; false when the value is missing.
   bool to_str(std::string* out);
 
