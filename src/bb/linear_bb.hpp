@@ -265,8 +265,6 @@ class LinearNode final : public Actor<Msg> {
     return accuse_seen_[accuser].get(target);
   }
   bool has_corrupt_proof(NodeId v) const { return corrupt_proof_have_[v]; }
-  bool committed_current_slot() const { return committed_; }
-  Slot current_slot() const { return cur_slot_; }
   std::uint64_t expensive_epochs() const { return expensive_epochs_; }
 
   // ---- Helpers usable from Deviation implementations ----

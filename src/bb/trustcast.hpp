@@ -137,9 +137,6 @@ class TrustCastEngine {
   /// True once any proposal value from this slot's sender was seen (the
   /// distance-based accusation rule is off from then on).
   bool has_prop() const { return !prop_values_.empty(); }
-  bool has_accused(NodeId accuser, NodeId accused) const {
-    return accuse_sent_seen_[accuser].get(accused);
-  }
   NodeId slot_sender() const { return sender_; }
   Slot slot() const { return slot_; }
 

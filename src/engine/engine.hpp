@@ -92,13 +92,14 @@ struct Job {
   /// Skip the termination check (registry-known liveness failures under
   /// specific adversaries; stalling is the measured claim there).
   bool allow_stall = false;
-  /// Skip the validity check. Set by non-lockstep campaign cells: a
-  /// synchronous protocol cannot distinguish an honest sender whose
-  /// dissemination was delayed from a silent one, so validity — like
-  /// termination — is conditional on the synchrony assumption.
+  /// Skip the validity check. Set by campaign cells whose delay policy
+  /// can delay a delivery (engine::to_engine_job): a synchronous
+  /// protocol cannot distinguish an honest sender whose dissemination
+  /// was delayed from a silent one, so validity — like termination — is
+  /// conditional on the synchrony assumption.
   bool allow_invalid = false;
-  /// Skip the consistency check. Set by non-lockstep campaign cells ONLY
-  /// for registry rows that declare consistency_needs_sync: a protocol
+  /// Skip the consistency check. Set by such delaying cells ONLY for
+  /// registry rows that declare consistency_needs_sync: a protocol
   /// whose agreement argument is itself a round deadline (the
   /// Dolev-Strong relay step, TrustCast delivery, chunk-dispersal
   /// windows) may legally split under delays — one honest node commits v

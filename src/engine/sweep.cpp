@@ -96,28 +96,13 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
                                         "non-ext protocol");
           }
           for (const auto& net : nets) {
-            const bool lockstep_net = net == "lockstep";
             for (const auto& adv : spec.adversaries) {
-              // Non-lockstep cells relax the synchrony-conditional
-              // oracles: a delayed delivery can push the last commits
-              // past the fixed round horizon (termination), and a
-              // delayed honest sender is indistinguishable from a
-              // silent one (validity). Consistency stays a hard
-              // failure — except for rows whose agreement argument is
-              // itself a round deadline (consistency_needs_sync in the
-              // registry: the Dolev-Strong relay step, TrustCast,
-              // chunk dispersal), which may legally split under delays.
-              const bool stall_ok = may_stall(info, adv) || !lockstep_net;
               // Ends on seed == seed_end, not seed > seed_end: the
               // latter never holds when seed_end is 2^64-1.
               for (std::uint64_t seed = spec.seed_begin;; ++seed) {
                 for (std::uint32_t rep = 0; rep < spec.repetitions; ++rep) {
                   SweepJob sj;
                   sj.protocol = spec.protocol;
-                  sj.allow_stall = stall_ok;
-                  sj.allow_invalid = !lockstep_net;
-                  sj.allow_split =
-                      !lockstep_net && info.consistency_needs_sync;
                   sj.params.n = n;
                   sj.params.f = f;
                   sj.params.slots = L;
@@ -142,7 +127,7 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
                   if (fs.size() > 1) label << "/f" << f;
                   if (slots.size() > 1) label << "/L" << L;
                   if (payloads.size() > 1) label << "/p" << payload;
-                  if (nets.size() > 1 || !lockstep_net) label << "/" << net;
+                  if (nets.size() > 1 || net != "lockstep") label << "/" << net;
                   if (many_seeds) label << "/s" << seed;
                   if (spec.repetitions > 1) label << "/r" << (rep + 1);
                   sj.label = label.str();
@@ -179,21 +164,31 @@ std::vector<SweepJob> filter_jobs(std::vector<SweepJob> jobs,
   return out;
 }
 
-Job to_engine_job(const SweepJob& sj) {
+Job to_engine_job(const SweepJob& sj, std::string trace_file) {
   const ProtocolInfo& info = protocol(sj.protocol);
+  // The oracle rule (header comment): relax only where a delivery can
+  // actually be delayed, so bounded:0 stays as strict as lockstep.
+  const bool timed = parse_net_policy(sj.params.net).max_extra() > 0;
+  Job job;
+  job.label = sj.label;
+  job.allow_stall = may_stall(info, sj.params.adversary) || timed;
+  job.allow_invalid = timed;
+  job.allow_split = timed && info.consistency_needs_sync;
   // The closure copies the params and takes the registry entry by
   // reference (the registry is an immutable magic static); each
   // invocation builds a fresh Simulation/ledger/RNG inside the driver.
   CommonParams params = sj.params;
-  return Job{sj.label, [&info, params] { return info.run(params); },
-             sj.allow_stall, sj.allow_invalid, sj.allow_split};
-}
-
-std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs) {
-  std::vector<Job> out;
-  out.reserve(sjs.size());
-  for (const auto& sj : sjs) out.push_back(to_engine_job(sj));
-  return out;
+  if (trace_file.empty()) {
+    job.run = [&info, params] { return info.run(params); };
+  } else {
+    job.run = [&info, params, path = std::move(trace_file)] {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      AMBB_CHECK_MSG(os, "cannot open trace file " << path);
+      trace::JsonlSink sink(os);
+      return info.run(RunRequest{params, &sink});
+    };
+  }
+  return job;
 }
 
 std::string trace_path(const std::string& dir, std::size_t index,
@@ -213,23 +208,12 @@ std::string trace_path(const std::string& dir, std::size_t index,
 
 std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs,
                                 const std::string& trace_dir) {
-  if (trace_dir.empty()) return to_engine_jobs(sjs);
   std::vector<Job> out;
   out.reserve(sjs.size());
   for (std::size_t i = 0; i < sjs.size(); ++i) {
-    const SweepJob& sj = sjs[i];
-    const ProtocolInfo& info = protocol(sj.protocol);
-    CommonParams params = sj.params;
-    std::string path = trace_path(trace_dir, i, sj.label);
-    out.push_back(Job{sj.label,
-                      [&info, params, path = std::move(path)] {
-                        std::ofstream os(path,
-                                         std::ios::binary | std::ios::trunc);
-                        AMBB_CHECK_MSG(os, "cannot open trace file " << path);
-                        trace::JsonlSink sink(os);
-                        return info.run(RunRequest{params, &sink});
-                      },
-                      sj.allow_stall, sj.allow_invalid, sj.allow_split});
+    out.push_back(to_engine_job(
+        sjs[i], trace_dir.empty() ? std::string()
+                                  : trace_path(trace_dir, i, sjs[i].label)));
   }
   return out;
 }

@@ -36,12 +36,8 @@
 //   net lockstep bounded:2     # network delay policies (DESIGN.md §16):
 //                              #   lockstep | bounded:<delta> |
 //                              #   async[:<cap>]; default lockstep.
-//                              #   Non-lockstep cells relax termination
-//                              #   and validity (both are conditional on
-//                              #   synchrony); consistency stays hard
-//                              #   except for consistency_needs_sync
-//                              #   registry rows (DS family, quadratic,
-//                              #   ext:*), whose splits are expected
+//                              #   Which oracles a cell relaxes is
+//                              #   decided by to_engine_job
 //
 // Blank lines between blocks are optional; later keys override earlier
 // ones within a block. Malformed input throws CheckError with the
@@ -91,27 +87,19 @@ struct SweepSpec {
   std::vector<std::uint64_t> payloads;
 
   /// Network delay-policy axis (DESIGN.md §16); empty = {"lockstep"}.
-  /// Each entry must parse (parse_net_policy). Cells with a non-lockstep
-  /// policy run with allow_stall and allow_invalid: termination AND
-  /// validity are conditional on synchrony (a delayed honest sender is
-  /// indistinguishable from a silent one). Consistency stays a hard
-  /// failure for quorum-intersection rows; rows whose agreement argument
-  /// is itself a round deadline declare consistency_needs_sync in the
-  /// registry and additionally get allow_split.
+  /// Each entry must parse (parse_net_policy). The oracles a cell relaxes
+  /// under its policy are derived by to_engine_job.
   std::vector<std::string> nets;
 };
 
-/// One expanded cell: everything needed to run and label it.
+/// One cell of a campaign: everything needed to run and label it. Both
+/// spec expansion (ambb_sweep) and the schedule generator (ambb_fuzz)
+/// produce these; the oracle flags are not stored but derived from the
+/// registry row and the params by to_engine_job.
 struct SweepJob {
   std::string label;  ///< "<name>/<adversary>/n<k>[/f..][/L..][/p..][/s..][/r..]"
   std::string protocol;
   CommonParams params;
-  bool allow_stall = false;  ///< from the registry's known liveness failures
-  bool allow_invalid = false;  ///< non-lockstep cell (engine::Job doc)
-  /// Non-lockstep cell of a consistency_needs_sync registry row: the
-  /// protocol's agreement argument is a round deadline, so honest
-  /// commits may legally split under delays (engine::Job::allow_split).
-  bool allow_split = false;
 };
 
 /// Cross-product expansion in the documented stable order. Validates the
@@ -129,10 +117,23 @@ std::vector<SweepJob> filter_jobs(std::vector<SweepJob> jobs,
 
 /// Engine job for one cell: a registry lookup plus a self-contained run
 /// closure (the driver constructs its own Simulation / ledger / RNG from
-/// the params, so cells never share simulator state).
-Job to_engine_job(const SweepJob& sj);
-
-std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs);
+/// the params, so cells never share simulator state). A non-empty
+/// `trace_file` makes the closure write a deterministic JSONL event trace
+/// there; each closure owns its file stream and sink, so parallel workers
+/// never share a sink.
+///
+/// This is the one place that decides which Definition-2 oracles a cell
+/// relaxes (engine::Job). A policy that can delay a delivery
+/// (parse_net_policy(net).max_extra() > 0) relaxes termination and
+/// validity: both are conditional on synchrony, and a delayed honest
+/// sender is indistinguishable from a silent one. Consistency stays hard
+/// except for registry rows whose agreement argument is itself a round
+/// deadline (consistency_needs_sync: the Dolev-Strong relay step,
+/// TrustCast, chunk dispersal), which may legally split under delays.
+/// Termination is also relaxed where the registry knows the adversary
+/// stalls the protocol (may_stall). bounded:0 never delays, so it keeps
+/// every oracle hard, like lockstep.
+Job to_engine_job(const SweepJob& sj, std::string trace_file = {});
 
 /// Trace file path for job `index` of a sweep: "<dir>/NNNN_<label>.jsonl"
 /// with the submission index zero-padded and every label character
@@ -142,12 +143,10 @@ std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs);
 std::string trace_path(const std::string& dir, std::size_t index,
                        const std::string& label);
 
-/// Like to_engine_jobs, but each job writes a deterministic JSONL event
-/// trace to trace_path(trace_dir, index, label). Each closure owns its
-/// file stream and sink, so parallel workers never share a sink. An
-/// empty trace_dir degenerates to the plain overload.
+/// to_engine_job for every cell; with a non-empty trace_dir, job i traces
+/// to trace_path(trace_dir, i, label).
 std::vector<Job> to_engine_jobs(const std::vector<SweepJob>& sjs,
-                                const std::string& trace_dir);
+                                const std::string& trace_dir = "");
 
 /// Parse the spec-file format described in the header comment. A
 /// `report` line must name one of `reports`; the name is stored in

@@ -447,24 +447,33 @@ TEST(Scheduler, SweepCellsRelaxOraclesByPolicyAndRow) {
   spec.ns = {8};
   spec.fs = {1};
   spec.slots_list = {1};
-  spec.nets = {"lockstep", "bounded:2"};
+  spec.nets = {"lockstep", "bounded:2", "bounded:0"};
   auto jobs = engine::expand(spec);
-  ASSERT_EQ(jobs.size(), 2u);
+  ASSERT_EQ(jobs.size(), 3u);
   // Lockstep cell: every oracle hard, even for a round-deadline row.
-  EXPECT_FALSE(jobs[0].allow_stall);
-  EXPECT_FALSE(jobs[0].allow_invalid);
-  EXPECT_FALSE(jobs[0].allow_split);
+  const engine::Job lockstep = engine::to_engine_job(jobs[0]);
+  EXPECT_FALSE(lockstep.allow_stall);
+  EXPECT_FALSE(lockstep.allow_invalid);
+  EXPECT_FALSE(lockstep.allow_split);
   // Bounded cell: synchrony-conditional oracles relaxed; consistency
   // relaxed only because dolev-strong declares consistency_needs_sync.
-  EXPECT_TRUE(jobs[1].allow_stall);
-  EXPECT_TRUE(jobs[1].allow_invalid);
-  EXPECT_TRUE(jobs[1].allow_split);
+  const engine::Job bounded = engine::to_engine_job(jobs[1]);
+  EXPECT_TRUE(bounded.allow_stall);
+  EXPECT_TRUE(bounded.allow_invalid);
+  EXPECT_TRUE(bounded.allow_split);
+  // bounded:0 never delays a delivery (it is pinned bit-identical to
+  // lockstep), so it keeps every oracle hard.
+  const engine::Job zero = engine::to_engine_job(jobs[2]);
+  EXPECT_FALSE(zero.allow_stall);
+  EXPECT_FALSE(zero.allow_invalid);
+  EXPECT_FALSE(zero.allow_split);
 
   spec.protocol = "linear";
   jobs = engine::expand(spec);
-  ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_TRUE(jobs[1].allow_invalid);
-  EXPECT_FALSE(jobs[1].allow_split);  // quorum row: consistency stays hard
+  ASSERT_EQ(jobs.size(), 3u);
+  EXPECT_TRUE(engine::to_engine_job(jobs[1]).allow_invalid);
+  // Quorum row: consistency stays hard.
+  EXPECT_FALSE(engine::to_engine_job(jobs[1]).allow_split);
 }
 
 // ---------------------------------------------------------------------

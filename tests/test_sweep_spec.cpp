@@ -32,7 +32,7 @@ TEST(SweepExpand, DefaultsGiveOneJobWithMinimalLabel) {
   EXPECT_EQ(jobs[0].params.f, 16u / 3);  // default fault load n/3
   EXPECT_EQ(jobs[0].params.slots, Slot{8});
   EXPECT_EQ(jobs[0].params.seed, 1u);
-  EXPECT_FALSE(jobs[0].allow_stall);
+  EXPECT_FALSE(to_engine_job(jobs[0]).allow_stall);
 }
 
 TEST(SweepExpand, CrossProductOrderIsNThenFThenSlotsThenAdvThenSeedThenRep) {
@@ -124,8 +124,8 @@ TEST(SweepExpand, ScheduleSpecsExpandForEveryProtocol) {
     const auto jobs = expand(spec);
     ASSERT_EQ(jobs.size(), 2u) << proto;
     const bool stalls = protocol(proto).policy.sched_may_stall;
-    EXPECT_EQ(jobs[0].allow_stall, stalls) << proto;
-    EXPECT_EQ(jobs[1].allow_stall, stalls) << proto;
+    EXPECT_EQ(to_engine_job(jobs[0]).allow_stall, stalls) << proto;
+    EXPECT_EQ(to_engine_job(jobs[1]).allow_stall, stalls) << proto;
   }
   // An adversary that is neither named nor a schedule still errors.
   SweepSpec bad;
@@ -221,8 +221,8 @@ TEST(SweepExpand, AllowStallComesFromRegistryLivenessFailures) {
   spec.adversaries = {"none", "selective"};
   const auto jobs = expand(spec);
   ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_FALSE(jobs[0].allow_stall);  // none
-  EXPECT_TRUE(jobs[1].allow_stall);   // selective: known stall
+  EXPECT_FALSE(to_engine_job(jobs[0]).allow_stall);  // none
+  EXPECT_TRUE(to_engine_job(jobs[1]).allow_stall);   // selective: known stall
 }
 
 TEST(SweepExpand, ValidationErrors) {

@@ -17,21 +17,11 @@
 //   --net POLICY     delay policy (DESIGN.md §16): lockstep (default) |
 //                    bounded:<delta> | async[:<cap>]. Non-lockstep
 //                    campaigns add delay/reorder timing faults to every
-//                    generated schedule and relax the two
-//                    synchrony-conditional oracles: termination (delays
-//                    can push commits past the horizon) and validity (a
-//                    delayed honest sender is indistinguishable from a
-//                    silent one — synchronous protocols then legally
-//                    commit a placeholder). Consistency stays a hard
-//                    failure for quorum-intersection rows (the linear
-//                    family, phase-king, hotstuff); rows whose agreement
-//                    argument is itself a round deadline — the
-//                    Dolev-Strong relay step, TrustCast, the ext:* chunk
-//                    windows — declare consistency_needs_sync in the
-//                    registry and may legally split under delays. All
-//                    relaxed-oracle degradations are counted and
-//                    reported per run; they just do not fail the
-//                    campaign.
+//                    generated schedule. A policy that can delay a
+//                    delivery relaxes the synchrony-conditional oracles
+//                    (engine::to_engine_job has the rule); the
+//                    degradations they let through are counted in a
+//                    "timing summary:" line and do not fail the campaign.
 //   --out NAME       write BENCH_<NAME>.json (default: fuzz)
 //   --filter SUBSTR  keep only jobs whose label contains SUBSTR
 //   --list           print the job labels and exit
@@ -48,22 +38,19 @@
 //
 // The corruption budget f cycles over 1..max_f(n) across a protocol's
 // schedules, so one campaign exercises light and maximal fault loads.
-//
-// AMBB_BENCH_INJECT_VIOLATION=1 injects a synthetic violation into every
-// run (proves the non-zero-exit plumbing).
+// The generated cells run through the same tail as ambb_sweep
+// (campaign.hpp): run table, !! lines, timing summary, BENCH json and
+// exit code.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "campaign.hpp"
 #include "cli.hpp"
-#include "common/check.hpp"
-#include "engine/engine.hpp"
-#include "engine/report.hpp"
+#include "engine/sweep.hpp"
 #include "runner/registry.hpp"
-#include "runner/table.hpp"
 
 namespace {
 
@@ -73,8 +60,7 @@ struct Cli {
   std::uint32_t n = 12;
   ambb::Slot slots = 2;
   std::uint64_t seed = 1;
-  ambb::cli::CommonFlags common;
-  bool list = false;
+  ambb::cli::Campaign run;  ///< the flags; main adds the jobs
 };
 
 void usage(std::FILE* to) {
@@ -85,11 +71,12 @@ void usage(std::FILE* to) {
 }
 
 bool parse_cli(int argc, char** argv, Cli& cli) {
-  cli.common.out = "fuzz";
+  cli.run.tool = "ambb_fuzz";
+  cli.run.flags.out = "fuzz";
   ambb::cli::Parser p("ambb_fuzz", argc, argv);
   while (p.next()) {
     bool ok = true;
-    if (ambb::cli::handle_common_flag(p, &cli.common, &ok)) {
+    if (ambb::cli::handle_common_flag(p, &cli.run.flags, &ok)) {
       if (!ok) return false;
     } else if (p.arg() == "--schedules") {
       if (!p.to_u32(&cli.schedules)) return false;
@@ -102,7 +89,7 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
     } else if (p.arg() == "--seed") {
       if (!p.to_u64(&cli.seed)) return false;
     } else if (p.arg() == "--list") {
-      cli.list = true;
+      cli.run.list = true;
     } else if (p.arg() == "--help" || p.arg() == "-h") {
       usage(stdout);
       std::exit(0);
@@ -119,43 +106,33 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
   return true;
 }
 
-struct FuzzJob {
-  std::string label;
-  const ambb::ProtocolInfo* info;
-  ambb::CommonParams params;
-};
-
-std::vector<FuzzJob> expand(const Cli& cli) {
+std::vector<ambb::engine::SweepJob> expand(const Cli& cli) {
   using namespace ambb;
-  const bool lockstep = cli.common.net == "lockstep";
-  std::vector<FuzzJob> out;
+  const bool lockstep = cli.run.flags.net == "lockstep";
+  std::vector<engine::SweepJob> out;
   for (const auto& info : protocols()) {
     if (!cli.protocol.empty() && info.name != cli.protocol) continue;
     const std::uint32_t fmax =
         std::max<std::uint32_t>(1, std::min(info.max_f(cli.n), cli.n - 1));
     for (std::uint32_t i = 0; i < cli.schedules; ++i) {
-      FuzzJob fj;
-      fj.info = &info;
-      fj.params.n = cli.n;
-      fj.params.f = 1 + i % fmax;  // cycle light..maximal budgets
-      fj.params.slots = cli.slots;
-      fj.params.seed = cli.seed + i;
-      fj.params.adversary = "fuzz";
-      fj.params.net = cli.common.net;
+      engine::SweepJob sj;
+      sj.protocol = info.name;
+      sj.params.n = cli.n;
+      sj.params.f = 1 + i % fmax;  // cycle light..maximal budgets
+      sj.params.slots = cli.slots;
+      sj.params.seed = cli.seed + i;
+      sj.params.adversary = "fuzz";
+      sj.params.net = cli.run.flags.net;
       // Lockstep labels keep their historical shape (golden compat);
       // non-lockstep runs carry the policy so one json can mix nets.
-      fj.label = "fuzz/" + info.name +
-                 (lockstep ? std::string() : "/" + cli.common.net) + "/f" +
-                 std::to_string(fj.params.f) + "/s" +
-                 std::to_string(fj.params.seed);
-      if (!cli.common.filter.empty() &&
-          fj.label.find(cli.common.filter) == std::string::npos) {
-        continue;
-      }
-      out.push_back(std::move(fj));
+      sj.label = "fuzz/" + info.name +
+                 (lockstep ? std::string() : "/" + cli.run.flags.net) + "/f" +
+                 std::to_string(sj.params.f) + "/s" +
+                 std::to_string(sj.params.seed);
+      out.push_back(std::move(sj));
     }
   }
-  return out;
+  return engine::filter_jobs(std::move(out), cli.run.flags.filter);
 }
 
 }  // namespace
@@ -174,143 +151,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<FuzzJob> fuzz_jobs;
-  try {
-    fuzz_jobs = expand(cli);
-  } catch (const CheckError& e) {
-    std::fprintf(stderr, "ambb_fuzz: %s\n", e.what());
-    return 2;
-  }
-  if (fuzz_jobs.empty()) {
-    std::fprintf(stderr, "ambb_fuzz: nothing to run (filter '%s')\n",
-                 cli.common.filter.c_str());
-    return 2;
-  }
-
-  if (cli.list) {
-    for (const auto& fj : fuzz_jobs) std::printf("%s\n", fj.label.c_str());
-    std::printf("%zu jobs\n", fuzz_jobs.size());
-    return 0;
-  }
-
-  const engine::Engine eng(cli.common.jobs);
-  const bool lockstep = cli.common.net == "lockstep";
-  std::vector<engine::Job> jobs;
-  jobs.reserve(fuzz_jobs.size());
-  for (const auto& fj : fuzz_jobs) {
-    // Non-lockstep campaigns relax the synchrony-conditional oracles
-    // (termination + validity, see the --net doc above); consistency is
-    // the hard safety oracle for every row except the registry-declared
-    // round-deadline protocols.
-    const bool stall_ok =
-        may_stall(*fj.info, fj.params.adversary) || !lockstep;
-    jobs.push_back(engine::Job{
-        fj.label, [info = fj.info, p = fj.params] { return info->run(p); },
-        stall_ok, /*allow_invalid=*/!lockstep,
-        /*allow_split=*/!lockstep && fj.info->consistency_needs_sync});
-  }
-
-  std::printf("ambb_fuzz: %zu schedules on %u worker thread%s\n", jobs.size(),
-              eng.jobs(), eng.jobs() == 1 ? "" : "s");
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<engine::JobOutcome> outcomes = eng.run(jobs);
-  const double wall_ms_total = std::chrono::duration<double, std::milli>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count();
-
-  const bool inject =
-      std::getenv("AMBB_BENCH_INJECT_VIOLATION") != nullptr;
-  std::vector<engine::RunRecord> records;
-  records.reserve(outcomes.size());
-  std::size_t violations = 0;
-  std::size_t failed_jobs = 0;
-  TextTable t({"run", "rounds", "honest bits", "adv bits", "erasures",
-               "corrupt", "status"});
-  for (const auto& out : outcomes) {
-    engine::RunRecord rec = engine::to_record(out);
-    if (inject) rec.violations += 1;  // prove the exit plumbing
-    std::string status = "ok";
-    if (!out.completed) {
-      status = "FAILED";
-      ++failed_jobs;
-    } else if (rec.violations != 0) {
-      status = "VIOLATION";
-    }
-    t.add_row({rec.label, std::to_string(rec.rounds),
-               TextTable::bits_human(static_cast<double>(rec.honest_bits)),
-               TextTable::bits_human(static_cast<double>(rec.adversary_bits)),
-               std::to_string(rec.stats.erasures),
-               std::to_string(rec.stats.corruptions), status});
-    violations += rec.violations;
-    records.push_back(std::move(rec));
-  }
-  std::printf("%s", t.render().c_str());
-
-  for (const auto& out : outcomes) {
-    if (!out.completed) {
-      std::printf("!! %s did not complete: %s\n", out.label.c_str(),
-                  out.error.c_str());
-    } else if (!out.violations.empty()) {
-      std::printf("!! %s: %zu property violations (first: %s)\n",
-                  out.label.c_str(), out.violations.size(),
-                  out.violations[0].c_str());
-    }
-  }
-
-  // Under a non-lockstep policy the relaxed-oracle degradations (validity
-  // everywhere, consistency on round-deadline rows) are the findings a
-  // timing campaign exists to measure — count them per run and report
-  // them without failing. Outcomes arrive in submission order, so
-  // outcomes[i] is fuzz_jobs[i]'s run.
-  if (!lockstep) {
-    std::size_t degraded = 0;
-    std::size_t split = 0;
-    std::uint64_t deferred = 0;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const auto& out = outcomes[i];
-      if (!out.completed) continue;
-      deferred += out.result.stats_summary().delayed;
-      if (fuzz_jobs[i].info->consistency_needs_sync) {
-        const auto c = check_consistency(out.result);
-        if (!c.empty()) {
-          ++split;
-          std::printf(".. %s: consistency split under timing faults "
-                      "(round-deadline row; %zu slots, first: %s)\n",
-                      out.label.c_str(), c.size(), c[0].c_str());
-        }
-      }
-      const auto v = check_validity(out.result);
-      if (v.empty()) continue;
-      ++degraded;
-      std::printf(".. %s: validity degraded under timing faults "
-                  "(%zu commits, first: %s)\n",
-                  out.label.c_str(), v.size(), v[0].c_str());
-    }
-    std::printf("timing summary: %zu/%zu runs with degraded validity, "
-                "%zu with consistency splits (round-deadline rows), "
-                "%llu deliveries deferred (net %s)\n",
-                degraded, outcomes.size(), split,
-                static_cast<unsigned long long>(deferred),
-                cli.common.net.c_str());
-  }
-
-  const std::string path = "BENCH_" + cli.common.out + ".json";
-  if (engine::write_bench_json(path, cli.common.out, records, violations,
-                               eng.jobs(), wall_ms_total)) {
-    std::printf("wrote %s (%zu runs, %u threads, %.1f ms total)\n",
-                path.c_str(), records.size(), eng.jobs(), wall_ms_total);
-  } else {
-    std::fprintf(stderr, "ambb_fuzz: could not write %s\n", path.c_str());
-    return 2;
-  }
-
-  if (violations != 0 || failed_jobs != 0) {
-    std::printf("!! %zu violations, %zu failed jobs — failing the fuzz run\n",
-                violations, failed_jobs);
-    return 1;
-  }
-  std::printf("no property violations across %zu randomized schedules\n",
-              records.size());
-  return 0;
+  cli.run.jobs = expand(cli);
+  return ambb::cli::run_campaign(cli.run);
 }
