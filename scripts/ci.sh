@@ -23,9 +23,10 @@
 # then smoke-tests the end-to-end surface: ambb_sweep --trace-dir must
 # write one trace per job and exit zero, and one ambb_trace replay must
 # exit zero and print its cache line (digest and MAC memo hits, misses
-# and evictions). The JsonlSink-under-the-worker-pool case is
-# additionally covered by the TSan stage, because test_trace_determinism
-# carries the engine label too.
+# and evictions, then the per-record verdict hits and misses). The
+# JsonlSink-under-the-worker-pool case is additionally covered by the
+# TSan stage, because test_trace_determinism carries the engine label
+# too.
 #
 # The ASan+UBSan stage rebuilds into build-asan/ and runs the adversary
 # and engine suites: the fault-injection paths (after-the-fact erasure,
@@ -90,7 +91,7 @@ trace() {
   echo "== trace: ambb_trace replay smoke =="
   build/tools/ambb_trace --protocol linear --adversary mixed --n 16 \
       --slots 8 > "$dir/replay.txt"
-  grep -q '^caches: digest .*; mac ' "$dir/replay.txt" || {
+  grep -q '^caches: digest .*; mac .*; verdict ' "$dir/replay.txt" || {
     echo "ambb_trace printed no cache line" >&2
     exit 1
   }

@@ -95,10 +95,7 @@ class FloodDev final : public Deviation {
   /// never past the next slot start — catches).
   Round next_wake(const LinearNode& self, Round r,
                   Round honest) const override {
-    for (NodeId w = 0; w < self.ctx().n; ++w) {
-      if (w != self.id() && !self.accused(w)) return r + 1;
-    }
-    return honest;
+    return self.accused_others() + 1 < self.ctx().n ? r + 1 : honest;
   }
 };
 

@@ -122,6 +122,7 @@ Digest commit_digest(Slot k, Epoch i, Value m) {
   return memo.d;
 }
 
+// Off the hot path: make_context tabulates it once per target and run.
 Digest accuse_digest(NodeId accused) {
   Encoder& e = Encoder::scratch();
   e.reserve(16);
@@ -226,6 +227,7 @@ void LinearNode::reset_slot(Slot k) {
   forwarded_commit_proof_ = false;
   if (!ctx_->opts.persistent_accusations) {
     accused_by_me_.clear_all();
+    accused_others_ = 0;
     for (auto& row : accuse_seen_) row.clear_all();
     for (auto& s : accuse_shares_) s.clear();
     std::fill(corrupt_proof_have_.begin(), corrupt_proof_have_.end(), 0);
@@ -330,13 +332,19 @@ void LinearNode::trace_commit(Slot k, Epoch j, Value v, Round r) {
   trace::emit(ctx_->trace, ev);
 }
 
-void LinearNode::handle_accuse(const Msg& m, bool forwarded,
+void LinearNode::handle_accuse(const Delivery<Msg>& env,
                                RoundApi<Msg>& api) {
+  const Msg& m = env.msg();
   const NodeId accuser = m.share.signer;
   const NodeId target = m.accused;
   if (accuser >= ctx_->n || target >= ctx_->n || accuser == target) return;
-  if (!ctx_->th->verify_share(m.share, accuse_digest(target))) return;
-  if (accuse_seen_[accuser].get(target)) return;  // duplicate
+  // A duplicate is dropped whatever its share, so test that first: most
+  // forwards that reach the accused repeat an accusation it already saw.
+  if (accuse_seen_[accuser].get(target)) return;
+  const bool valid = ctx_->accuse_verdicts.get(round_, env.record, [&] {
+    return ctx_->th->verify_share(m.share, ctx_->accuse_digest_of(target));
+  });
+  if (!valid) return;
   accuse_seen_[accuser].set(target);
   fresh_accuse_from_[accuser] = 1;
   fresh_pairs_.emplace_back(accuser, target);
@@ -345,7 +353,6 @@ void LinearNode::handle_accuse(const Msg& m, bool forwarded,
   // (*2): forward each accusation to the accused once, so selectively
   // delivered accusations still reach their target. The dedup above
   // bounds this to one forward per (accuser, target) pair per node.
-  (void)forwarded;
   if (target != id_) {
     Msg fwd = m;
     fwd.kind = Kind::kAccuseForward;
@@ -359,7 +366,7 @@ void LinearNode::handle_accuse(const Msg& m, bool forwarded,
     if (accuse_shares_[target].size() >= ctx_->n - ctx_->f) {
       corrupt_proof_sig_[target] = ctx_->th->combine(
           std::span<const SigShare>(accuse_shares_[target]),
-          accuse_digest(target));
+          ctx_->accuse_digest_of(target));
       corrupt_proof_have_[target] = 1;
       accuse_shares_[target].clear();
       accuse_shares_[target].shrink_to_fit();
@@ -427,15 +434,15 @@ void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
     const Msg& m = env.msg();
     switch (m.kind) {
       case Kind::kAccuse:
-        handle_accuse(m, false, api);
-        break;
       case Kind::kAccuseForward:
-        handle_accuse(m, true, api);
+        handle_accuse(env, api);
         break;
       case Kind::kCorruptProof: {
         if (m.accused >= ctx_->n) break;
         if (corrupt_proof_have_[m.accused]) break;
-        if (!ctx_->th->verify(m.proof, accuse_digest(m.accused))) break;
+        if (!ctx_->th->verify(m.proof, ctx_->accuse_digest_of(m.accused))) {
+          break;
+        }
         corrupt_proof_have_[m.accused] = 1;
         corrupt_proof_sent_[m.accused] = 1;  // aggregate already public
         corrupt_proof_sig_[m.accused] = m.proof;
@@ -605,6 +612,7 @@ void LinearNode::do_propagate1(std::span<const Delivery<Msg>> inbox,
 void LinearNode::issue_accuse(NodeId v, RoundApi<Msg>& api) {
   if (accused_by_me_.get(v)) return;
   accused_by_me_.set(v);
+  if (v != id_) ++accused_others_;
   {
     trace::Event ev;
     ev.kind = trace::EventKind::kAccusation;
@@ -618,7 +626,7 @@ void LinearNode::issue_accuse(NodeId v, RoundApi<Msg>& api) {
   m.kind = Kind::kAccuse;
   m.slot = cur_slot_;
   m.accused = v;
-  m.share = ctx_->th->share(id_, accuse_digest(v));
+  m.share = ctx_->th->share(id_, ctx_->accuse_digest_of(v));
   // Record our own accusation immediately: helper selection in the same
   // round must already exclude nodes we just accused.
   if (!accuse_seen_[id_].get(v)) {
@@ -1004,6 +1012,29 @@ Round LinearNode::next_wake(Round r) const {
 // Driver
 // ---------------------------------------------------------------------------
 
+Context make_context(const RunConfig& cfg, RunState& run, const Options& opts,
+                     const KeyRegistry& registry, const ThresholdScheme& th,
+                     const Graph& expander) {
+  Context ctx;
+  ctx.n = cfg.n;
+  ctx.f = cfg.f;
+  ctx.wire = WireModel{cfg.n, cfg.kappa_bits, cfg.value_bits};
+  ctx.sched = Schedule{cfg.f};
+  ctx.registry = &registry;
+  ctx.th = &th;
+  ctx.expander = &expander;
+  ctx.commits = &run.commits;
+  ctx.opts = opts;
+  ctx.input_for_slot = run.input_for_slot;
+  ctx.sender_of = run.sender_of;
+  ctx.trace = cfg.trace;
+  ctx.accuse_digests.reserve(cfg.n);
+  for (NodeId t = 0; t < cfg.n; ++t) {
+    ctx.accuse_digests.push_back(accuse_digest(t));
+  }
+  return ctx;
+}
+
 RunResult run_linear(const LinearConfig& cfg) {
   AMBB_CHECK_MSG(cfg.n >= 4, "need at least 4 nodes");
   AMBB_CHECK_MSG(
@@ -1025,19 +1056,8 @@ RunResult run_linear(const LinearConfig& cfg) {
     };
   }
 
-  Context ctx;
-  ctx.n = cfg.n;
-  ctx.f = cfg.f;
-  ctx.wire = WireModel{cfg.n, cfg.kappa_bits, cfg.value_bits};
-  ctx.sched = Schedule{cfg.f};
-  ctx.registry = &registry;
-  ctx.th = &th;
-  ctx.expander = &expander;
-  ctx.commits = &run.commits;
-  ctx.opts = cfg.opts;
-  ctx.input_for_slot = run.input_for_slot;
-  ctx.sender_of = run.sender_of;
-  ctx.trace = cfg.trace;
+  const Context ctx =
+      make_context(cfg, run, cfg.opts, registry, th, expander);
 
   Family<Msg, CostPolicy> fam;
   fam.policy = CostPolicy{ctx.wire, ctx.sched};

@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "common/wire.hpp"
 #include "crypto/signer.hpp"
@@ -175,7 +176,8 @@ struct CostPolicy {
 
 using Sim = Simulation<Msg, CostPolicy>;
 
-/// Read-only execution context shared by all actors of one run.
+/// Execution context shared by all actors of one run; build it with
+/// make_context. Read-only apart from `accuse_verdicts`, a cache.
 struct Context {
   std::uint32_t n = 0;
   std::uint32_t f = 0;
@@ -189,11 +191,28 @@ struct Context {
   std::function<Value(Slot)> input_for_slot;
   std::function<NodeId(Slot)> sender_of;
   trace::TraceSink* trace = nullptr;  ///< optional event sink, not owned
+  /// accuse_digest(t) for every t < n: accusations name only node ids, so
+  /// their n digests are computed once per run instead of per delivery.
+  std::vector<Digest> accuse_digests;
+  /// Share verdict of each kAccuse / kAccuseForward record of the round,
+  /// shared by its recipients (the check does not depend on them).
+  mutable RecordVerdicts accuse_verdicts;
 
   NodeId leader(Slot k, Epoch i) const {
     return i == 0 ? sender_of(k) : static_cast<NodeId>((i - 1) % n);
   }
+  const Digest& accuse_digest_of(NodeId accused) const {
+    AMBB_CHECK(accused < accuse_digests.size());
+    return accuse_digests[accused];
+  }
 };
+
+/// The Context of one run over `run`'s commit log and inputs and the
+/// given keys and expander, with its accuse digest table filled. Every
+/// Alg-4 run builds its Context here.
+Context make_context(const RunConfig& cfg, RunState& run, const Options& opts,
+                     const KeyRegistry& registry, const ThresholdScheme& th,
+                     const Graph& expander);
 
 class LinearNode;
 
@@ -261,6 +280,8 @@ class LinearNode final : public Actor<Msg> {
   const Context& ctx() const { return *ctx_; }
   bool accused(NodeId v) const { return accused_by_me_.get(v); }
   const BitVec& accused_by_me() const { return accused_by_me_; }
+  /// How many nodes other than this one it has accused.
+  std::uint32_t accused_others() const { return accused_others_; }
   bool seen_accuse(NodeId accuser, NodeId target) const {
     return accuse_seen_[accuser].get(target);
   }
@@ -279,7 +300,7 @@ class LinearNode final : public Actor<Msg> {
   // Inbox processing: the "at any point" (*) rules plus state updates.
   void process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
                      RoundApi<Msg>& api);
-  void handle_accuse(const Msg& m, bool forwarded, RoundApi<Msg>& api);
+  void handle_accuse(const Delivery<Msg>& env, RoundApi<Msg>& api);
   void maybe_commit(Slot k, Epoch j, Value v, const ThresholdSig& proof,
                     Round r, RoundApi<Msg>& api);
   void trace_commit(Slot k, Epoch j, Value v, Round r);
@@ -331,6 +352,7 @@ class LinearNode final : public Actor<Msg> {
 
   // ---- persistent across slots ----
   BitVec accused_by_me_;
+  std::uint32_t accused_others_ = 0;  ///< |accused_by_me_ minus self|
   std::vector<BitVec> accuse_seen_;           ///< [accuser] -> accused set
   std::vector<std::vector<SigShare>> accuse_shares_;  ///< per accused
   std::vector<std::uint8_t> corrupt_proof_have_;

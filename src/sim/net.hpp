@@ -69,15 +69,77 @@
 
 namespace ambb {
 
+/// Delivery::record of a delivery that names no lock-step record.
+inline constexpr std::uint32_t kNoRecord =
+    std::numeric_limits<std::uint32_t>::max();
+
 /// One message as seen by its recipient. The payload lives in the
 /// simulator's traffic log for the previous round and is shared by all
 /// recipients of a multicast; it stays valid for the whole round.
 template <typename Msg>
 struct Delivery {
   NodeId from = kNoNode;
+  /// The payload's index in last round's traffic log, set by the
+  /// lock-step delivery path only (kNoRecord on the timing path and for
+  /// deferred deliveries). Within one round, equal ids name the same
+  /// record, so a family may check a multicast once for all its
+  /// recipients (RecordVerdicts). Sits in the padding after `from`.
+  std::uint32_t record = kNoRecord;
   const Msg* payload = nullptr;
 
   const Msg& msg() const { return *payload; }
+};
+
+// The record id rides in padding: a Delivery stays two words, so it never
+// grows the inbox arena (DESIGN.md §19).
+static_assert(sizeof(Delivery<int>) == 16,
+              "Delivery must stay 16 bytes: from, record, payload");
+
+/// One cached verdict per lock-step record of a round, for checks that
+/// do not depend on the recipient (a share on a multicast that n nodes
+/// receive). Each entry is stamped with the round that consumed it, so a
+/// new round invalidates every entry without a clear, and the table only
+/// grows to the largest record index seen. A kNoRecord delivery is
+/// checked directly and never cached. Hit and miss counts go to
+/// thread-local counters that only observe.
+class RecordVerdicts {
+ public:
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
+  /// The verdict of `record` in round r: the cached one if round r
+  /// already checked this record, else check(), stored for the round.
+  template <typename Check>
+  bool get(Round r, std::uint32_t record, Check&& check) {
+    if (record == kNoRecord) return check();
+    if (record >= tags_.size()) tags_.resize(std::size_t{record} + 1, 0);
+    // tag = (r + 1) << 1 | verdict; 0 never matches a round.
+    std::uint64_t& tag = tags_[record];
+    const std::uint64_t stamp = (r + 1) << 1;
+    Stats& st = counters();
+    if ((tag & ~std::uint64_t{1}) == stamp) {
+      ++st.hits;
+      return (tag & 1) != 0;
+    }
+    ++st.misses;
+    const bool ok = check();
+    tag = stamp | (ok ? 1 : 0);
+    return ok;
+  }
+
+  /// Hits and misses of every table the calling thread used, cumulative:
+  /// take it before and after a run and subtract.
+  static Stats stats() { return counters(); }
+
+ private:
+  static Stats& counters() {
+    thread_local Stats st;
+    return st;
+  }
+
+  std::vector<std::uint64_t> tags_;
 };
 
 /// One round of emitted traffic as shared records.
@@ -561,7 +623,8 @@ class Simulation final : CorruptionCtl<Msg> {
         pending_.erase(due);
         for (const PendingMsg& pm : pending_ready_) {
           mark_own(pm.to);
-          inboxes_[pm.to].push_back(Delivery<Msg>{pm.from, &pm.msg});
+          inboxes_[pm.to].push_back(
+              Delivery<Msg>{pm.from, kNoRecord, &pm.msg});
         }
       }
     }
@@ -572,7 +635,8 @@ class Simulation final : CorruptionCtl<Msg> {
       //  recipients. Then one pass fills the stream and the own inboxes
       //  in record order, each multicast visiting the own nodes in
       //  ascending id — its delivery-index order — so the sorted erasure
-      //  cursor still steps through every erased index.
+      //  cursor still steps through every erased index. Every delivery
+      //  carries its record's index, the id RecordVerdicts keys on.
       auto er = erased_.begin();
       for (const auto& rec : cur_.records()) {
         if (!rec.is_multicast()) mark_own(rec.to);
@@ -583,8 +647,11 @@ class Simulation final : CorruptionCtl<Msg> {
       }
       std::sort(touched_inboxes_.begin(), touched_inboxes_.end());
       er = erased_.begin();
-      for (const auto& rec : cur_.records()) {
-        const Delivery<Msg> delivery{rec.from, &rec.msg};
+      const auto& recs = cur_.records();
+      AMBB_CHECK(recs.size() < kNoRecord);
+      for (std::uint32_t i = 0; i < recs.size(); ++i) {
+        const auto& rec = recs[i];
+        const Delivery<Msg> delivery{rec.from, i, &rec.msg};
         if (rec.is_multicast()) {
           shared_.push_back(delivery);
           for (NodeId v : touched_inboxes_) {
@@ -721,7 +788,7 @@ class Simulation final : CorruptionCtl<Msg> {
   /// Timing-path delivery: every recipient gets its own inbox.
   void deliver_to(NodeId v, const typename TrafficLog<Msg>::Record& rec) {
     mark_own(v);
-    inboxes_[v].push_back(Delivery<Msg>{rec.from, &rec.msg});
+    inboxes_[v].push_back(Delivery<Msg>{rec.from, kNoRecord, &rec.msg});
   }
 
   bool erased_covers(std::size_t d) const {

@@ -13,6 +13,12 @@
 // the same parameters, and the unwrapped copy must match it, so a drift
 // between copy and driver fails a test too.
 //
+// The reference also checks every delivery on its own: the decorator
+// hands its inner actor a copy of the inbox with every record id set to
+// kNoRecord, so a family that caches one verdict per lock-step record
+// (RecordVerdicts) recomputes it per recipient here, and the elided run
+// is a differential test of that cache too.
+//
 // The reference run also audits the wake contract itself: the decorator
 // remembers the wake its inner actor declared, and a call before that
 // round with no mail and no rushed traffic must emit nothing. A wrong
@@ -61,7 +67,9 @@ class AlwaysAwake final : public Actor<Msg> {
                 RoundApi<Msg>& api) override {
     scratch_.reset(api.n());
     RoundApi<Msg> capture(api.self(), api.n(), &scratch_);
-    inner_->on_round(r, inbox, rushed, capture);
+    unkeyed_.assign(inbox.begin(), inbox.end());
+    for (Delivery<Msg>& d : unkeyed_) d.record = kNoRecord;
+    inner_->on_round(r, unkeyed_, rushed, capture);
     if (r < wake_ && inbox.empty() && rushed.empty()) {
       ++audit_->sleeping_calls;
       EXPECT_TRUE(scratch_.records().empty())
@@ -85,6 +93,7 @@ class AlwaysAwake final : public Actor<Msg> {
   Audit* audit_;
   Round wake_ = 0;
   TrafficLog<Msg> scratch_;
+  std::vector<Delivery<Msg>> unkeyed_;  ///< the inbox, record ids cleared
 };
 
 /// Adversary counterpart: forwards, never sleeps, wraps every

@@ -88,19 +88,7 @@ Outcome run(const Params& p, Audit* audit) {
   RunState st(core, kind_names(), 0x17057EEDULL);
   st.ledger.reserve_slots(kSlots + 1);
 
-  Context ctx;
-  ctx.n = kN;
-  ctx.f = kF;
-  ctx.wire = WireModel{kN, kDefaultKappaBits, kDefaultValueBits};
-  ctx.sched = Schedule{kF};
-  ctx.registry = &registry;
-  ctx.th = &th;
-  ctx.expander = &expander;
-  ctx.commits = &st.commits;
-  ctx.opts = p.opts;
-  ctx.input_for_slot = st.input_for_slot;
-  ctx.sender_of = st.sender_of;
-  ctx.trace = &sink;
+  const Context ctx = make_context(core, st, p.opts, registry, th, expander);
 
   Sim sim(kN, kF, &st.ledger, CostPolicy{ctx.wire, ctx.sched});
   for (NodeId v = 0; v < kN; ++v) {

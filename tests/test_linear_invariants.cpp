@@ -77,8 +77,15 @@ TEST_P(LinearInvariants, Query2BoundedByFreshAccusations) {
   cfg.adversary = GetParam();
   cfg.inspect = [&](Sim& sim) {
     for (NodeId u = 0; u < cfg.n; ++u) {
-      if (sim.is_corrupt(u)) continue;
       auto* node = dynamic_cast<LinearNode*>(sim.actor(u));
+      // The counter FloodDev::next_wake reads tracks the accusation set,
+      // for Byzantine LinearNodes too.
+      if (node != nullptr) {
+        EXPECT_EQ(node->accused_others(),
+                  node->accused_by_me().count() - (node->accused(u) ? 1 : 0))
+            << "node " << u << " under " << cfg.adversary;
+      }
+      if (sim.is_corrupt(u)) continue;
       ASSERT_NE(node, nullptr);
       // Each query2 consumes a fresh accusation by u, of which there can
       // be at most f against corrupt nodes (honest are never accused).

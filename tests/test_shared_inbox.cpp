@@ -10,6 +10,13 @@
 // Scope: the lockstep policy only. The bounded/async timing path keeps a
 // per-recipient fan-out (every recipient is own, the shared stream stays
 // empty) and is covered by test_scheduler and the JSONL goldens.
+//
+// Record identity: each lock-step delivery names its record in last
+// round's log, and RecordVerdicts caches one verdict per record per
+// round. The last tests pin both, down to an Algorithm 4 round in which
+// one Byzantine node multicasts a forged and a valid share on the same
+// accusation: a cache keyed on the accusation instead of the record
+// would reject the valid one.
 #include "sim/net.hpp"
 #include "toy_policy.hpp"
 
@@ -21,7 +28,13 @@
 #include <tuple>
 #include <vector>
 
+#include "bb/linear_bb.hpp"
 #include "common/rng.hpp"
+#include "crypto/signer.hpp"
+#include "crypto/threshold.hpp"
+#include "graph/expander.hpp"
+#include "runner/drive.hpp"
+#include "sim/net_policy.hpp"
 
 namespace ambb {
 namespace {
@@ -172,8 +185,13 @@ class Script final : public Actor<Msg> {
     ran.push_back(r);
     data.push_back(inbox.data());
     std::vector<std::uint64_t> tags;
-    for (const auto& d : inbox) tags.push_back(d.msg().tag);
+    std::vector<std::uint32_t> ids;
+    for (const auto& d : inbox) {
+      tags.push_back(d.msg().tag);
+      ids.push_back(d.record);
+    }
     inboxes.push_back(std::move(tags));
+    records.push_back(std::move(ids));
     if (act_) act_(r, api);
   }
 
@@ -184,6 +202,7 @@ class Script final : public Actor<Msg> {
   std::vector<Round> ran;
   std::vector<const Delivery<Msg>*> data;
   std::vector<std::vector<std::uint64_t>> inboxes;
+  std::vector<std::vector<std::uint32_t>> records;  ///< Delivery::record
 
  private:
   Act act_;
@@ -250,6 +269,62 @@ TEST(SharedInboxPinned, UnicastBetweenTwoMulticastsArrivesInRecordOrder) {
   // Nodes 0 and 2 read the shared stream; node 1 has its own inbox.
   EXPECT_EQ(actors[0]->data[1], actors[2]->data[1]);
   EXPECT_NE(actors[1]->data[1], actors[0]->data[1]);
+  // Shared or own, each delivery names its record in round 0's log.
+  using Ids = std::vector<std::uint32_t>;
+  EXPECT_EQ(actors[0]->records[1], (Ids{0, 2}));
+  EXPECT_EQ(actors[1]->records[1], (Ids{0, 1, 2}));
+  EXPECT_EQ(actors[2]->records[1], (Ids{0, 2}));
+}
+
+TEST(SharedInboxPinned, TimingPathDeliveriesNameNoRecord) {
+  // Off lockstep every delivery may be deferred and is copied per
+  // recipient, so none of them may claim a record id.
+  CostLedger ledger({"toy"});
+  Sim sim(3, 1, &ledger, ToyPolicy{});
+  const auto actors = install(sim, [](Round r, RoundApi<Msg>& api) {
+    if (r < 4) api.multicast(Msg{r});
+  });
+  SimConfig<Msg> sc;
+  sc.net = make_net_policy("bounded:1", 3);
+  sim.configure(sc);
+  sim.run_rounds(8);
+  std::size_t seen = 0;
+  for (const Script* a : actors) {
+    for (const auto& ids : a->records) {
+      for (std::uint32_t id : ids) {
+        EXPECT_EQ(id, kNoRecord);
+        ++seen;
+      }
+    }
+  }
+  EXPECT_EQ(seen, 4u * 3u * 3u);
+}
+
+TEST(RecordVerdicts, OneCheckPerRecordPerRound) {
+  RecordVerdicts table;
+  int calls = 0;
+  const auto check = [&calls](bool verdict) {
+    return [&calls, verdict] {
+      ++calls;
+      return verdict;
+    };
+  };
+  const RecordVerdicts::Stats before = RecordVerdicts::stats();
+  EXPECT_TRUE(table.get(5, 3, check(true)));
+  EXPECT_TRUE(table.get(5, 3, check(false)));   // cached for round 5
+  EXPECT_FALSE(table.get(5, 0, check(false)));  // another record
+  EXPECT_FALSE(table.get(5, 0, check(true)));
+  EXPECT_EQ(calls, 2);
+  // A new round invalidates every entry without a clear.
+  EXPECT_FALSE(table.get(6, 3, check(false)));
+  EXPECT_EQ(calls, 3);
+  // kNoRecord is checked every time and never cached.
+  EXPECT_TRUE(table.get(6, kNoRecord, check(true)));
+  EXPECT_FALSE(table.get(6, kNoRecord, check(false)));
+  EXPECT_EQ(calls, 5);
+  const RecordVerdicts::Stats after = RecordVerdicts::stats();
+  EXPECT_EQ(after.hits - before.hits, 2u);
+  EXPECT_EQ(after.misses - before.misses, 3u);
 }
 
 TEST(SharedInboxPinned, ErasedMulticastDeliveryVanishesForThatRecipientOnly) {
@@ -331,3 +406,123 @@ TEST(SharedInboxPinned, AllMulticastRoundSharesOneInboxBuffer) {
 
 }  // namespace
 }  // namespace ambb
+
+namespace ambb::linear {
+namespace {
+
+constexpr std::uint32_t kN = 8;
+constexpr std::uint32_t kF = 2;
+constexpr NodeId kForger = 0;
+constexpr NodeId kTarget = 3;
+
+/// Byzantine node: in round 0 it multicasts two accusations of kTarget,
+/// both signed "by" itself, in the given order.
+class TwoShares final : public Actor<Msg> {
+ public:
+  TwoShares(SigShare first, SigShare second)
+      : first_(first), second_(second) {}
+
+  void on_round(Round r, std::span<const Delivery<Msg>>,
+                const TrafficView<Msg>&, RoundApi<Msg>& api) override {
+    if (r != 0) return;
+    for (const SigShare& s : {first_, second_}) {
+      Msg m;
+      m.kind = Kind::kAccuse;
+      m.slot = 1;
+      m.accused = kTarget;
+      m.share = s;
+      api.multicast(m);
+    }
+  }
+
+ private:
+  SigShare first_;
+  SigShare second_;
+};
+
+/// Corrupts kForger and records the accusation forwards of round 1.
+class ForgerAdversary final : public Adversary<Msg> {
+ public:
+  ForgerAdversary(SigShare first, SigShare second)
+      : first_(first), second_(second) {}
+
+  std::vector<NodeId> initial_corruptions() override { return {kForger}; }
+  std::unique_ptr<Actor<Msg>> actor_for(NodeId) override {
+    return std::make_unique<TwoShares>(first_, second_);
+  }
+  void observe_round(Round r, const TrafficView<Msg>& traffic,
+                     CorruptionCtl<Msg>&) override {
+    if (r != 1) return;
+    for (std::size_t d = 0; d < traffic.size(); ++d) {
+      const auto ref = traffic[d];
+      if (ref.msg.kind == Kind::kAccuseForward) {
+        forwards.emplace_back(ref.from, ref.to, ref.msg.share);
+      }
+    }
+  }
+
+  std::vector<std::tuple<NodeId, NodeId, SigShare>> forwards;
+
+ private:
+  SigShare first_;
+  SigShare second_;
+};
+
+/// Runs rounds 0 and 1 with the forger's two shares in the given order;
+/// every honest node must accept exactly the valid share.
+void expect_valid_share_accepted(bool forged_first) {
+  RunConfig core;
+  core.n = kN;
+  core.f = kF;
+  core.slots = 1;
+  core.seed = 5;
+  RunState st(core, kind_names());
+  KeyRegistry registry(kN, core.seed);
+  ThresholdScheme th(registry, kN - kF);
+  const Graph expander = build_expander(kN, 0.1, core.seed);
+  const Context ctx =
+      make_context(core, st, Options::paper(), registry, th, expander);
+
+  const SigShare valid = th.share(kForger, ctx.accuse_digest_of(kTarget));
+  SigShare forged = valid;
+  forged.mac[0] ^= 0x5A;
+  ForgerAdversary adv(forged_first ? forged : valid,
+                      forged_first ? valid : forged);
+
+  Sim sim(kN, kF, &st.ledger, CostPolicy{ctx.wire, ctx.sched});
+  for (NodeId v = 0; v < kN; ++v) {
+    sim.set_actor(v, std::make_unique<LinearNode>(v, &ctx));
+  }
+  SimConfig<Msg> sc;
+  sc.adversary = &adv;
+  sim.configure(sc);
+  const RecordVerdicts::Stats before = RecordVerdicts::stats();
+  sim.run_rounds(2);
+  const RecordVerdicts::Stats after = RecordVerdicts::stats();
+
+  // Both shares reached every honest node through the shared stream, so
+  // the cache was used, once per record.
+  EXPECT_EQ(after.misses - before.misses, forged_first ? 2u : 1u);
+  EXPECT_GT(after.hits - before.hits, 0u);
+  std::vector<std::tuple<NodeId, NodeId, SigShare>> expected;
+  for (NodeId u = 0; u < kN; ++u) {
+    if (u == kForger) continue;
+    const auto* node = dynamic_cast<const LinearNode*>(sim.actor(u));
+    ASSERT_NE(node, nullptr);
+    EXPECT_TRUE(node->seen_accuse(kForger, kTarget)) << "node " << u;
+    if (u != kTarget) expected.emplace_back(u, kTarget, valid);
+  }
+  // (*2): each honest node forwards the share it accepted, and only it.
+  EXPECT_EQ(adv.forwards, expected);
+}
+
+TEST(RecordVerdictsAlg4, ForgedThenValidShareOnOneAccusation) {
+  expect_valid_share_accepted(/*forged_first=*/true);
+}
+
+TEST(RecordVerdictsAlg4, ValidThenForgedShareOnOneAccusation) {
+  expect_valid_share_accepted(/*forged_first=*/false);
+}
+
+}  // namespace
+}  // namespace ambb::linear

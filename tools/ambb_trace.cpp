@@ -34,6 +34,7 @@
 #include "crypto/intern.hpp"
 #include "crypto/signer.hpp"
 #include "runner/registry.hpp"
+#include "sim/net.hpp"
 #include "trace/trace.hpp"
 
 using namespace ambb;
@@ -110,17 +111,24 @@ const char* node_mark(const RunResult& r, NodeId v) {
   return v < r.corrupt.size() && r.corrupt[v] ? "*" : "";
 }
 
-/// One memo's counters as a delta across the replayed run.
-void print_memo(const char* name, const CacheStats& before,
-                const CacheStats& after) {
+/// One cache's hits and misses as a delta across the replayed run.
+template <typename Stats>
+void print_hits(const char* name, const Stats& before, const Stats& after) {
   const std::uint64_t hits = after.hits - before.hits;
   const std::uint64_t misses = after.misses - before.misses;
   const std::uint64_t lookups = hits + misses;
-  std::printf("%s %llu hits / %llu misses (%.1f%%), %llu evictions", name,
+  std::printf("%s %llu hits / %llu misses (%.1f%%)", name,
               static_cast<unsigned long long>(hits),
               static_cast<unsigned long long>(misses),
               lookups == 0 ? 0.0 : 100.0 * static_cast<double>(hits) /
-                                       static_cast<double>(lookups),
+                                       static_cast<double>(lookups));
+}
+
+/// print_hits plus the evictions of a digest or MAC memo.
+void print_memo(const char* name, const CacheStats& before,
+                const CacheStats& after) {
+  print_hits(name, before, after);
+  std::printf(", %llu evictions",
               static_cast<unsigned long long>(after.evictions -
                                               before.evictions));
 }
@@ -159,6 +167,7 @@ int main(int argc, char** argv) {
   RunResult r;
   const DigestCache::Stats digest_before = DigestCache::local().stats();
   const VerifyCache::Stats mac_before = KeyRegistry::mac_cache_stats();
+  const RecordVerdicts::Stats verdict_before = RecordVerdicts::stats();
   try {
     r = info.run(RunRequest{cli.params, &sink});
   } catch (const CheckError& e) {
@@ -167,6 +176,7 @@ int main(int argc, char** argv) {
   }
   const DigestCache::Stats digest_after = DigestCache::local().stats();
   const VerifyCache::Stats mac_after = KeyRegistry::mac_cache_stats();
+  const RecordVerdicts::Stats verdict_after = RecordVerdicts::stats();
 
   if (!cli.jsonl.empty()) {
     std::ofstream os(cli.jsonl, std::ios::binary | std::ios::trunc);
@@ -361,6 +371,8 @@ int main(int argc, char** argv) {
   print_memo("digest", digest_before, digest_after);
   std::printf("; ");
   print_memo("mac", mac_before, mac_after);
+  std::printf("; ");
+  print_hits("verdict", verdict_before, verdict_after);
   std::printf("\n");
   if (any_stall) std::printf("liveness: at least one slot stalled\n");
   return 0;
