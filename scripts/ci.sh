@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the sanitizer passes.
 #
-#   scripts/ci.sh          # full: tier-1, trace lane, TSan engine, ASan+UBSan
+#   scripts/ci.sh          # full: tier-1, trace lane, TSan engine, ASan+UBSan,
+#                          # perf_smoke, unused
 #   scripts/ci.sh tier1    # only the tier-1 build + full test suite
 #   scripts/ci.sh trace    # only the trace suite (`ctest -L trace`), a
 #                          # sweep --trace-dir smoke run and one ambb_trace
@@ -12,6 +13,9 @@
 #                             # BENCH_f6_payload.json from their spec
 #                             # files and diff them against the committed
 #                             # ones
+#   scripts/ci.sh unused   # only the dead-code gate: no src/ function
+#                          # outside the allowlist may be unreachable
+#                          # from every shipped binary
 #
 # The TSan stage rebuilds into build-tsan/ (see CMakePresets.json) and runs
 # exactly the engine-labelled tests: they exercise the worker pool with
@@ -57,6 +61,20 @@
 # (scripts/check_bench_fields.py; the label sets must be equal).
 # Wall-clock and ns_* fields are excluded: the gate catches semantic
 # drift, not machine noise.
+#
+# The unused stage is the dead-code gate (DESIGN.md §21). It builds every
+# shipped binary into build-unused/: the tools and the examples from the
+# top-level project, and perfbench standalone from its own
+# perfbench/CMakeLists.txt. The build uses -O0 -ffunction-sections and
+# links with -Wl,--gc-sections, so the linker drops every function no
+# binary reaches and no function vanishes into an inlined caller. nm then
+# lists every ambb:: function that the src/ archives define and that none
+# of those binaries keeps. Each one fails the stage unless unused_allow
+# below names it with its reason. An allowlist entry that is no longer
+# unused fails too, so the list stays exact. Lambdas are local entities
+# (mangled _ZZ...) and std:: instantiations are not ambb:: functions;
+# neither is checked. Functions defined inline in a header and called
+# only by tests never reach an archive, so the gate cannot see them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -137,21 +155,95 @@ perf_smoke() {
   rm -rf "$dir"
 }
 
+# src/ functions that no shipped binary keeps but a test needs as an
+# oracle, a reference or a printer. Exact demangled signatures, one
+# reason each (DESIGN.md §21).
+unused_allow=(
+  # TrustCast oracle: test_trustcast checks G_u is a subgraph of G_v.
+  "ambb::TrustGraph::is_subgraph_of(ambb::TrustGraph const&) const"
+  # TrustCast oracle: test_trust_graph/test_trustcast read single edges.
+  "ambb::TrustGraph::has_edge(unsigned int, unsigned int) const"
+  # TrustCast oracle: edge counts before and after removal and pruning.
+  "ambb::TrustGraph::edge_count() const"
+  # TrustCast oracle: the vertex set that pruning keeps.
+  "ambb::TrustGraph::vertex_count() const"
+  # Expander oracle: test_expander checks the edge count of the graph.
+  "ambb::Graph::edge_count() const"
+  # Expander oracle: test_expander checks the degree is constant in n.
+  "ambb::Graph::max_degree() const"
+  # Expander oracle: test_expander checks the spectral gap.
+  "ambb::second_eigenvalue_estimate(ambb::Graph const&, ambb::Rng&, int)"
+  # Reference: test_digest_cache checks finalize_block against resuming.
+  "ambb::Sha256::Sha256(ambb::Sha256Midstate const&)"
+  # Printer: the net-policy spec must print back to what parsed it.
+  "ambb::NetPolicy::spec[abi:cxx11]() const"
+  # Printer: prints a fault schedule, for sched: repros and test output.
+  "ambb::adversary::describe[abi:cxx11](ambb::adversary::FaultSchedule const&)"
+)
+
+unused() {
+  echo "== unused: configure + build at -O0 with --gc-sections =="
+  local out=build-unused
+  local flags=(-G "Unix Makefiles" -DCMAKE_BUILD_TYPE=Debug
+               "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections"
+               "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+  cmake -S . -B "$out/main" "${flags[@]}"
+  make -C "$out/main/tools" --no-print-directory -j "$jobs"
+  make -C "$out/main/examples" --no-print-directory -j "$jobs"
+  cmake -S perfbench -B "$out/perfbench" "${flags[@]}"
+  cmake --build "$out/perfbench" -j "$jobs" --target perfbench
+  echo "== unused: src/ functions that no shipped binary keeps =="
+  local bins
+  mapfile -t bins < <(find "$out/main/tools" "$out/main/examples" \
+      -maxdepth 1 -type f -perm -u+x | sort)
+  bins+=("$out/perfbench/perfbench")
+  local dir
+  dir="$(mktemp -d)"
+  local -x LC_ALL=C
+  nm --defined-only "$out"/main/src/*.a 2>/dev/null |
+    awk '$2 ~ /^[TtWw]$/ && $3 ~ /^_ZN[rVKRO]*4ambb/ { print $3 }' |
+    c++filt | sort -u > "$dir/defined.txt"
+  nm --defined-only "${bins[@]}" |
+    awk '$2 ~ /^[TtWw]$/ { print $3 }' | c++filt | sort -u > "$dir/kept.txt"
+  comm -23 "$dir/defined.txt" "$dir/kept.txt" > "$dir/unused.txt"
+  printf '%s\n' "${unused_allow[@]}" | sort -u > "$dir/allow.txt"
+  comm -23 "$dir/unused.txt" "$dir/allow.txt" > "$dir/unexpected.txt"
+  comm -13 "$dir/unused.txt" "$dir/allow.txt" > "$dir/stale.txt"
+  echo "${#bins[@]} binaries keep $(wc -l < "$dir/kept.txt") functions;" \
+       "$(wc -l < "$dir/unused.txt") src/ functions are kept by none"
+  local status=0
+  if [[ -s "$dir/unexpected.txt" ]]; then
+    echo "src/ functions that no shipped binary keeps; delete them, or" \
+         "allowlist one a test needs, with its reason:" >&2
+    sed 's/^/  /' "$dir/unexpected.txt" >&2
+    status=1
+  fi
+  if [[ -s "$dir/stale.txt" ]]; then
+    echo "allowlist entries that are kept by a binary or no longer exist:" >&2
+    sed 's/^/  /' "$dir/stale.txt" >&2
+    status=1
+  fi
+  rm -rf "$dir"
+  return "$status"
+}
+
 case "$stage" in
   tier1) tier1 ;;
   trace) trace ;;
   tsan) tsan ;;
   asan) asan ;;
   perf_smoke) perf_smoke ;;
+  unused) unused ;;
   all)
     tier1
     trace
     tsan
     asan
     perf_smoke
+    unused
     ;;
   *)
-    echo "usage: $0 [tier1|trace|tsan|asan|perf_smoke|all]" >&2
+    echo "usage: $0 [tier1|trace|tsan|asan|perf_smoke|unused|all]" >&2
     exit 2
     ;;
 esac

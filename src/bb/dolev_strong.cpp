@@ -19,16 +19,6 @@ Digest relay_digest(Slot k, Value v) {
   return DigestCache::local().hash("ds-relay", e.view());
 }
 
-std::uint64_t size_bits(const Msg& m, const Context& ctx) {
-  std::uint64_t bits = ctx.wire.header_bits() + ctx.wire.value_bits;
-  if (ctx.use_multisig) {
-    bits += ctx.wire.multisig_bits();
-  } else {
-    bits += static_cast<std::uint64_t>(m.chain.size()) * ctx.wire.sig_bits();
-  }
-  return bits;
-}
-
 DsNode::DsNode(NodeId id, const Context* ctx,
                std::unique_ptr<Deviation> deviation)
     : id_(id), ctx_(ctx), dev_(std::move(deviation)) {}

@@ -76,8 +76,6 @@ struct Context {
   trace::TraceSink* trace = nullptr;  ///< optional event sink, not owned
 };
 
-std::uint64_t size_bits(const Msg& m, const Context& ctx);
-
 /// Accounting policy, evaluated once per traffic record. A DS chain's
 /// size depends only on the wire mode and chain length, so the policy
 /// carries the mode flag instead of the whole Context.

@@ -46,21 +46,4 @@ void BitVec::clear_all() {
   for (auto& w : words_) w = 0;
 }
 
-void BitVec::set_all() {
-  for (auto& w : words_) w = ~std::uint64_t{0};
-  trim_tail();
-}
-
-BitVec& BitVec::operator|=(const BitVec& other) {
-  AMBB_CHECK(n_ == other.n_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  return *this;
-}
-
-BitVec& BitVec::operator&=(const BitVec& other) {
-  AMBB_CHECK(n_ == other.n_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  return *this;
-}
-
 }  // namespace ambb

@@ -36,9 +36,6 @@ class BitVec {
   /// Number of set bits.
   std::size_t count() const;
 
-  /// True iff no bit is set.
-  bool none() const { return count() == 0; }
-
   /// True iff every bit of `other` is also set in *this (other ⊆ this).
   bool contains(const BitVec& other) const;
 
@@ -46,15 +43,8 @@ class BitVec {
   std::vector<std::size_t> ones() const;
 
   void clear_all();
-  void set_all();
-
-  BitVec& operator|=(const BitVec& other);
-  BitVec& operator&=(const BitVec& other);
 
   bool operator==(const BitVec& other) const = default;
-
-  /// Raw words, for hashing into digests.
-  const std::vector<std::uint64_t>& words() const { return words_; }
 
  private:
   std::size_t n_ = 0;

@@ -1,18 +1,9 @@
 #include "common/hex.hpp"
 
-#include "common/check.hpp"
-
 namespace ambb {
 
 namespace {
 constexpr char kDigits[] = "0123456789abcdef";
-
-int nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  AMBB_CHECK_MSG(false, "invalid hex digit");
-}
 }  // namespace
 
 std::string to_hex(std::span<const std::uint8_t> bytes) {
@@ -21,17 +12,6 @@ std::string to_hex(std::span<const std::uint8_t> bytes) {
   for (auto b : bytes) {
     out.push_back(kDigits[b >> 4]);
     out.push_back(kDigits[b & 0xf]);
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> from_hex(const std::string& hex) {
-  AMBB_CHECK(hex.size() % 2 == 0);
-  std::vector<std::uint8_t> out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    out.push_back(static_cast<std::uint8_t>(nibble(hex[i]) << 4 |
-                                            nibble(hex[i + 1])));
   }
   return out;
 }

@@ -1,14 +1,12 @@
-// Hex formatting helpers (mainly for test vectors and debug output).
+// Hex formatting of byte strings (digest_hex prints digests with it).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace ambb {
 
 std::string to_hex(std::span<const std::uint8_t> bytes);
-std::vector<std::uint8_t> from_hex(const std::string& hex);
 
 }  // namespace ambb

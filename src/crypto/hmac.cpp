@@ -37,35 +37,6 @@ Digest hmac_sha256(const Digest& key, const Digest& message) {
                      std::span<const std::uint8_t>(message.data(), message.size()));
 }
 
-HmacKey::HmacKey(const Digest& key) {
-  // A 32-byte key never exceeds the block size, so it is zero-padded
-  // directly (no pre-hash), matching hmac_sha256 above.
-  std::array<std::uint8_t, 64> ipad{}, opad{};
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    ipad[i] = key[i] ^ 0x36;
-    opad[i] = key[i] ^ 0x5c;
-  }
-  for (std::size_t i = key.size(); i < 64; ++i) {
-    ipad[i] = 0x36;
-    opad[i] = 0x5c;
-  }
-  Sha256 in;
-  in.update(std::span<const std::uint8_t>(ipad.data(), ipad.size()));
-  inner_ = in.midstate();
-  Sha256 out;
-  out.update(std::span<const std::uint8_t>(opad.data(), opad.size()));
-  outer_ = out.midstate();
-}
-
-Digest HmacKey::mac(const Digest& message) const {
-  Sha256 in(inner_);
-  in.update(std::span<const std::uint8_t>(message.data(), message.size()));
-  const Digest inner_d = in.finalize();
-  Sha256 out(outer_);
-  out.update(std::span<const std::uint8_t>(inner_d.data(), inner_d.size()));
-  return out.finalize();
-}
-
 PrfKey::PrfKey(const Digest& key) {
   // Key block: two copies of the 32-byte key, compressed once up front.
   std::array<std::uint8_t, 64> block;

@@ -14,25 +14,11 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
 
 Digest hmac_sha256(const Digest& key, const Digest& message);
 
-/// A fixed HMAC key with the ipad/opad pad blocks pre-compressed: mac()
-/// costs two SHA-256 block compressions instead of four. Produces exactly
-/// the same MAC as hmac_sha256(key, message).
-class HmacKey {
- public:
-  explicit HmacKey(const Digest& key);
-
-  Digest mac(const Digest& message) const;
-
- private:
-  Sha256Midstate inner_;
-  Sha256Midstate outer_;
-};
-
 /// Keyed PRF specialised for the registry's (domain, digest) MACs: the
 /// 64-byte key block is pre-compressed once, and each mac() hashes an
 /// 8-byte domain tag plus a 32-byte digest — 40 bytes, which together
 /// with the SHA-256 padding fits a single block, so one compression per
-/// MAC (vs two for HmacKey plus one for a domain pre-hash).
+/// MAC (vs four for hmac_sha256 plus one for a domain pre-hash).
 ///
 /// This is a key-prefix construction, not RFC-2104 HMAC. For the
 /// simulated PKI that is exactly as good: inside the simulation the only

@@ -421,15 +421,6 @@ Digest Sha256::hash(std::span<const std::uint8_t> data) {
   return h.finalize();
 }
 
-Digest digest_combine(const Digest& a, const Digest& b) {
-  Sha256 h;
-  const std::uint8_t sep[1] = {0x01};
-  h.update(std::span<const std::uint8_t>(a.data(), a.size()));
-  h.update(std::span<const std::uint8_t>(sep, 1));
-  h.update(std::span<const std::uint8_t>(b.data(), b.size()));
-  return h.finalize();
-}
-
 std::string digest_hex(const Digest& d) {
   return to_hex(std::span<const std::uint8_t>(d.data(), d.size()));
 }

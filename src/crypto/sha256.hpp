@@ -64,9 +64,6 @@ class Sha256 {
   bool finalized_ = false;
 };
 
-/// Combine two digests (domain-separated); used to build key hierarchies.
-Digest digest_combine(const Digest& a, const Digest& b);
-
 std::string digest_hex(const Digest& d);
 
 }  // namespace ambb

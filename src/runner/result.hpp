@@ -38,7 +38,8 @@ struct RunResult {
   RoundStatsSummary stats_summary() const { return summarize(round_stats); }
 
   /// Average honest bits per slot over the first `upto` slots (all if 0).
-  /// Quiet NaN for a zero-slot run (see CostLedger::amortized).
+  /// Quiet NaN for a zero-slot run; JSON writers render it as null
+  /// (engine/report.cpp).
   double amortized(Slot upto = 0) const;
 
   /// Honest bits per slot over slots (from, to] — used to measure the

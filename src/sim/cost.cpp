@@ -1,7 +1,5 @@
 #include "sim/cost.hpp"
 
-#include <limits>
-
 #include "common/check.hpp"
 
 namespace ambb {
@@ -10,20 +8,6 @@ CostLedger::CostLedger(std::vector<std::string> kind_names)
     : kind_names_(std::move(kind_names)),
       per_kind_(kind_names_.size(), 0) {
   AMBB_CHECK(!kind_names_.empty());
-}
-
-void CostLedger::charge(Slot slot, MsgKind kind, std::uint64_t bits,
-                        bool honest_sender) {
-  AMBB_CHECK_MSG(kind < per_kind_.size(), "unknown message kind");
-  if (!honest_sender) {
-    adversary_total_ += bits;
-    return;
-  }
-  if (slot >= per_slot_.size()) per_slot_.resize(slot + 1, 0);
-  per_slot_[slot] += bits;
-  per_kind_[kind] += bits;
-  honest_total_ += bits;
-  honest_msgs_ += 1;
 }
 
 void CostLedger::charge_n(Slot slot, MsgKind kind, std::uint64_t bits,
@@ -39,19 +23,6 @@ void CostLedger::charge_n(Slot slot, MsgKind kind, std::uint64_t bits,
   per_kind_[kind] += bits * count;
   honest_total_ += bits * count;
   honest_msgs_ += count;
-}
-
-std::uint64_t CostLedger::honest_bits_slot(Slot slot) const {
-  return slot < per_slot_.size() ? per_slot_[slot] : 0;
-}
-
-double CostLedger::amortized(Slot num_slots) const {
-  // Amortizing over zero slots has no value, not a crash: callers that
-  // size runs dynamically (sweep specs, fuzz drivers) may produce L = 0.
-  if (num_slots == 0) return std::numeric_limits<double>::quiet_NaN();
-  std::uint64_t total = 0;
-  for (Slot k = 1; k <= num_slots; ++k) total += honest_bits_slot(k);
-  return static_cast<double>(total) / num_slots;
 }
 
 }  // namespace ambb

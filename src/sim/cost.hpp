@@ -25,10 +25,8 @@ class CostLedger {
   /// Pre-size the per-slot table so steady-state charges never regrow it.
   void reserve_slots(Slot max_slot) { per_slot_.reserve(max_slot + 1); }
 
-  void charge(Slot slot, MsgKind kind, std::uint64_t bits, bool honest_sender);
-
-  /// Charge `count` identical deliveries in one call (a multicast record's
-  /// surviving fan-out). Exactly equivalent to `count` charge() calls.
+  /// Charge `count` identical deliveries of `bits` each in one call (a
+  /// multicast record's surviving fan-out); count == 0 charges nothing.
   void charge_n(Slot slot, MsgKind kind, std::uint64_t bits,
                 bool honest_sender, std::uint64_t count);
 
@@ -36,20 +34,12 @@ class CostLedger {
   std::uint64_t adversary_bits_total() const { return adversary_total_; }
   std::uint64_t honest_msgs_total() const { return honest_msgs_; }
 
-  /// Honest bits charged to one slot (0 if never charged).
-  std::uint64_t honest_bits_slot(Slot slot) const;
-
   /// Honest bits per slot, indexed by slot (index 0 unused: slots are >=1).
   const std::vector<std::uint64_t>& per_slot() const { return per_slot_; }
 
   /// Honest bits per message kind.
   const std::vector<std::uint64_t>& per_kind() const { return per_kind_; }
   const std::vector<std::string>& kind_names() const { return kind_names_; }
-
-  /// Amortized honest bits per slot over the first L slots. L = 0 yields
-  /// quiet NaN ("no slots to amortize over"); JSON writers must render
-  /// non-finite values as null (engine/report.cpp does).
-  double amortized(Slot num_slots) const;
 
  private:
   std::vector<std::string> kind_names_;

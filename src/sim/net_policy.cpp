@@ -21,15 +21,6 @@ std::uint32_t parse_u32_field(const std::string& spec, const std::string& s) {
 
 }  // namespace
 
-const char* net_kind_name(NetKind k) {
-  switch (k) {
-    case NetKind::kLockstep: return "lockstep";
-    case NetKind::kBounded: return "bounded";
-    case NetKind::kAsync: return "async";
-  }
-  return "?";
-}
-
 std::uint32_t NetPolicy::max_extra() const {
   switch (kind) {
     case NetKind::kLockstep: return 0;

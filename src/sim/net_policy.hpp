@@ -36,8 +36,6 @@ namespace ambb {
 
 enum class NetKind : std::uint8_t { kLockstep, kBounded, kAsync };
 
-const char* net_kind_name(NetKind k);
-
 struct NetPolicy {
   NetKind kind = NetKind::kLockstep;
   /// bounded: the partial-synchrony bound Δ — the network draws extra

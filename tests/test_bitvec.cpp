@@ -9,7 +9,6 @@ TEST(BitVec, StartsCleared) {
   BitVec b(100);
   EXPECT_EQ(b.size(), 100u);
   EXPECT_EQ(b.count(), 0u);
-  EXPECT_TRUE(b.none());
   for (std::size_t i = 0; i < 100; ++i) EXPECT_FALSE(b.get(i));
 }
 
@@ -65,25 +64,14 @@ TEST(BitVec, ContainsSizeMismatchThrows) {
   EXPECT_THROW(a.contains(b), CheckError);
 }
 
-TEST(BitVec, OrAndOperators) {
-  BitVec a(40), b(40);
-  a.set(1);
-  b.set(2);
-  BitVec u = a;
-  u |= b;
-  EXPECT_TRUE(u.get(1));
-  EXPECT_TRUE(u.get(2));
-  u &= a;
-  EXPECT_TRUE(u.get(1));
-  EXPECT_FALSE(u.get(2));
-}
-
-TEST(BitVec, SetAllClearAll) {
-  BitVec b(77);
-  b.set_all();
-  EXPECT_EQ(b.count(), 77u);
+TEST(BitVec, ClearAllKeepsSize) {
+  BitVec b(77, true);
+  ASSERT_EQ(b.count(), 77u);
   b.clear_all();
   EXPECT_EQ(b.count(), 0u);
+  EXPECT_EQ(b.size(), 77u);
+  b.set(76);
+  EXPECT_EQ(b.count(), 1u);
 }
 
 TEST(BitVec, EqualityComparesContent) {

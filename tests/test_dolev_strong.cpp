@@ -106,12 +106,13 @@ TEST(DolevStrong, ChainValidationRejectsForgeries) {
   m.agg = msig.extend(msig.extend(msig.empty(), 0, d), 1, d);
 
   // White-box check through size accounting only; the acceptance logic is
-  // covered end-to-end by the property sweeps. Here: size model.
-  EXPECT_EQ(size_bits(m, ctx),
+  // covered end-to-end by the property sweeps. Here: the size model the
+  // simulator charges, through the same CostPolicy run_dolev_strong uses.
+  CostPolicy chain{ctx.wire, ctx.sched, /*use_multisig=*/false};
+  EXPECT_EQ(chain.size_bits(m),
             ctx.wire.header_bits() + 256 + 2 * ctx.wire.sig_bits());
-  Context ctx2 = ctx;
-  ctx2.use_multisig = true;
-  EXPECT_EQ(size_bits(m, ctx2),
+  CostPolicy agg{ctx.wire, ctx.sched, /*use_multisig=*/true};
+  EXPECT_EQ(agg.size_bits(m),
             ctx.wire.header_bits() + 256 + ctx.wire.multisig_bits());
 }
 

@@ -10,7 +10,8 @@
 // bits, commit logs, corrupt flags, every RoundStats counter (ns_*
 // excepted), the JSONL trace byte for byte, and the traffic arenas'
 // reserved bytes (which pins that the O(1) path keeps the log swap). The
-// unwrapped copy must also match the registry row it mirrors.
+// unwrapped copy must also match the registry row it mirrors, except on
+// the "forge" row, whose forged accusations no registry adversary sends.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "adversary/scheduled.hpp"
 #include "bb/linear_adversary.hpp"
 #include "bb/linear_bb.hpp"
 #include "crypto/signer.hpp"
@@ -69,6 +71,59 @@ CommonParams common(const Params& p) {
   return c;
 }
 
+/// Grid row of the test-local forging adversary below. The registry has
+/// no such adversary, so this row is compared only with its reference.
+constexpr const char* kForge = "forge";
+
+/// Byzantine node that sends none of its honest traffic, so its epochs as
+/// leader fail and honest nodes accuse it with valid shares, and that
+/// multicasts, in the first round of every epoch, an accusation whose
+/// share does not verify. The forged records share indices with valid
+/// accusations of other rounds, so a verdict cached past its round
+/// (RecordVerdicts) or keyed on the wrong record turns into an accepted
+/// forgery or a dropped accusation, which the per-recipient reference
+/// never makes. Quiet rounds stay elidable, as the grid requires.
+class ForgeDev final : public Deviation {
+ public:
+  bool drop_send(Round, std::uint32_t, Kind, NodeId) override {
+    return true;
+  }
+  void extra(LinearNode& self, Round r, std::uint32_t offset,
+             RoundApi<Msg>& api) override {
+    if (offset != kForgeOffset) return;
+    const Context& ctx = self.ctx();
+    Msg m;
+    m.kind = Kind::kAccuse;
+    m.slot = ctx.sched.slot_of(r);
+    m.accused = (self.id() + 1 + static_cast<NodeId>(r % (ctx.n - 1))) % ctx.n;
+    m.share = ctx.th->share(self.id(), ctx.accuse_digest_of(m.accused));
+    m.share.mac[0] ^= 0x5A;
+    api.multicast(m);
+  }
+  Round next_wake(const LinearNode&, Round r, Round) const override {
+    const Round epoch = Schedule::kRoundsPerEpoch;
+    const Round next = r / epoch * epoch + kForgeOffset;
+    return next > r ? next : next + epoch;
+  }
+
+ private:
+  static constexpr std::uint32_t kForgeOffset = 0;
+};
+
+/// The first f nodes run ForgeDev from round 0.
+std::unique_ptr<Adversary<Msg>> make_forger(const Context* ctx,
+                                            std::uint64_t seed) {
+  adversary::FaultSchedule s;
+  for (NodeId v = 0; v < ctx->f; ++v) {
+    s.corruptions.push_back(adversary::CorruptEvent{0, v});
+  }
+  return std::make_unique<adversary::ScheduledAdversary<Msg>>(
+      std::move(s), ctx->n, seed, nullptr, [ctx](NodeId v) {
+        return std::make_unique<LinearNode>(v, ctx,
+                                            std::make_unique<ForgeDev>());
+      });
+}
+
 /// run_linear's setup and round loop, with an optional AlwaysAwake
 /// wrapping of every actor and of the adversary (`audit` != nullptr).
 Outcome run(const Params& p, Audit* audit) {
@@ -108,7 +163,8 @@ Outcome run(const Params& p, Audit* audit) {
                                             std::make_unique<Deviation>());
       },
       [&ctx](const std::string& spec, std::uint64_t seed) {
-        return make_adversary(spec, &ctx, seed);
+        return spec == kForge ? make_forger(&ctx, seed)
+                              : make_adversary(spec, &ctx, seed);
       });
   if (audit != nullptr && adversary != nullptr) {
     adversary =
@@ -194,6 +250,7 @@ TEST_P(IdleSkip, ElisionMatchesAlwaysAwakeReference) {
       const Outcome ref = run(p, &audit);
       const Outcome got = run(p, nullptr);
       expect_same(got, ref);
+      if (adv == kForge) continue;
       Outcome prod = idle_skip::production_outcome(proto, common(p));
       prod.arena_bytes = got.arena_bytes;
       expect_same(got, prod);
@@ -225,7 +282,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values("none", "silent", "equivocate", "selective",
                           "flood", "drop", "chaos", "mixed", "adaptive-erase",
-                          "fuzz", "fuzz:1", "fuzz:2", "fuzz:3", "sched"),
+                          "fuzz", "fuzz:1", "fuzz:2", "fuzz:3", "sched",
+                          kForge),
         ::testing::Values("lockstep", "bounded:2", "async:4")),
     [](const auto& info) {
       std::string s = std::get<0>(info.param) + "_" + std::get<1>(info.param);

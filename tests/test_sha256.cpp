@@ -58,12 +58,5 @@ TEST(Sha256, ReuseAfterFinalizeThrows) {
   EXPECT_THROW(h2.finalize(), CheckError);
 }
 
-TEST(Sha256, CombineIsOrderSensitive) {
-  Digest a = Sha256::hash(std::string("a"));
-  Digest b = Sha256::hash(std::string("b"));
-  EXPECT_NE(digest_combine(a, b), digest_combine(b, a));
-  EXPECT_EQ(digest_combine(a, b), digest_combine(a, b));
-}
-
 }  // namespace
 }  // namespace ambb
