@@ -5,8 +5,8 @@
 #                          # perf_smoke, unused
 #   scripts/ci.sh tier1    # only the tier-1 build + full test suite
 #   scripts/ci.sh trace    # only the trace suite (`ctest -L trace`), a
-#                          # sweep --trace-dir smoke run and one ambb_trace
-#                          # replay
+#                          # sweep --trace-dir smoke run and two ambb_trace
+#                          # replays
 #   scripts/ci.sh tsan     # only the TSan build + `ctest -L "engine|ext|arena|sched"`
 #   scripts/ci.sh asan     # only the ASan+UBSan build + `ctest -L "adversary|engine|ext|arena|sched"`
 #   scripts/ci.sh perf_smoke  # regenerate BENCH_f2_scaling.json and
@@ -25,9 +25,10 @@
 # The trace stage runs the TraceSink suite (golden JSONL, pure-observer
 # and --jobs determinism checks, the ambb_trace --eps range check) and
 # then smoke-tests the end-to-end surface: ambb_sweep --trace-dir must
-# write one trace per job and exit zero, and one ambb_trace replay must
-# exit zero and print its cache line (digest and MAC memo hits, misses
-# and evictions, then the per-record verdict hits and misses). The
+# write one trace per job and exit zero, and two ambb_trace replays must
+# exit zero and print their cache lines (digest and MAC memo hits, misses
+# and evictions, then the per-record verdict hits and misses); the
+# Alg-5.2 replay must read non-zero verdict hits. The
 # JsonlSink-under-the-worker-pool case is additionally covered by the
 # TSan stage, because test_trace_determinism carries the engine label
 # too.
@@ -111,6 +112,14 @@ trace() {
       --slots 8 > "$dir/replay.txt"
   grep -q '^caches: digest .*; mac .*; verdict ' "$dir/replay.txt" || {
     echo "ambb_trace printed no cache line" >&2
+    exit 1
+  }
+  # Alg-5.2 accusations and votes are multicasts: under lock-step their
+  # recipients must share one verdict per record (DESIGN.md §19).
+  build/tools/ambb_trace --protocol quadratic --adversary silent --n 16 \
+      --f 8 --slots 8 > "$dir/replay_quad.txt"
+  grep -q '^caches: .*; verdict [1-9][0-9]* hits' "$dir/replay_quad.txt" || {
+    echo "ambb_trace quadratic replay shows no per-record verdict hits" >&2
     exit 1
   }
   rm -rf "$dir"

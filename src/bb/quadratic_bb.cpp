@@ -93,15 +93,20 @@ void QuadNode::on_round(Round r, std::span<const Delivery<Msg>> inbox,
       const NodeId target = m.accused;
       if (voter >= n || target >= n) continue;
       if (vote_seen_[target].get(voter)) continue;
-      if (!ctx_->registry->verify(m.sig, corrupt_digest(target))) continue;
+      const bool valid = ctx_->verdicts.get(r, env.record, [&] {
+        return ctx_->registry->verify(m.sig, corrupt_digest(target));
+      });
+      if (!valid) continue;
       vote_seen_[target].set(voter);
       vote_sigs_[target].push_back(m.sig);
     } else {
       const bool allow_send =
           dev_ == nullptr || !dev_->suppress_engine_sends(r, offset);
-      engine_.handle(m, api, allow_send);
+      engine_.handle(env, api, allow_send);
     }
   }
+  // One prune for the whole inbox; everything below reads a settled graph.
+  engine_.settle();
 
   if (offset == 0) {
     if (id_ == sender) {

@@ -92,9 +92,9 @@ std::optional<Value> TrustCastEngine::received_value() const {
   return std::nullopt;
 }
 
-void TrustCastEngine::remove_edge_and_prune(NodeId a, NodeId b) {
+void TrustCastEngine::remove_edge(NodeId a, NodeId b) {
   graph_.remove_edge(a, b);
-  graph_.prune_unconnected(id_);
+  prune_pending_ = true;
   trace::Event ev;
   ev.kind = trace::EventKind::kTrustEdgeRemoved;
   ev.round = round_;
@@ -104,6 +104,12 @@ void TrustCastEngine::remove_edge_and_prune(NodeId a, NodeId b) {
   ev.peer = b;
   ev.detail = "accusation";
   trace::emit(ctx_->trace, ev);
+}
+
+void TrustCastEngine::settle() {
+  if (!prune_pending_) return;
+  graph_.prune_unconnected(id_);
+  prune_pending_ = false;
 }
 
 void TrustCastEngine::issue_accuse(NodeId v, RoundApi<Msg>& api) {
@@ -118,7 +124,9 @@ void TrustCastEngine::issue_accuse(NodeId v, RoundApi<Msg>& api) {
     ev.subject = v;
     trace::emit(ctx_->trace, ev);
   }
-  remove_edge_and_prune(id_, v);
+  // Eager: tc_round_action reads has_vertex after each accusation.
+  remove_edge(id_, v);
+  settle();
   Msg m;
   m.kind = Kind::kAccuse;
   m.slot = slot_;
@@ -139,26 +147,32 @@ void TrustCastEngine::send_proposal(RoundApi<Msg>& api) {
   api.multicast(m);
 }
 
-void TrustCastEngine::handle(const Msg& m, RoundApi<Msg>& api,
+void TrustCastEngine::handle(const Delivery<Msg>& d, RoundApi<Msg>& api,
                              bool allow_send) {
+  const Msg& m = d.msg();
   switch (m.kind) {
     case Kind::kProp: {
       if (m.slot != slot_) return;
       if (m.sig.signer != sender_) return;
-      if (!ctx_->registry->verify(m.sig, prop_digest(m.slot, m.value)))
-        return;
+      // A known value is dropped whatever its signature, so test that
+      // first: most forwards repeat the value the node already holds.
       if (std::find(prop_values_.begin(), prop_values_.end(), m.value) !=
           prop_values_.end()) {
-        return;  // already known
+        return;
       }
+      const bool valid = ctx_->verdicts.get(round_, d.record, [&] {
+        return ctx_->registry->verify(m.sig, prop_digest(m.slot, m.value));
+      });
+      if (!valid) return;
       prop_values_.push_back(m.value);
       // Forward each of the (at most two) distinct sender messages once.
       if (props_forwarded_ < 2 && allow_send) {
         ++props_forwarded_;
         api.multicast(m);
       }
-      if (prop_values_.size() >= 2 && graph_.has_vertex(sender_) &&
-          sender_ != id_) {
+      if (prop_values_.size() < 2 || sender_ == id_) break;
+      settle();
+      if (graph_.has_vertex(sender_)) {
         // Equivocation: remove the sender outright.
         graph_.remove_vertex(sender_);
         graph_.prune_unconnected(id_);
@@ -179,9 +193,12 @@ void TrustCastEngine::handle(const Msg& m, RoundApi<Msg>& api,
       if (accuser >= ctx_->n || accused >= ctx_->n || accuser == accused)
         return;
       if (accuse_sent_seen_[accuser].get(accused)) return;  // duplicate
-      if (!ctx_->registry->verify(m.sig, accuse_digest(accused))) return;
+      const bool valid = ctx_->verdicts.get(round_, d.record, [&] {
+        return ctx_->registry->verify(m.sig, accuse_digest(accused));
+      });
+      if (!valid) return;
       accuse_sent_seen_[accuser].set(accused);
-      remove_edge_and_prune(accuser, accused);
+      remove_edge(accuser, accused);
       // Forward once per (accuser, accused) pair, ever.
       if (allow_send) {
         Msg fwd = m;
@@ -199,14 +216,14 @@ void TrustCastEngine::handle(const Msg& m, RoundApi<Msg>& api,
 
 void TrustCastEngine::tc_round_action(std::uint32_t t, RoundApi<Msg>& api) {
   AMBB_CHECK(t >= 1);
+  settle();
   if (has_prop()) return;  // received something from the sender
   if (!graph_.has_vertex(sender_)) return;
   const auto dist = graph_.distances_from(sender_);
   for (NodeId v = 0; v < ctx_->n; ++v) {
     if (v == id_ || !graph_.has_vertex(v)) continue;
-    if (dist[v] < t) issue_accuse(v, api);
+    if (dist[v] < t) issue_accuse(v, api);  // prunes after each edge
   }
-  graph_.prune_unconnected(id_);
 }
 
 }  // namespace ambb::quad

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "common/wire.hpp"
 #include "crypto/signer.hpp"
@@ -84,6 +85,9 @@ struct Context {
   std::function<Value(Slot)> input_for_slot;
   std::function<NodeId(Slot)> sender_of;
   trace::TraceSink* trace = nullptr;  ///< optional event sink, not owned
+  /// Signature verdict of each kProp / kAccuse / kCorrupt record of the
+  /// round, shared by its recipients (the check does not depend on them).
+  mutable RecordVerdicts verdicts;
 };
 
 /// Accounting policy, evaluated once per traffic record.
@@ -101,9 +105,15 @@ struct CostPolicy {
 using Sim = Simulation<Msg, CostPolicy>;
 
 /// Per-node TrustCast state machine. Owns the node's persistent trust
-/// graph and accusation dedup state; the caller (QuadNode or the
-/// standalone test harness) drives handle() for every inbound message and
+/// graph and accusation dedup state; the caller (QuadNode) drives
+/// handle() for every inbound message, settle() once after its inbox, and
 /// tc_round_action() during TrustCast rounds.
+///
+/// Pruning is lazy (DESIGN.md §18): an accepted accusation removes its
+/// edge and leaves the graph dirty, and the prune runs once, before the
+/// next read of vertex presence. Edges only ever disappear, so one prune
+/// after a batch of removals yields the graph that a prune after each
+/// removal would.
 class TrustCastEngine {
  public:
   TrustCastEngine(NodeId id, const Context* ctx);
@@ -120,7 +130,12 @@ class TrustCastEngine {
   /// for transferability). Corrupt-vote messages are ignored here.
   /// `allow_send = false` updates local state but suppresses the
   /// forwarding an honest node would do (Byzantine colluders use this).
-  void handle(const Msg& m, RoundApi<Msg>& api, bool allow_send = true);
+  /// Leaves the graph unpruned until settle().
+  void handle(const Delivery<Msg>& d, RoundApi<Msg>& api,
+              bool allow_send = true);
+
+  /// Run the prune that handle() deferred, if any.
+  void settle();
 
   /// The sender's own round-0 action (honest sender only).
   void send_proposal(RoundApi<Msg>& api);
@@ -128,9 +143,12 @@ class TrustCastEngine {
   /// Distance-based accusation rule for TrustCast round 1 <= t <= n.
   void tc_round_action(std::uint32_t t, RoundApi<Msg>& api);
 
-  // ---- state queries ----
-  const TrustGraph& graph() const { return graph_; }
-  bool sender_present() const { return graph_.has_vertex(sender_); }
+  // ---- state queries (settled graph only) ----
+  const TrustGraph& graph() const {
+    AMBB_CHECK(!prune_pending_);
+    return graph_;
+  }
+  bool sender_present() const { return graph().has_vertex(sender_); }
   /// The unique value received from the sender this slot (nullopt if none
   /// or if the sender equivocated — in which case it is also removed).
   std::optional<Value> received_value() const;
@@ -141,12 +159,15 @@ class TrustCastEngine {
   Slot slot() const { return slot_; }
 
  private:
-  void remove_edge_and_prune(NodeId a, NodeId b);
+  /// Remove edge (a, b) and emit its kTrustEdgeRemoved event; the prune
+  /// it calls for is left pending.
+  void remove_edge(NodeId a, NodeId b);
   void issue_accuse(NodeId v, RoundApi<Msg>& api);
 
   NodeId id_;
   const Context* ctx_;
   TrustGraph graph_;
+  bool prune_pending_ = false;  ///< an edge went since the last prune
 
   // persistent: one multicast per (accuser, accused) pair, ever.
   std::vector<BitVec> accuse_sent_seen_;  ///< [accuser] -> accused set

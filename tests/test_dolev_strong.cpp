@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <span>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 namespace ambb::ds {
 namespace {
@@ -83,7 +87,7 @@ TEST(DolevStrong, NoAmortizationAcrossSlots) {
               0.25 * static_cast<double>(r.per_slot_bits[2]));
 }
 
-TEST(DolevStrong, ChainValidationRejectsForgeries) {
+TEST(DolevStrong, SizeModelChargesChainOrAggregate) {
   KeyRegistry reg(4, 1);
   MultiSigScheme msig(reg);
   Context ctx;
@@ -105,15 +109,118 @@ TEST(DolevStrong, ChainValidationRejectsForgeries) {
   m.chain.push_back(reg.sign(1, d));
   m.agg = msig.extend(msig.extend(msig.empty(), 0, d), 1, d);
 
-  // White-box check through size accounting only; the acceptance logic is
-  // covered end-to-end by the property sweeps. Here: the size model the
-  // simulator charges, through the same CostPolicy run_dolev_strong uses.
+  // The size model the simulator charges, through the same CostPolicy
+  // run_dolev_strong uses; chain acceptance is ChainCheck below.
   CostPolicy chain{ctx.wire, ctx.sched, /*use_multisig=*/false};
   EXPECT_EQ(chain.size_bits(m),
             ctx.wire.header_bits() + 256 + 2 * ctx.wire.sig_bits());
   CostPolicy agg{ctx.wire, ctx.sched, /*use_multisig=*/true};
   EXPECT_EQ(agg.size_bits(m),
             ctx.wire.header_bits() + 256 + ctx.wire.multisig_bits());
+}
+
+/// One DsNode (node 2 of n = 4, f = 2, sender 0) fed a hand-built inbox
+/// in round 1 of slot 1, where one valid signature, the sender's, makes a
+/// chain strong enough; rounds 2 and 3 run it to its commit.
+struct ChainProbe {
+  static constexpr Slot kSlot = 1;
+  static constexpr Value kValue = 99;
+
+  explicit ChainProbe(bool use_multisig) {
+    ctx.n = 4;
+    ctx.f = 2;
+    ctx.use_multisig = use_multisig;
+    ctx.wire = WireModel{4, 256, 256};
+    ctx.sched = Schedule{2};
+    ctx.registry = &reg;
+    ctx.msig = &msig;
+    ctx.commits = &commits;
+    ctx.input_for_slot = [](Slot) { return kValue; };
+    ctx.sender_of = [](Slot) { return NodeId{0}; };
+  }
+
+  Digest digest() const { return relay_digest(kSlot, kValue); }
+
+  /// A relay of kValue whose chain and aggregate carry these signers'
+  /// valid signatures.
+  Msg relay(std::initializer_list<NodeId> signers) const {
+    Msg m;
+    m.slot = kSlot;
+    m.value = kValue;
+    m.agg = msig.empty();
+    for (NodeId s : signers) {
+      m.chain.push_back(reg.sign(s, digest()));
+      m.agg = msig.extend(m.agg, s, digest());
+    }
+    return m;
+  }
+
+  struct Outcome {
+    std::size_t relays = 0;  ///< records node 2 sent in round 1
+    Value committed = 0;
+  };
+
+  /// Deliver `m` from node 1 in round 1 to a fresh node 2, then run
+  /// rounds 2 and 3.
+  Outcome feed(const Msg& m) {
+    commits = CommitLog(ctx.n);
+    DsNode node(2, &ctx);
+    Outcome o;
+    for (Round r = 1; r <= 3; ++r) {
+      const Delivery<Msg> inbox[] = {{1, kNoRecord, &m}};
+      TrafficLog<Msg> out;
+      RoundApi<Msg> api(2, ctx.n, &out);
+      node.on_round(r, r == 1 ? std::span(inbox) : std::span(inbox, 0),
+                    TrafficView<Msg>{}, api);
+      if (r == 1) o.relays = out.records().size();
+    }
+    o.committed = commits.get(2, kSlot).value;
+    return o;
+  }
+
+  KeyRegistry reg{4, 1};
+  MultiSigScheme msig{reg};
+  CommitLog commits{4};
+  Context ctx;
+};
+
+/// `p` extends and commits a valid one-signature relay, and neither
+/// extends nor extracts any of `forged`.
+void expect_only_valid_extracted(
+    ChainProbe& p, const std::vector<std::pair<const char*, Msg>>& forged) {
+  const auto ok = p.feed(p.relay({0}));
+  EXPECT_EQ(ok.relays, 1u) << "a valid relay must be extended";
+  EXPECT_EQ(ok.committed, ChainProbe::kValue);
+  for (const auto& [what, m] : forged) {
+    SCOPED_TRACE(what);
+    const auto o = p.feed(m);
+    EXPECT_EQ(o.relays, 0u);
+    EXPECT_EQ(o.committed, kBotValue);
+  }
+}
+
+TEST(DolevStrong, ChainCheckRejectsTamperedAndForeignSignatures) {
+  ChainProbe p(false);
+  Msg tampered = p.relay({0});
+  tampered.chain[0].mac[0] ^= 0x5A;
+  Msg foreign = p.relay({1});
+  foreign.chain[0].signer = 0;  // node 1's MAC passed off as the sender's
+  Msg tail = p.relay({0, 3});
+  tail.chain[1].mac[0] ^= 0x5A;
+  expect_only_valid_extracted(p, {{"tampered sender signature", tampered},
+                                  {"foreign signature", foreign},
+                                  {"tampered second signature", tail}});
+}
+
+TEST(DolevStrong, MultisigChainCheckRejectsTamperedAndForeignAggregates) {
+  ChainProbe p(true);
+  Msg tampered = p.relay({0});
+  tampered.agg.agg[0] ^= 0x5A;
+  Msg foreign = p.relay({1});
+  foreign.agg.signers = BitVec(4);
+  foreign.agg.signers.set(0);  // node 1's piece passed off as the sender's
+  expect_only_valid_extracted(p, {{"tampered aggregate", tampered},
+                                  {"foreign aggregate", foreign}});
 }
 
 TEST(DolevStrong, HonestSenderAlwaysDeliversInput) {

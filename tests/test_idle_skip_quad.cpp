@@ -10,9 +10,11 @@
 // measured bit: ledger totals, per-slot and per-kind bits, commit logs,
 // corrupt flags, every RoundStats counter (ns_* excepted), the JSONL
 // trace byte for byte, and the traffic arenas' reserved bytes. The
-// unwrapped copy must also match the "quadratic" registry row.
+// unwrapped copy must also match the "quadratic" registry row, except on
+// the "forge" row, whose forged signatures no registry adversary sends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -20,6 +22,7 @@
 #include <tuple>
 #include <utility>
 
+#include "adversary/scheduled.hpp"
 #include "bb/quadratic_bb.hpp"
 #include "crypto/signer.hpp"
 #include "runner/drive.hpp"
@@ -59,6 +62,77 @@ CommonParams common(const Params& p) {
   c.adversary = p.adversary;
   c.net = p.net;
   return c;
+}
+
+/// Grid row of the test-local forging adversary below. The registry has
+/// no such adversary, so this row is compared only with its reference.
+constexpr const char* kForge = "forge";
+
+/// Byzantine node that runs the honest logic except that, as a sender,
+/// it proposes nothing, so honest nodes accuse it, remove it and vote it
+/// corrupt. In TrustCast round 2 of every slot it also multicasts one
+/// message whose signature does not verify: by turns an accusation, a
+/// corrupt vote against the slot's sender and a proposal from that
+/// sender with a value nobody holds. In round 1 every node either
+/// forwarded the proposal or accused the silent sender, so the forged
+/// records take indices that held valid records a round earlier: a
+/// verdict cached past its round (RecordVerdicts) or keyed on the wrong
+/// record turns into an accepted forgery or a dropped message, which the
+/// per-recipient reference never makes. Quiet rounds stay elidable, as
+/// the grid requires.
+class ForgeDev final : public Deviation {
+ public:
+  bool override_send(QuadNode&, RoundApi<Msg>&) override { return true; }
+  void extra(QuadNode& self, Round r, std::uint32_t offset,
+             RoundApi<Msg>& api) override {
+    if (offset != kForgeOffset) return;
+    const Context& ctx = self.ctx();
+    const Slot k = ctx.sched.slot_of(r);
+    const NodeId sender = ctx.sender_of(k);
+    Msg m;
+    m.slot = k;
+    switch ((self.id() + k) % 3) {
+      case 0:
+        m.kind = Kind::kAccuse;
+        m.accused = (self.id() + 1 + k % (ctx.n - 1)) % ctx.n;
+        m.sig = ctx.registry->sign(self.id(), accuse_digest(m.accused));
+        break;
+      case 1:
+        m.kind = Kind::kCorrupt;
+        m.accused = sender;
+        m.sig = ctx.registry->sign(self.id(), corrupt_digest(sender));
+        break;
+      default:
+        m.kind = Kind::kProp;
+        m.value = ctx.input_for_slot(k) ^ 0xF0F0;
+        m.sig = ctx.registry->sign(sender, prop_digest(k, m.value));
+        break;
+    }
+    m.sig.mac[0] ^= 0x5A;
+    api.multicast(m);
+  }
+  Round next_wake(const QuadNode& self, Round r,
+                  Round honest) const override {
+    const Round slot = self.ctx().sched.rounds_per_slot();
+    const Round next = r / slot * slot + kForgeOffset;
+    return std::min(honest, next > r ? next : next + slot);
+  }
+
+ private:
+  static constexpr std::uint32_t kForgeOffset = 2;
+};
+
+/// The first f nodes run ForgeDev from round 0.
+std::unique_ptr<Adversary<Msg>> make_forger(const Context* ctx,
+                                            std::uint64_t seed) {
+  adversary::FaultSchedule s;
+  for (NodeId v = 0; v < ctx->f; ++v) {
+    s.corruptions.push_back(adversary::CorruptEvent{0, v});
+  }
+  return std::make_unique<adversary::ScheduledAdversary<Msg>>(
+      std::move(s), ctx->n, seed, nullptr, [ctx](NodeId v) {
+        return std::make_unique<QuadNode>(v, ctx, std::make_unique<ForgeDev>());
+      });
 }
 
 /// run_quadratic's setup and round loop, with an optional AlwaysAwake
@@ -107,7 +181,8 @@ Outcome run(const Params& p, Audit* audit) {
                                           std::make_unique<Deviation>());
       },
       [&ctx](const std::string& spec, std::uint64_t seed) {
-        return make_quad_adversary(spec, &ctx, seed);
+        return spec == kForge ? make_forger(&ctx, seed)
+                              : make_quad_adversary(spec, &ctx, seed);
       });
   if (audit != nullptr && adversary != nullptr) {
     adversary =
@@ -184,6 +259,7 @@ TEST_P(IdleSkipQuad, ElisionMatchesAlwaysAwakeReference) {
     const Outcome ref = run(p, &audit);
     const Outcome got = run(p, nullptr);
     expect_same(got, ref);
+    if (adv == kForge) continue;
     Outcome prod = idle_skip::production_outcome("quadratic", common(p));
     prod.arena_bytes = got.arena_bytes;
     expect_same(got, prod);
@@ -228,7 +304,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values("none", "silent", "equivocate", "conspiracy",
                           "lateprop", "floodaccuse", "framer", "fuzz",
-                          "fuzz:1", "fuzz:2", "fuzz:3", "sched"),
+                          "fuzz:1", "fuzz:2", "fuzz:3", "sched", kForge),
         ::testing::Values("lockstep", "bounded:2", "async:4")),
     [](const auto& info) {
       std::string s = std::get<0>(info.param) + "_" + std::get<1>(info.param);

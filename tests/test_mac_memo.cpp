@@ -1,15 +1,21 @@
-// Run-level guard on KeyRegistry's MAC memo (DESIGN.md §14). In a
-// broadcast run every recipient re-checks the same threshold shares and
-// signatures, so all but the first check of each (owner, domain, digest)
-// must be served from the memo. A slot index that drops part of the key
-// shows up here as a collapsed hit ratio and an eviction on almost every
-// miss, even while every unit test of the cache still passes.
+// Run-level guards on the two verify caches. KeyRegistry's MAC memo
+// (DESIGN.md §14): when every recipient re-checks the same threshold
+// shares and signatures, all but the first check of each (owner, domain,
+// digest) must be served from the memo. A slot index that drops part of
+// the key shows up here as a collapsed hit ratio and an eviction on
+// almost every miss, even while every unit test of the cache still
+// passes. Under lock-step, Algorithm 5.2 checks each multicast once for
+// all its recipients (RecordVerdicts, DESIGN.md §19), so its memo case
+// runs on the timing path, where no delivery carries a record id and
+// each recipient checks for itself; its lock-step case guards the
+// per-record verdicts instead.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "crypto/signer.hpp"
 #include "runner/registry.hpp"
+#include "sim/net.hpp"
 
 namespace ambb {
 namespace {
@@ -43,13 +49,33 @@ TEST(MacMemo, LinearMixedRunHits) {
   expect_memo_hits(run_delta("linear", p));
 }
 
-TEST(MacMemo, QuadraticSilentRunHits) {
+CommonParams quadratic_silent() {
   CommonParams p;
   p.n = 16;
   p.slots = 16;
   p.seed = 1;
   p.adversary = "silent";
+  return p;
+}
+
+TEST(MacMemo, QuadraticSilentRunHits) {
+  CommonParams p = quadratic_silent();
+  p.net = "bounded:0";  // the timing path: every recipient checks itself
   expect_memo_hits(run_delta("quadratic", p));
+}
+
+TEST(RecordVerdicts, QuadraticSilentLockstepRunHits) {
+  // Each accusation and vote multicast reaches all 16 nodes, so all but
+  // the first check of each record must be served from the verdicts.
+  const RecordVerdicts::Stats before = RecordVerdicts::stats();
+  protocol("quadratic").run(quadratic_silent());
+  const RecordVerdicts::Stats after = RecordVerdicts::stats();
+  const std::uint64_t hits = after.hits - before.hits;
+  const std::uint64_t misses = after.misses - before.misses;
+  ASSERT_GT(misses, 0u);
+  EXPECT_GE(static_cast<double>(hits),
+            0.8 * static_cast<double>(hits + misses))
+      << hits << " hits, " << misses << " misses";
 }
 
 }  // namespace

@@ -347,6 +347,84 @@ TEST_P(TrustGraphDifferential, MatchesAdjacencyListReference) {
   }
 }
 
+/// Every observer of `a` equals `b`'s.
+void expect_equal_graphs(const TrustGraph& a, const TrustGraph& b,
+                         std::uint32_t n) {
+  ASSERT_EQ(a.vertex_count(), b.vertex_count());
+  ASSERT_EQ(a.edge_count(), b.edge_count());
+  for (NodeId u = 0; u < n; ++u) {
+    ASSERT_EQ(a.has_vertex(u), b.has_vertex(u)) << "vertex " << u;
+    for (NodeId v = 0; v < n; ++v) {
+      if (a.has_edge(u, v) != b.has_edge(u, v)) {
+        FAIL() << "edge " << u << "-" << v;
+      }
+    }
+    ASSERT_EQ(a.distances_from(u), b.distances_from(u)) << "source " << u;
+  }
+  ASSERT_TRUE(a.is_subgraph_of(b));
+  ASSERT_TRUE(b.is_subgraph_of(a));
+}
+
+// TrustCast prunes lazily (DESIGN.md §18): an inbox's accusations remove
+// their edges and one prune follows. That must give the graph a prune
+// after every removal gives, whatever the batch: edges only disappear, so
+// a vertex cut off from the owner stays cut off, and a removal that
+// touches a vertex due to be pruned clears only bits the prune clears.
+TEST_P(TrustGraphDifferential, OnePruneAfterABatchEqualsOnePerEdge) {
+  const std::uint32_t n = GetParam();
+  const std::vector<std::uint64_t> seeds =
+      n < 100 ? std::vector<std::uint64_t>{1, 2}
+              : std::vector<std::uint64_t>{1};
+  std::uint64_t pruned_vertices = 0;
+  for (std::uint64_t seed : seeds) {
+    SCOPED_TRACE("n " + std::to_string(n) + " seed " + std::to_string(seed));
+    Rng rng(seed * 1000 + n);
+    const auto owner = static_cast<NodeId>(rng.uniform(n));
+    TrustGraph lazy(n);
+    TrustGraph eager(n);
+    for (std::uint32_t batch = 0; batch < 12; ++batch) {
+      // A batch cuts some or (every other time) all of the edges between
+      // a group {a, b} and the rest, then removes edges that touch a, so
+      // some removals reach vertices a per-edge prune already dropped.
+      std::vector<NodeId> present;
+      for (NodeId v = 0; v < n; ++v) {
+        if (v != owner && eager.has_vertex(v)) present.push_back(v);
+      }
+      if (present.empty()) break;
+      rng.shuffle(present);
+      const NodeId a = present[0];
+      const NodeId b = present.size() < 2 ? a : present[1];
+      std::vector<std::pair<NodeId, NodeId>> edges;
+      for (NodeId m : {a, b}) {
+        for (NodeId w = 0; w < n; ++w) {
+          if (w != a && w != b) edges.emplace_back(m, w);
+        }
+      }
+      rng.shuffle(edges);
+      if (batch % 2 == 1) edges.resize(rng.uniform(edges.size()) + 1);
+      if (a != b) edges.emplace_back(a, b);
+      for (int i = 0; i < 4; ++i) {
+        edges.emplace_back(a, static_cast<NodeId>(rng.uniform(n)));
+        edges.emplace_back(static_cast<NodeId>(rng.uniform(n)),
+                           static_cast<NodeId>(rng.uniform(n)));
+      }
+      const std::uint32_t before = eager.vertex_count();
+      for (const auto& [u, v] : edges) {
+        lazy.remove_edge(u, v);
+        eager.remove_edge(u, v);
+        eager.prune_unconnected(owner);
+      }
+      lazy.prune_unconnected(owner);
+      pruned_vertices += before - eager.vertex_count();
+      expect_equal_graphs(lazy, eager, n);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  if (n > 1) {
+    EXPECT_GT(pruned_vertices, 0u) << "no batch ever cut a vertex off";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(WordBoundaries, TrustGraphDifferential,
                          ::testing::Values(1u, 2u, 3u, 63u, 64u, 65u, 127u,
                                            128u, 129u, 200u));
