@@ -7,8 +7,8 @@
 #   scripts/ci.sh trace    # only the trace suite (`ctest -L trace`), a
 #                          # sweep --trace-dir smoke run and two ambb_trace
 #                          # replays
-#   scripts/ci.sh tsan     # only the TSan build + `ctest -L "engine|ext|arena|sched"`
-#   scripts/ci.sh asan     # only the ASan+UBSan build + `ctest -L "adversary|engine|ext|arena|sched"`
+#   scripts/ci.sh tsan     # only the TSan build + `ctest -L "engine|ext|hotpath|sched"`
+#   scripts/ci.sh asan     # only the ASan+UBSan build + `ctest -L "adversary|engine|ext|hotpath|sched"`
 #   scripts/ci.sh perf_smoke  # regenerate BENCH_f2_scaling.json and
 #                             # BENCH_f6_payload.json from their spec
 #                             # files and diff them against the committed
@@ -42,10 +42,11 @@
 # Both sanitizer stages also take the ext suite (erasure coder, Merkle
 # proofs, the long-message extension driver): GF(2^8) table indexing and
 # the nested base-family simulation inside each ext cell are prime
-# out-of-bounds / shared-state candidates. The arena suite (per-round
-# arena, interning caches — DESIGN.md §14) rides both sanitizer lanes
-# too: raw bump-pointer memory and thread_local caches under the worker
-# pool are exactly what ASan/TSan are for. test_alloc_hotpath stays out
+# out-of-bounds / shared-state candidates. The hotpath suite (the
+# shared and own inbox buffers, interning caches — DESIGN.md §14, §19)
+# rides both sanitizer lanes too: inbox entries pointing into last
+# round's records and thread_local caches under the worker pool are
+# exactly what ASan/TSan are for. test_alloc_hotpath stays out
 # of the sanitizer lanes by design (the sanitizer allocators bypass the
 # counting operator-new hooks). The sched suite (event-queue scheduler,
 # delay policies, timing faults — DESIGN.md §16) rides both sanitizer
@@ -129,7 +130,7 @@ tsan() {
   echo "== tsan: configure + build =="
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
-  echo "== tsan: ctest -L 'engine|ext|arena|sched' =="
+  echo "== tsan: ctest -L 'engine|ext|hotpath|sched' =="
   # halt_on_error promotes any race report to a test failure.
   TSAN_OPTIONS="halt_on_error=1" ctest --preset tsan -j "$jobs"
 }
@@ -138,7 +139,7 @@ asan() {
   echo "== asan: configure + build =="
   cmake --preset asan
   cmake --build --preset asan -j "$jobs"
-  echo "== asan: ctest -L 'adversary|engine|ext|arena|sched' =="
+  echo "== asan: ctest -L 'adversary|engine|ext|hotpath|sched' =="
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --preset asan -j "$jobs"

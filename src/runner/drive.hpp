@@ -258,7 +258,7 @@ RunResult drive(const RunConfig& cfg, RunState& run,
   res.kind_names = run.ledger.kind_names();
   res.per_kind_bits = run.ledger.per_kind();
   res.commits = run.commits;
-  res.round_stats = sim.round_stats();
+  res.round_stats = sim.take_round_stats();
   res.corrupt.resize(cfg.n);
   for (NodeId v = 0; v < cfg.n; ++v) res.corrupt[v] = sim.is_corrupt(v);
   res.senders.resize(cfg.slots + 1, kNoNode);

@@ -59,7 +59,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/types.hpp"
 #include "sim/cost.hpp"
@@ -91,7 +90,7 @@ struct Delivery {
 };
 
 // The record id rides in padding: a Delivery stays two words, so it never
-// grows the inbox arena (DESIGN.md §19).
+// grows the inbox buffers (DESIGN.md §19).
 static_assert(sizeof(Delivery<int>) == 16,
               "Delivery must stay 16 bytes: from, record, payload");
 
@@ -155,21 +154,17 @@ class TrafficLog {
     bool is_multicast() const { return to == kNoNode; }
   };
 
-  TrafficLog() : arena_(std::make_unique<Arena>()), records_(arena_.get()) {}
-
-  /// Round boundary: drop all records and rewind the arena wholesale. In
-  /// steady state (high-water capacity reached) this performs zero heap
-  /// operations.
+  /// Round boundary: drop all records. The vector keeps its capacity, so
+  /// once it has reached its high-water mark a round allocates nothing.
   void reset(std::uint32_t n) {
     n_ = n;
-    records_.reset();
-    arena_->reset();
+    records_.clear();
     deliveries_ = 0;
   }
 
   void add_unicast(NodeId from, NodeId to, const Msg& m) {
     // Emplaced, not pushed: the payload is copied exactly once, straight
-    // into arena storage (Msg can be large; the hot path sends millions).
+    // into the log (Msg can be large; the hot path sends millions).
     records_.emplace_back(from, to, m, deliveries_);
     deliveries_ += 1;
   }
@@ -181,10 +176,12 @@ class TrafficLog {
 
   std::uint32_t n() const { return n_; }
   std::size_t deliveries() const { return deliveries_; }
-  const ArenaVector<Record>& records() const { return records_; }
+  const std::vector<Record>& records() const { return records_; }
 
-  /// Allocation behaviour of the backing arena (tests + diagnostics).
-  const Arena::Stats& arena_stats() const { return arena_->stats(); }
+  /// Heap bytes the log holds (capacity, not size).
+  std::size_t reserved_bytes() const {
+    return records_.capacity() * sizeof(Record);
+  }
 
   std::size_t fanout(const Record& rec) const {
     return rec.is_multicast() ? n_ : 1;
@@ -206,12 +203,7 @@ class TrafficLog {
 
  private:
   std::uint32_t n_ = 0;
-  /// The arena sits behind unique_ptr so the log stays movable (swap in
-  /// Simulation::step) without invalidating records_'s arena pointer.
-  /// Declared before records_: members destroy in reverse order, and the
-  /// records must die before their backing storage.
-  std::unique_ptr<Arena> arena_;
-  ArenaVector<Record> records_;
+  std::vector<Record> records_;
   std::size_t deliveries_ = 0;
 };
 
@@ -425,13 +417,11 @@ class Simulation final : CorruptionCtl<Msg> {
         corrupt_(n, 0),
         actors_(n),
         wake_(n, 0),
-        inbox_arena_(std::make_unique<Arena>()),
-        inboxes_(n),
-        shared_(inbox_arena_.get()),
-        own_(n, 0) {
+        own_(n, 0),
+        own_begin_(n, 0),
+        own_end_(n, 0) {
     AMBB_CHECK(n >= 1 && f < n);
     AMBB_CHECK(ledger != nullptr);
-    for (auto& ib : inboxes_) ib.set_arena(inbox_arena_.get());
   }
 
   /// Install the honest actor for every node. Do this before
@@ -485,23 +475,27 @@ class Simulation final : CorruptionCtl<Msg> {
   /// One RoundStats per executed round.
   const std::vector<RoundStats>& round_stats() const { return round_stats_; }
 
+  /// Hand the per-round stats over and keep none: the run is over, and
+  /// one copy of a long run's rows is enough.
+  std::vector<RoundStats> take_round_stats() {
+    return std::exchange(round_stats_, {});
+  }
+
   /// Pre-size the per-round stats buffer; drivers that know the total
   /// round count call this so steady-state rounds never regrow it.
   void reserve_rounds(std::uint64_t rounds) {
     round_stats_.reserve(static_cast<std::size_t>(rounds));
   }
 
-  /// Running aggregate of all executed rounds, folded via accumulate()
-  /// as each step() completes (same totals as summarize(round_stats())).
-  const RoundStatsSummary& summary() const { return summary_; }
-
-  /// Heap bytes held by the traffic arenas: both round logs plus the
-  /// inbox arena. A pure observer (tests pin that elision keeps it equal
-  /// to a run without elision).
-  std::size_t traffic_arena_reserved_bytes() const {
-    return cur_.arena_stats().reserved_bytes +
-           prev_.arena_stats().reserved_bytes +
-           inbox_arena_->stats().reserved_bytes;
+  /// Heap bytes held by the per-round traffic buffers: both round logs,
+  /// the shared stream, the own-inbox buffer and the timing path's
+  /// staging buffer (capacity, not size). A pure observer (tests pin that
+  /// elision keeps it equal to a run without elision).
+  std::size_t traffic_reserved_bytes() const {
+    return cur_.reserved_bytes() + prev_.reserved_bytes() +
+           (shared_.capacity() + own_buf_.capacity()) *
+               sizeof(Delivery<Msg>) +
+           staged_.capacity() * sizeof(Staged);
   }
 
   /// Execute one lock-step round.
@@ -595,57 +589,45 @@ class Simulation final : CorruptionCtl<Msg> {
     // 5. Deliver surviving messages for the next round. Inboxes reference
     //    the record payloads, so the log must outlive the next round's
     //    sends: double-buffer and swap instead of clearing in place.
-    //    The shared multicast stream and the own inboxes draw from one
-    //    arena, rewound wholesale here (the old contents were consumed in
-    //    steps 1-2); each vector remembers its high-water size, so
-    //    refilling is one arena bump per vector. Only last round's own
-    //    inboxes need a reset — touched_inboxes_ lists exactly them (an
-    //    inbox holds arena storage only while its node is own, so nothing
-    //    dangles when the arena rewinds).
-    for (NodeId v : touched_inboxes_) {
-      inboxes_[v].reset();
-      own_[v] = 0;
-    }
+    //    The shared multicast stream and the own inboxes are refilled
+    //    here (the old contents were consumed in steps 1-2). Each own
+    //    inbox is a slice of one flat buffer, laid out from per-node
+    //    counts before it is filled; every buffer keeps its capacity.
+    for (NodeId v : touched_inboxes_) own_[v] = 0;
     touched_inboxes_.clear();
-    shared_.reset();
-    inbox_arena_->reset();
-    //    Event queue first: deliveries deferred by earlier rounds that
-    //    mature now land BEFORE this round's fresh lock-step traffic, in
-    //    emission order (buckets are filled round by round). The bucket
-    //    is moved into pending_ready_, which stays untouched until the
-    //    next delivery phase — the same lifetime rule that lets inboxes
-    //    reference prev_'s arena. Under lockstep the queue is provably
-    //    empty and this block never runs.
-    if (!pending_.empty()) {
-      auto due = pending_.find(round_ + 1);
-      if (due != pending_.end()) {
-        pending_ready_ = std::move(due->second);
-        pending_.erase(due);
-        for (const PendingMsg& pm : pending_ready_) {
-          mark_own(pm.to);
-          inboxes_[pm.to].push_back(
-              Delivery<Msg>{pm.from, kNoRecord, &pm.msg});
-        }
-      }
-    }
+    shared_.clear();
+    std::size_t own_total = 0;
     if (net_.lockstep()) {
       //  Lock-step path (DESIGN.md §19). A node whose inbox is exactly
       //  the round's multicasts in record order reads the shared stream;
       //  a pre-pass marks the rest own: unicast and erased-delivery
-      //  recipients. Then one pass fills the stream and the own inboxes
-      //  in record order, each multicast visiting the own nodes in
-      //  ascending id — its delivery-index order — so the sorted erasure
-      //  cursor still steps through every erased index. Every delivery
-      //  carries its record's index, the id RecordVerdicts keys on.
+      //  recipients. It also counts, per own node, its unicasts minus its
+      //  erased deliveries; adding the multicast count gives the node's
+      //  inbox size (the unsigned count may wrap below zero on the way,
+      //  the sum never does). Then one pass fills the stream and the own
+      //  inboxes in record order, each multicast visiting the own nodes
+      //  in ascending id — its delivery-index order — so the sorted
+      //  erasure cursor still steps through every erased index. Every
+      //  delivery carries its record's index, the id RecordVerdicts keys
+      //  on. The deferred queue is empty under lockstep.
+      std::size_t multicasts = 0;
       auto er = erased_.begin();
       for (const auto& rec : cur_.records()) {
-        if (!rec.is_multicast()) mark_own(rec.to);
+        if (rec.is_multicast()) {
+          ++multicasts;
+        } else {
+          mark_own(rec.to);
+          ++own_end_[rec.to];
+        }
         const std::size_t end = rec.base + cur_.fanout(rec);
         for (; er != erased_.end() && *er < end; ++er) {
-          mark_own(cur_.recipient_of(rec, *er));
+          const NodeId v = cur_.recipient_of(rec, *er);
+          mark_own(v);
+          --own_end_[v];
         }
       }
       std::sort(touched_inboxes_.begin(), touched_inboxes_.end());
+      own_total = lay_out_own_inboxes(multicasts);
       er = erased_.begin();
       const auto& recs = cur_.records();
       AMBB_CHECK(recs.size() < kNoRecord);
@@ -659,19 +641,37 @@ class Simulation final : CorruptionCtl<Msg> {
               ++er;
               continue;
             }
-            inboxes_[v].push_back(delivery);
+            own_buf_[own_end_[v]++] = delivery;
           }
         } else if (er != erased_.end() && *er == rec.base) {
           ++er;
         } else {
-          inboxes_[rec.to].push_back(delivery);
+          own_buf_[own_end_[rec.to]++] = delivery;
         }
       }
     } else {
-      //  Timing path: per delivery, combine the policy's seeded base
-      //  draw with any adversary delay() requests (summed, then clamped
-      //  to the policy bound) and either deliver next round or copy the
-      //  payload into the due-round bucket. Erasure wins over delay.
+      //  Timing path: every recipient is own. Deliveries are staged with
+      //  their recipients, then grouped by recipient in staging order.
+      //  Event queue first: deliveries deferred by earlier rounds that
+      //  mature now land BEFORE this round's fresh traffic, in emission
+      //  order (buckets are filled round by round). The bucket is moved
+      //  into pending_ready_, which stays untouched until the next
+      //  delivery phase — the same lifetime rule that lets inboxes
+      //  reference prev_'s records.
+      if (!pending_.empty()) {
+        auto due = pending_.find(round_ + 1);
+        if (due != pending_.end()) {
+          pending_ready_ = std::move(due->second);
+          pending_.erase(due);
+          for (const PendingMsg& pm : pending_ready_) {
+            stage(pm.to, pm.from, &pm.msg);
+          }
+        }
+      }
+      //  Then, per delivery, combine the policy's seeded base draw with
+      //  any adversary delay() requests (summed, then clamped to the
+      //  policy bound) and either deliver next round or copy the payload
+      //  into the due-round bucket. Erasure wins over delay.
       if (!delayed_.empty()) std::sort(delayed_.begin(), delayed_.end());
       auto er = erased_.begin();
       auto dl = delayed_.begin();
@@ -691,7 +691,7 @@ class Simulation final : CorruptionCtl<Msg> {
           const std::uint32_t x = net_.clamp_extra(extra);
           const NodeId v = cur_.recipient_of(rec, d);
           if (x == 0) {
-            deliver_to(v, rec);
+            stage(v, rec.from, &rec.msg);
             continue;
           }
           const Round land = round_ + 1 + x;
@@ -709,12 +709,17 @@ class Simulation final : CorruptionCtl<Msg> {
           }
         }
       }
+      own_total = lay_out_own_inboxes(0);
+      for (const Staged& sd : staged_) {
+        own_buf_[own_end_[sd.to]++] = Delivery<Msg>{sd.from, kNoRecord,
+                                                    sd.payload};
+      }
+      staged_.clear();
     }
     //    Exact, so the O(1) path runs in the same rounds as with one
     //    inbox per node: an own inbox emptied by erasure holds no mail.
     any_mail_ = (!shared_.empty() && touched_inboxes_.size() < n_) ||
-                std::any_of(touched_inboxes_.begin(), touched_inboxes_.end(),
-                            [this](NodeId v) { return !inboxes_[v].empty(); });
+                own_total != 0;
     auto t5 = Clock::now();
 
     st.records = static_cast<std::uint32_t>(cur_.records().size());
@@ -752,7 +757,6 @@ class Simulation final : CorruptionCtl<Msg> {
   }
 
   void finish_round(const RoundStats& st) {
-    accumulate(summary_, st);
     round_stats_.push_back(st);
     {
       trace::Event ev;
@@ -762,8 +766,8 @@ class Simulation final : CorruptionCtl<Msg> {
       trace::emit(trace_, ev);
     }
     // Quiescent rounds swap too, so each busy round writes the same log
-    // it writes without elision: the two arenas' sizes (and so peak RSS)
-    // depend on which rounds each one gets.
+    // it writes without elision: the two logs' capacities (and so peak
+    // RSS) depend on which rounds each one gets.
     std::swap(cur_, prev_);
     ++round_;
   }
@@ -771,24 +775,45 @@ class Simulation final : CorruptionCtl<Msg> {
   /// Node v's deliveries for this round: its own inbox if it has one,
   /// else the shared multicast stream.
   std::span<const Delivery<Msg>> inbox_of(NodeId v) const {
-    const auto& ib = own_[v] ? inboxes_[v] : shared_;
-    return std::span<const Delivery<Msg>>(ib.data(), ib.size());
+    if (!own_[v]) return shared_;
+    return std::span<const Delivery<Msg>>(own_buf_.data() + own_begin_[v],
+                                          own_end_[v] - own_begin_[v]);
   }
 
   bool has_mail(NodeId v) const {
-    return own_[v] ? !inboxes_[v].empty() : !shared_.empty();
+    return own_[v] ? own_end_[v] != own_begin_[v] : !shared_.empty();
   }
 
+  /// Give v an own inbox this round; its count starts at zero.
   void mark_own(NodeId v) {
     if (own_[v]) return;
     own_[v] = 1;
+    own_end_[v] = 0;
     touched_inboxes_.push_back(v);
   }
 
-  /// Timing-path delivery: every recipient gets its own inbox.
-  void deliver_to(NodeId v, const typename TrafficLog<Msg>::Record& rec) {
-    mark_own(v);
-    inboxes_[v].push_back(Delivery<Msg>{rec.from, kNoRecord, &rec.msg});
+  /// Timing path: queue a delivery that lands next round and count it
+  /// for its recipient's own inbox.
+  void stage(NodeId to, NodeId from, const Msg* payload) {
+    mark_own(to);
+    ++own_end_[to];
+    staged_.push_back(Staged{to, from, payload});
+  }
+
+  /// Give each own node its slice of own_buf_. On entry own_end_[v] holds
+  /// the node's count, and each inbox holds `multicasts` entries more;
+  /// on return own_begin_[v] == own_end_[v] is its fill cursor. Returns
+  /// the total. The buffer only grows: entries past the total are stale
+  /// and never read.
+  std::size_t lay_out_own_inboxes(std::size_t multicasts) {
+    std::size_t at = 0;
+    for (NodeId v : touched_inboxes_) {
+      own_begin_[v] = at;
+      at += own_end_[v] + multicasts;
+      own_end_[v] = own_begin_[v];
+    }
+    if (own_buf_.size() < at) own_buf_.resize(at);
+    return at;
   }
 
   bool erased_covers(std::size_t d) const {
@@ -878,16 +903,26 @@ class Simulation final : CorruptionCtl<Msg> {
   std::vector<Round> wake_;
   Round min_wake_ = 0;
   Round adversary_wake_ = 0;
-  /// Inbox buffers draw from a shared arena rewound each round (entries
-  /// point into prev_'s records). Declared before inboxes_ and shared_ so
-  /// the vectors die before their backing storage.
-  std::unique_ptr<Arena> inbox_arena_;
-  std::vector<ArenaVector<Delivery<Msg>>> inboxes_;  ///< read iff own_[v]
   /// One entry per lock-step multicast of last round, in record order:
-  /// the inbox of every node that is not own (DESIGN.md §19).
-  ArenaVector<Delivery<Msg>> shared_;
+  /// the inbox of every node that is not own (DESIGN.md §19). Entries
+  /// point into prev_'s records.
+  std::vector<Delivery<Msg>> shared_;
   std::vector<std::uint8_t> own_;
   std::vector<NodeId> touched_inboxes_;  ///< the own nodes
+  /// The own inboxes, one flat buffer shared by all nodes (DESIGN.md
+  /// §14): node v's inbox is own_buf_[own_begin_[v], own_end_[v]), read
+  /// iff own_[v].
+  std::vector<Delivery<Msg>> own_buf_;
+  std::vector<std::size_t> own_begin_;
+  std::vector<std::size_t> own_end_;
+  /// Timing path: this round's deliveries and their recipients, in
+  /// delivery order, before they are grouped into own_buf_.
+  struct Staged {
+    NodeId to;
+    NodeId from;
+    const Msg* payload;
+  };
+  std::vector<Staged> staged_;
   /// Some node has a non-empty inbox (exact: feeds quiescent()).
   bool any_mail_ = false;
   TrafficLog<Msg> cur_;   ///< records emitted this round
@@ -912,7 +947,6 @@ class Simulation final : CorruptionCtl<Msg> {
   NetPolicy net_;
   bool configured_ = false;
   std::vector<RoundStats> round_stats_;
-  RoundStatsSummary summary_;
   trace::TraceSink* trace_ = nullptr;
 };
 

@@ -75,9 +75,8 @@ struct RoundStatsSummary {
 };
 
 /// Fold one round into a running summary. This is THE aggregation rule:
-/// summarize(), Simulation's running summary, and the engine/report
-/// aggregates all route through it — field sums live in exactly one
-/// place.
+/// summarize() folds with it, and the engine/report aggregates go
+/// through summarize() — field sums live in exactly one place.
 void accumulate(RoundStatsSummary& s, const RoundStats& r);
 
 RoundStatsSummary summarize(const std::vector<RoundStats>& stats);

@@ -143,7 +143,7 @@ struct Outcome {
   std::vector<bool> corrupt;
   std::vector<RoundStats> rounds;
   std::string jsonl;
-  std::size_t arena_bytes = 0;
+  std::size_t traffic_bytes = 0;
 
   /// Rounds that took the simulator's O(1) quiescent path, the only one
   /// that reports zero ns_*.
@@ -172,7 +172,7 @@ inline std::vector<std::tuple<bool, Value, Round>> commit_rows(
 }
 
 /// Runs registry row `proto` traced. The registry does not expose its
-/// simulation, so arena_bytes is left to the caller.
+/// simulation, so traffic_bytes is left to the caller.
 inline Outcome production_outcome(const std::string& proto,
                                   const CommonParams& p) {
   std::ostringstream jsonl;
@@ -211,7 +211,7 @@ inline void expect_same(const Outcome& got, const Outcome& ref) {
         << "RoundStats differ in round " << i;
   }
   EXPECT_TRUE(got.jsonl == ref.jsonl) << "JSONL traces differ";
-  EXPECT_EQ(got.arena_bytes, ref.arena_bytes);
+  EXPECT_EQ(got.traffic_bytes, ref.traffic_bytes);
 }
 
 }  // namespace ambb::idle_skip

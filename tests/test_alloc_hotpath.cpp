@@ -3,12 +3,12 @@
 // multicast inbox (§19), whose footprint is pinned too. Global
 // operator new/delete are replaced with counting hooks and a
 // full multi-shot run is stepped with a per-round observer: once the
-// warmup slots have grown every arena, ArenaVector hint, and reserved
+// warmup slots have grown every traffic log, inbox buffer and reserved
 // container to its high-water mark, each remaining round must perform
-// ZERO heap allocations. This is the enforcement side of the per-round
-// arena design — a regression that sneaks a std::vector rebuild or a
-// node-based container back into the round loop fails here, not in a
-// profiler three PRs later.
+// ZERO heap allocations. This is the enforcement side of the cleared,
+// never freed round buffers — a regression that sneaks a std::vector
+// rebuild or a node-based container back into the round loop fails
+// here, not in a profiler three PRs later.
 //
 // The hooks count every allocation in the process, so the test avoids
 // allocating in its own observer (the sample buffer is pre-reserved).
@@ -111,7 +111,7 @@ TEST(AllocHotPath, SteadyStateAlg4RoundsAllocateNothing) {
   ASSERT_EQ(samples.size(), static_cast<std::size_t>(total_rounds) + 1);
   ASSERT_EQ(r.rounds, total_rounds);
 
-  // Warmup: the first two slots grow arenas/hints to high water (slot 1
+  // Warmup: the first two slots grow every buffer to high water (slot 1
   // populates everything once; slot 2 covers paths that only allocate on
   // the second pass, e.g. geometric reservations finishing).
   const std::uint64_t rounds_per_slot = total_rounds / cfg.slots;
@@ -215,7 +215,7 @@ TEST(AllocHotPath, AllMulticastRoundsAllocateNothing) {
 
 TEST(AllocHotPath, AllMulticastFootprintIsLinearInRecords) {
   // Each multicast lands once in the shared stream, not once per node:
-  // after rounds of R records at n = 64, the arenas hold O(R) bytes —
+  // after rounds of R records at n = 64, the buffers hold O(R) bytes —
   // well under the R * n inbox entries a per-node fan-out needs.
   constexpr std::uint32_t kN = 64, kPerNode = 16;
   constexpr std::size_t kRecords = std::size_t{kN} * kPerNode;
@@ -227,8 +227,8 @@ TEST(AllocHotPath, AllMulticastFootprintIsLinearInRecords) {
 
   constexpr std::size_t kEntry =
       sizeof(TrafficLog<CastMsg>::Record) + sizeof(Delivery<CastMsg>);
-  const std::size_t reserved = sim.traffic_arena_reserved_bytes();
-  EXPECT_LE(reserved, 3 * Arena::kDefaultChunkBytes + 8 * kRecords * kEntry);
+  const std::size_t reserved = sim.traffic_reserved_bytes();
+  EXPECT_LE(reserved, 8 * kRecords * kEntry);
   EXPECT_LT(reserved, kRecords * kN * sizeof(Delivery<CastMsg>));
 }
 

@@ -8,7 +8,7 @@
 // always_awake.hpp, which also audits the wake contract. The two runs
 // must agree on every measured bit: ledger totals, per-slot and per-kind
 // bits, commit logs, corrupt flags, every RoundStats counter (ns_*
-// excepted), the JSONL trace byte for byte, and the traffic arenas'
+// excepted), the JSONL trace byte for byte, and the traffic buffers'
 // reserved bytes (which pins that the O(1) path keeps the log swap). The
 // unwrapped copy must also match the registry row it mirrors, except on
 // the "forge" row, whose forged accusations no registry adversary sends.
@@ -38,9 +38,9 @@
 namespace ambb::linear {
 namespace {
 
-// n = 12 is about the smallest size at which some busy rounds outgrow a
-// traffic log's first 64 KiB arena chunk, so a quiescent path that
-// dropped the log swap would change the reserved bytes.
+// At n = 12 the busy rounds differ enough in record count that each
+// traffic log's capacity depends on which rounds it gets, so a quiescent
+// path that dropped the log swap would change the reserved bytes.
 constexpr std::uint32_t kN = 12;
 constexpr std::uint32_t kF = 3;
 constexpr Slot kSlots = 5;
@@ -207,7 +207,7 @@ Outcome run(const Params& p, Audit* audit) {
   for (NodeId v = 0; v < kN; ++v) o.corrupt.push_back(sim.is_corrupt(v));
   o.rounds = sim.round_stats();
   o.jsonl = jsonl.str();
-  o.arena_bytes = sim.traffic_arena_reserved_bytes();
+  o.traffic_bytes = sim.traffic_reserved_bytes();
   return o;
 }
 
@@ -252,7 +252,7 @@ TEST_P(IdleSkip, ElisionMatchesAlwaysAwakeReference) {
       expect_same(got, ref);
       if (adv == kForge) continue;
       Outcome prod = idle_skip::production_outcome(proto, common(p));
-      prod.arena_bytes = got.arena_bytes;
+      prod.traffic_bytes = got.traffic_bytes;
       expect_same(got, prod);
     }
   }

@@ -9,7 +9,7 @@
 // which also audits the wake contract. The two runs must agree on every
 // measured bit: ledger totals, per-slot and per-kind bits, commit logs,
 // corrupt flags, every RoundStats counter (ns_* excepted), the JSONL
-// trace byte for byte, and the traffic arenas' reserved bytes. The
+// trace byte for byte, and the traffic buffers' reserved bytes. The
 // unwrapped copy must also match the "quadratic" registry row, except on
 // the "forge" row, whose forged signatures no registry adversary sends.
 #include <gtest/gtest.h>
@@ -223,7 +223,7 @@ Outcome run(const Params& p, Audit* audit) {
   for (NodeId v = 0; v < p.n; ++v) o.corrupt.push_back(sim.is_corrupt(v));
   o.rounds = sim.round_stats();
   o.jsonl = jsonl.str();
-  o.arena_bytes = sim.traffic_arena_reserved_bytes();
+  o.traffic_bytes = sim.traffic_reserved_bytes();
   return o;
 }
 
@@ -261,7 +261,7 @@ TEST_P(IdleSkipQuad, ElisionMatchesAlwaysAwakeReference) {
     expect_same(got, ref);
     if (adv == kForge) continue;
     Outcome prod = idle_skip::production_outcome("quadratic", common(p));
-    prod.arena_bytes = got.arena_bytes;
+    prod.traffic_bytes = got.traffic_bytes;
     expect_same(got, prod);
   }
   EXPECT_GT(audit.sleeping_calls, 0u) << "no call was ever elidable";

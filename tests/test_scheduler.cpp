@@ -172,7 +172,7 @@ TEST(Scheduler, BoundedDeliveriesLandInsideTheWindow) {
   }
   // RoundStats charge delays to the EMISSION round.
   EXPECT_EQ(sim.round_stats()[0].delayed, late);
-  EXPECT_EQ(sim.summary().delayed, late);
+  EXPECT_EQ(summarize(sim.round_stats()).delayed, late);
   // Cost is charged at emission: bits are identical to a lockstep run.
   EXPECT_EQ(ledger.honest_bits_total(), 300u);
 }
@@ -201,7 +201,7 @@ TEST(Scheduler, BoundedZeroDeltaBehavesLikeLockstep) {
     sim.run_rounds(3);
     EXPECT_EQ(got_at_round, 1) << spec;
     EXPECT_EQ(ledger.honest_bits_total(), 100u) << spec;
-    EXPECT_EQ(sim.summary().delayed, 0u) << spec;
+    EXPECT_EQ(summarize(sim.round_stats()).delayed, 0u) << spec;
   }
 }
 

@@ -1,15 +1,17 @@
 // Differential oracle for the shared lock-step multicast inbox (DESIGN.md
 // §19). Under lockstep, Simulation::step delivers a round's multicasts
 // once, into one shared stream, and gives a private inbox only to nodes
-// whose deliveries differ from it. Whatever the representation, node v's
-// round-(r+1) inbox must be exactly the round-r deliveries addressed to
-// v, in delivery-index order, minus the erased ones. The reference here
-// rebuilds that list from the adversary's own observe_round TrafficView
-// and erase() calls, independently of the simulator's delivery loop.
-//
-// Scope: the lockstep policy only. The bounded/async timing path keeps a
-// per-recipient fan-out (every recipient is own, the shared stream stays
-// empty) and is covered by test_scheduler and the JSONL goldens.
+// whose deliveries differ from it; own inboxes are slices of one flat
+// buffer, laid out from per-node counts before they are filled. Whatever
+// the representation, node v's round-(r+1) inbox must be exactly the
+// round-r deliveries addressed to v, in delivery-index order, minus the
+// erased ones. The reference here rebuilds that list per node from the
+// adversary's own observe_round TrafficView and erase() calls,
+// independently of the simulator's delivery loop. It runs under lockstep
+// and under bounded:2, where every recipient is own and deliveries that
+// matured from earlier rounds land first; there the reference reads each
+// deferred delivery's landing round from its kDeliveryDelayed trace
+// event.
 //
 // Record identity: each lock-step delivery names its record in last
 // round's log, and RecordVerdicts caches one verdict per record per
@@ -22,10 +24,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bb/linear_bb.hpp"
@@ -35,12 +41,14 @@
 #include "graph/expander.hpp"
 #include "runner/drive.hpp"
 #include "sim/net_policy.hpp"
+#include "trace/trace.hpp"
 
 namespace ambb {
 namespace {
 
 struct Msg {
   std::uint64_t tag = 0;
+  bool multicast = false;
 };
 
 using Sim = ToySim<Msg>;
@@ -68,8 +76,9 @@ class RandomActor final : public Actor<Msg> {
     }
     const auto sends = static_cast<std::uint32_t>(rng_.uniform(4));
     for (std::uint32_t i = 0; i < sends; ++i) {
-      const Msg m{tag_of(r, api.self(), i)};
+      Msg m{tag_of(r, api.self(), i)};
       if (rng_.chance(0.5)) {
+        m.multicast = true;
         api.multicast(m);
       } else {
         api.send(static_cast<NodeId>(rng_.uniform(api.n())), m);
@@ -82,15 +91,25 @@ class RandomActor final : public Actor<Msg> {
   std::vector<Seen>* log_;
 };
 
+/// One surviving delivery as the adversary saw it at emission.
+struct Sent {
+  Round round;
+  std::size_t index;  ///< delivery index within its round
+  NodeId from;
+  NodeId to;
+  std::uint64_t tag;
+};
+
 /// Corrupts a few nodes up front and more adaptively, erases a random
-/// share of the corrupt senders' deliveries, and writes the reference
-/// inboxes from what it observed.
+/// share of the corrupt senders' deliveries and, when the policy allows
+/// it, delays a random share of the rest. Keeps every surviving delivery
+/// with its delivery index for the reference, and counts the rounds whose
+/// traffic mixes unicasts, multicasts and erasures.
 class EraserAdversary final : public Adversary<Msg> {
  public:
   EraserAdversary(std::uint32_t n, std::uint32_t f, std::uint64_t seed,
-                  std::vector<std::vector<Seen>>* logs,
-                  std::vector<std::vector<Seen>>* expected)
-      : n_(n), f_(f), rng_(seed), logs_(logs), expected_(expected) {}
+                  std::vector<std::vector<Seen>>* logs)
+      : n_(n), f_(f), rng_(seed), logs_(logs) {}
 
   std::vector<NodeId> initial_corruptions() override {
     std::vector<NodeId> out;
@@ -109,36 +128,42 @@ class EraserAdversary final : public Adversary<Msg> {
     if (ctl.corruption_budget_left() > 0 && rng_.chance(0.2)) {
       ctl.corrupt(static_cast<NodeId>(rng_.uniform(n_)));
     }
+    bool unicast = false, multicast = false, erased = false;
     for (std::size_t d = 0; d < traffic.size(); ++d) {
       const auto ref = traffic[d];
+      (ref.msg.multicast ? multicast : unicast) = true;
       if (ctl.is_corrupt(ref.from) && rng_.chance(0.3)) {
         ctl.erase(d);
-        ++erasures;
+        erased = true;
         continue;
       }
-      (*expected_)[ref.to].emplace_back(r + 1, ref.from, ref.msg.tag);
+      if (!ctl.net().lockstep() && rng_.chance(0.1)) {
+        ctl.delay(d, 1 + static_cast<std::uint32_t>(rng_.uniform(2)));
+      }
+      sent.push_back(Sent{r, d, ref.from, ref.to, ref.msg.tag});
     }
+    if (unicast && multicast && erased) ++mixed_rounds;
   }
 
-  std::uint64_t erasures = 0;
+  std::vector<Sent> sent;
+  std::uint32_t mixed_rounds = 0;
 
  private:
   std::uint32_t n_;
   std::uint32_t f_;
   Rng rng_;
   std::vector<std::vector<Seen>>* logs_;
-  std::vector<std::vector<Seen>>* expected_;
 };
 
 class SharedInbox
-    : public ::testing::TestWithParam<std::tuple<std::uint32_t, std::uint64_t>> {
-};
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, std::uint32_t, std::uint64_t>> {};
 
-TEST_P(SharedInbox, EveryInboxMatchesTheDeliveryIndexReference) {
-  const auto [n, seed] = GetParam();
+TEST_P(SharedInbox, EveryInboxMatchesAPerNodeReference) {
+  const auto& [net, n, seed] = GetParam();
   const std::uint32_t f = (n - 1) / 2;
   constexpr Round kRounds = 24;
-  std::vector<std::vector<Seen>> logs(n), expected(n);
+  std::vector<std::vector<Seen>> logs(n);
 
   CostLedger ledger({"toy"});
   Sim sim(n, f, &ledger, ToyPolicy{});
@@ -147,31 +172,57 @@ TEST_P(SharedInbox, EveryInboxMatchesTheDeliveryIndexReference) {
     sim.set_actor(v, std::make_unique<RandomActor>(seeder.next_u64(),
                                                    &logs[v]));
   }
-  EraserAdversary adv(n, f, seeder.next_u64(), &logs, &expected);
+  EraserAdversary adv(n, f, seeder.next_u64(), &logs);
+  trace::CollectorSink sink;
   SimConfig<Msg> sc;
   sc.adversary = &adv;
+  sc.net = make_net_policy(net, seed);
+  sc.trace = &sink;
   sim.configure(sc);
   sim.run_rounds(kRounds);
 
-  // The last round's traffic is never delivered: drop it from the
-  // reference.
+  // The landing round of every deferred delivery, from the trace; any
+  // other surviving delivery lands one round after it was sent.
+  std::map<std::pair<Round, std::size_t>, Round> lands;
+  for (const auto& ev : sink.of_kind(trace::EventKind::kDeliveryDelayed)) {
+    lands[{ev.round, ev.count}] = ev.value;
+  }
+  // Per node, in inbox order: deliveries landing earlier first; within
+  // one landing round the deferred ones (sent earlier) first, then in
+  // emission order, which is (sent round, delivery index).
+  using Key = std::tuple<Round, Round, std::size_t>;
+  std::vector<std::vector<std::pair<Key, Seen>>> per_node(n);
+  for (const Sent& s : adv.sent) {
+    const auto it = lands.find({s.round, s.index});
+    const Round land = it == lands.end() ? s.round + 1 : it->second;
+    if (land >= kRounds) continue;  // never delivered within the run
+    per_node[s.to].emplace_back(Key{land, s.round, s.index},
+                                Seen{land, s.from, s.tag});
+  }
   std::uint64_t delivered = 0;
   for (NodeId v = 0; v < n; ++v) {
-    std::erase_if(expected[v],
-                  [](const Seen& s) { return std::get<0>(s) == kRounds; });
-    EXPECT_EQ(logs[v], expected[v]) << "node " << v;
+    std::sort(per_node[v].begin(), per_node[v].end());
+    std::vector<Seen> expected;
+    for (const auto& [key, seen] : per_node[v]) expected.push_back(seen);
+    EXPECT_EQ(logs[v], expected) << "node " << v;
     delivered += logs[v].size();
   }
   EXPECT_GT(delivered, 0u);
   if (f > 0) {
-    EXPECT_GT(adv.erasures, 0u);
+    EXPECT_GT(adv.mixed_rounds, 0u);
+  }
+  if (net != "lockstep") {
+    EXPECT_FALSE(lands.empty());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Lockstep, SharedInbox,
-    ::testing::Combine(::testing::Values(1u, 2u, 7u, 64u, 65u),
-                       ::testing::Values(std::uint64_t{1}, std::uint64_t{2})));
+    Nets, SharedInbox,
+    ::testing::Combine(::testing::Values(std::string("lockstep"),
+                                         std::string("bounded:2")),
+                       ::testing::Values(1u, 2u, 7u, 64u, 65u),
+                       ::testing::Values(std::uint64_t{1},
+                                         std::uint64_t{2})));
 
 /// Scripted actor: runs `act` each round and keeps every inbox it saw.
 class Script final : public Actor<Msg> {

@@ -296,7 +296,7 @@ TEST(IdleRounds, EachSkippedRoundYieldsOneZeroStatsAndOneRoundEnd) {
   const std::vector<Round> busy = {0, 1, 10, 11, 20, 21};
   for (const Sleepy* a : actors) EXPECT_EQ(a->ran(), busy);
   ASSERT_EQ(sim.round_stats().size(), 25u);
-  EXPECT_EQ(sim.summary().rounds, 25u);
+  EXPECT_EQ(summarize(sim.round_stats()).rounds, 25u);
   const auto ends = sink.of_kind(trace::EventKind::kRoundEnd);
   ASSERT_EQ(ends.size(), 25u);
   for (Round r = 0; r < 25; ++r) {
