@@ -53,7 +53,7 @@ namespace ambb::adversary {
 ///   stagger   buffers the (selective-filtered) output for release in
 ///             round r + delay; released traffic is emitted verbatim;
 ///   selective drops deliveries to recipients outside the keep-set
-///             (multicasts become per-recipient unicasts);
+///             (multicasts and groups become per-recipient unicasts);
 ///   shuffle   expands the surviving output into per-recipient unicasts
 ///             and permutes the payload assignment (equivocation by
 ///             misdirection: valid messages, wrong recipients).
@@ -108,22 +108,13 @@ class FaultedActor final : public Actor<Msg> {
     std::vector<std::pair<NodeId, const Msg*>> kept;  // expanded deliveries
     std::vector<const typename TrafficLog<Msg>::Record*> whole;  // unfiltered
     for (const auto& rec : scratch_.records()) {
-      if (selective == nullptr && !rec.is_multicast()) {
-        whole.push_back(&rec);
-        kept.emplace_back(rec.to, &rec.msg);
-        continue;
-      }
-      if (selective == nullptr) {
-        whole.push_back(&rec);
-        for (NodeId v = 0; v < n_; ++v) kept.emplace_back(v, &rec.msg);
-        continue;
-      }
-      if (rec.is_multicast()) {
-        for (NodeId v = 0; v < n_; ++v) {
-          if (keeps(*selective, v)) kept.emplace_back(v, &rec.msg);
+      if (selective == nullptr) whole.push_back(&rec);
+      const std::size_t fanout = scratch_.fanout(rec);
+      for (std::size_t d = rec.base; d < rec.base + fanout; ++d) {
+        const NodeId v = scratch_.recipient_of(rec, d);
+        if (selective == nullptr || keeps(*selective, v)) {
+          kept.emplace_back(v, &rec.msg);
         }
-      } else if (keeps(*selective, rec.to)) {
-        kept.emplace_back(rec.to, &rec.msg);
       }
     }
 
@@ -145,10 +136,13 @@ class FaultedActor final : public Actor<Msg> {
     }
     if (selective == nullptr) {
       // Untouched output: preserve the record structure (multicasts stay
-      // multicasts — one shared record, free self-copy).
+      // multicasts — one shared record, free self-copy — and groups stay
+      // groups).
       for (const auto* rec : whole) {
         if (rec->is_multicast()) {
           api.multicast(rec->msg);
+        } else if (rec->is_group()) {
+          api.send_group(scratch_.recipients(*rec), rec->msg);
         } else {
           api.send(rec->to, rec->msg);
         }

@@ -1,6 +1,7 @@
 #include "bb/linear_adversary.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "adversary/scheduled.hpp"
 #include "common/check.hpp"
@@ -27,11 +28,12 @@ class SilentDev final : public Deviation {
 /// the expander forwarding and accuse.
 class EquivocateDev final : public Deviation {
  public:
+  /// Each half is one group record.
   bool override_propose(LinearNode& self, RoundApi<Msg>& api) override {
-    const std::uint32_t n = self.ctx().n;
-    const Msg a = self.build_fresh_proposal(0xAAAA);
-    const Msg b = self.build_fresh_proposal(0xBBBB);
-    for (NodeId v = 0; v < n; ++v) api.send(v, v < n / 2 ? a : b);
+    const std::span<const NodeId> all(self.ctx().nodes);
+    const std::size_t half = all.size() / 2;
+    api.send_group(all.first(half), self.build_fresh_proposal(0xAAAA));
+    api.send_group(all.subspan(half), self.build_fresh_proposal(0xBBBB));
     return true;
   }
   Round next_wake(const LinearNode&, Round, Round honest) const override {

@@ -198,6 +198,7 @@ LinearNode::LinearNode(NodeId id, const Context* ctx,
   lead_votes_.reserve(ctx->n);
   lead_cert_votes_.reserve(ctx->n);
   prop_values_seen_.reserve(4);
+  if (dev_ != nullptr) kept_scratch_.reserve(ctx->n);
 }
 
 void LinearNode::out(RoundApi<Msg>& api, NodeId to, const Msg& m) {
@@ -210,9 +211,25 @@ void LinearNode::out_multicast(RoundApi<Msg>& api, const Msg& m) {
     api.multicast(m);
     return;
   }
-  for (NodeId v = 0; v < ctx_->n; ++v) {
-    if (!dev_->drop_send(round_, offset_, m.kind, v)) api.send(v, m);
+  out_group(api, ctx_->nodes, m);
+}
+
+// Under a Deviation the kept recipients stay in delivery-index order, and
+// drop_send is asked once per recipient in that order (RandomDropDev
+// draws per call), as when each send went out on its own.
+void LinearNode::out_group(RoundApi<Msg>& api, std::span<const NodeId> to,
+                           const Msg& m) {
+  if (dev_ == nullptr) {
+    api.send_group(to, m);
+    return;
   }
+  kept_scratch_.clear();
+  for (NodeId v : to) {
+    if (!dev_->drop_send(round_, offset_, m.kind, v)) {
+      kept_scratch_.push_back(v);
+    }
+  }
+  api.send_group(kept_scratch_, m);
 }
 
 void LinearNode::reset_slot(Slot k) {
@@ -341,7 +358,7 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
   // A duplicate is dropped whatever its share, so test that first: most
   // forwards that reach the accused repeat an accusation it already saw.
   if (accuse_seen_[accuser].get(target)) return;
-  const bool valid = ctx_->accuse_verdicts.get(round_, env.record, [&] {
+  const bool valid = ctx_->verdicts.get(round_, env.record, [&] {
     return ctx_->th->verify_share(m.share, ctx_->accuse_digest_of(target));
   });
   if (!valid) return;
@@ -409,18 +426,27 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
   }
 }
 
-bool LinearNode::validate_proposal(const Msg& m, NodeId leader) const {
+// A forward's d recipients share its record, as a multicast's n do, so
+// the signature and certificate are checked once per record. The checks
+// that depend on the recipient (its slot, epoch and leader) come first.
+bool LinearNode::validate_proposal(const Delivery<Msg>& env) const {
+  const Msg& m = env.msg();
   if (m.slot != cur_slot_ || m.epoch != cur_epoch_) return false;
-  if (m.sig.signer != leader) return false;
-  if (!ctx_->registry->verify(m.sig, prop_digest(m))) return false;
-  if (m.has_cert) {
-    if (m.cert_epoch >= m.epoch) return false;
-    if (!ctx_->th->verify(m.cert,
-                          vote_digest(m.slot, m.cert_epoch, m.value))) {
-      return false;
-    }
-  }
-  return true;
+  if (m.sig.signer != cur_leader()) return false;
+  return ctx_->verdicts.get(round_, env.record, [&] {
+    if (!ctx_->registry->verify(m.sig, prop_digest(m))) return false;
+    if (!m.has_cert) return true;
+    return m.cert_epoch < m.epoch &&
+           ctx_->th->verify(m.cert,
+                            vote_digest(m.slot, m.cert_epoch, m.value));
+  });
+}
+
+bool LinearNode::cert_verifies(const Delivery<Msg>& env) const {
+  const Msg& m = env.msg();
+  return ctx_->verdicts.get(round_, env.record, [&] {
+    return ctx_->th->verify(m.cert, vote_digest(m.slot, m.epoch, m.value));
+  });
 }
 
 void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
@@ -473,8 +499,7 @@ void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
         }
         break;
       case Kind::kPropForward: {
-        const NodeId leader = cur_leader();
-        if (validate_proposal(m, leader)) {
+        if (validate_proposal(env)) {
           if (std::find(prop_values_seen_.begin(), prop_values_seen_.end(),
                         m.value) == prop_values_seen_.end()) {
             prop_values_seen_.push_back(m.value);
@@ -486,8 +511,7 @@ void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
       }
       case Kind::kCert:
       case Kind::kCertForward:
-        if (m.slot == cur_slot_ &&
-            ctx_->th->verify(m.cert, vote_digest(m.slot, m.epoch, m.value))) {
+        if (m.slot == cur_slot_ && cert_verifies(env)) {
           note_cert(m.slot, m.epoch, m.value, m.cert);
         }
         break;
@@ -582,11 +606,10 @@ void LinearNode::do_propose(RoundApi<Msg>& api) {
 
 void LinearNode::do_propagate1(std::span<const Delivery<Msg>> inbox,
                                RoundApi<Msg>& api) {
-  const NodeId leader = cur_leader();
   for (const auto& env : inbox) {
     const Msg& m = env.msg();
     if (m.kind != Kind::kPropose) continue;
-    if (!validate_proposal(m, leader)) continue;
+    if (!validate_proposal(env)) continue;
     if (std::find(prop_values_seen_.begin(), prop_values_seen_.end(),
                   m.value) == prop_values_seen_.end()) {
       prop_values_seen_.push_back(m.value);
@@ -601,9 +624,7 @@ void LinearNode::do_propagate1(std::span<const Delivery<Msg>> inbox,
       propagated_value_ = m.value;
       propagated_prop_ = m;
       propagated_prop_.kind = Kind::kPropForward;
-      for (NodeId nb : ctx_->expander->neighbors(id_)) {
-        out(api, nb, propagated_prop_);
-      }
+      out_group(api, ctx_->expander->neighbors(id_), propagated_prop_);
     }
   }
   if (prop_values_seen_.size() >= 2) equivocation_ = true;
@@ -702,13 +723,11 @@ void LinearNode::do_propagate2(std::span<const Delivery<Msg>> inbox,
         m.epoch != cur_epoch_) {
       continue;
     }
-    if (!ctx_->th->verify(m.cert, vote_digest(m.slot, m.epoch, m.value))) {
-      continue;
-    }
+    if (!cert_verifies(env)) continue;
     epoch_got_cert_ = true;
     Msg fwd = m;
     fwd.kind = Kind::kCertForward;
-    for (NodeId nb : ctx_->expander->neighbors(id_)) out(api, nb, fwd);
+    out_group(api, ctx_->expander->neighbors(id_), fwd);
     Msg cv;
     cv.kind = Kind::kCertVote;
     cv.slot = cur_slot_;
@@ -1029,8 +1048,10 @@ Context make_context(const RunConfig& cfg, RunState& run, const Options& opts,
   ctx.sender_of = run.sender_of;
   ctx.trace = cfg.trace;
   ctx.accuse_digests.reserve(cfg.n);
+  ctx.nodes.reserve(cfg.n);
   for (NodeId t = 0; t < cfg.n; ++t) {
     ctx.accuse_digests.push_back(accuse_digest(t));
+    ctx.nodes.push_back(t);
   }
   return ctx;
 }

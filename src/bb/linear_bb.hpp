@@ -177,7 +177,7 @@ struct CostPolicy {
 using Sim = Simulation<Msg, CostPolicy>;
 
 /// Execution context shared by all actors of one run; build it with
-/// make_context. Read-only apart from `accuse_verdicts`, a cache.
+/// make_context. Read-only apart from `verdicts`, a cache.
 struct Context {
   std::uint32_t n = 0;
   std::uint32_t f = 0;
@@ -194,9 +194,13 @@ struct Context {
   /// accuse_digest(t) for every t < n: accusations name only node ids, so
   /// their n digests are computed once per run instead of per delivery.
   std::vector<Digest> accuse_digests;
-  /// Share verdict of each kAccuse / kAccuseForward record of the round,
-  /// shared by its recipients (the check does not depend on them).
-  mutable RecordVerdicts accuse_verdicts;
+  /// 0..n-1: the recipient list of a multicast sent as a group.
+  std::vector<NodeId> nodes;
+  /// Verdict of each record of the round on the part of its check that
+  /// does not depend on the recipient, shared by its recipients: an
+  /// accusation's share, a proposal's signature and certificate, a
+  /// certificate. Each record has one kind, so one table serves all.
+  mutable RecordVerdicts verdicts;
 
   NodeId leader(Slot k, Epoch i) const {
     return i == 0 ? sender_of(k) : static_cast<NodeId>((i - 1) % n);
@@ -326,13 +330,22 @@ class LinearNode final : public Actor<Msg> {
   void reset_epoch(Epoch i);
   void out(RoundApi<Msg>& api, NodeId to, const Msg& m);
   void out_multicast(RoundApi<Msg>& api, const Msg& m);
+  /// Send `m` to each node of `to` as one group record, minus the sends
+  /// a Deviation drops (asked per recipient, in list order).
+  void out_group(RoundApi<Msg>& api, std::span<const NodeId> to,
+                 const Msg& m);
   /// Smallest w != self with !accused_by_me(w) and !seen_accuse(w, leader).
   std::optional<NodeId> pick_helper(NodeId leader) const;
   /// Mirrors pick_helper from the perspective of querier q: the node every
   /// honest responder believes should answer q.
   std::optional<NodeId> expected_responder(NodeId querier,
                                            NodeId leader) const;
-  bool validate_proposal(const Msg& m, NodeId leader) const;
+  /// A kPropose / kPropForward of this epoch's leader: the slot, epoch
+  /// and signer first, then the record's verdict on the signature and
+  /// certificate.
+  bool validate_proposal(const Delivery<Msg>& env) const;
+  /// The record's verdict on a kCert / kCertForward certificate.
+  bool cert_verifies(const Delivery<Msg>& env) const;
   /// Leader of (cur_slot_, cur_epoch_), recomputed by reset_epoch (cached:
   /// the Context::leader indirection is a std::function in epoch 0).
   NodeId cur_leader() const { return cur_leader_; }
@@ -410,6 +423,9 @@ class LinearNode final : public Actor<Msg> {
   // Reused Respond-round scratch bitmap (who was already answered); a
   // member so steady-state rounds allocate nothing.
   BitVec answered_scratch_;
+  // Recipients a Deviation keeps of a multicast or group send; reserved
+  // to n when there is a Deviation.
+  std::vector<NodeId> kept_scratch_;
 };
 
 /// Driver configuration for a full multi-shot run.

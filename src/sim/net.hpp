@@ -14,17 +14,21 @@
 //
 // Traffic representation: a round's traffic is a vector of TrafficRecords.
 // A unicast is one record; a multicast is ALSO one record — the payload is
-// stored once and delivered as a (sender, const Msg*) pair. Under lockstep
-// the round's multicasts land once, in one shared inbox stream; only a
-// node whose inbox differs from that stream (it gets a unicast, loses a
-// delivery to erasure or gets a deferred one) is given its own inbox,
-// filled in the same order (DESIGN.md §19). The adversary still addresses
-// *individual* (sender, recipient) deliveries: record i with fanout c_i
-// owns the half-open delivery-index range [base_i, base_i + c_i), where
-// base_i = sum of earlier fanouts, and a multicast's deliveries appear in
-// recipient order 0..n-1. This enumerates deliveries in exactly the order
-// the former eager-copy representation enumerated envelopes, so erase
-// indices (and therefore seeded adversary decisions) are unchanged.
+// stored once and delivered as a (sender, const Msg*) pair — and so is a
+// group, one payload sent to an explicit recipient list (an expander
+// forward). Under lockstep the round's multicasts land once, in one
+// shared inbox stream; only a node whose inbox differs from that stream
+// (it gets a unicast or a group delivery, loses a delivery to erasure or
+// gets a deferred one) is given its own inbox, filled in the same order
+// (DESIGN.md §19). The adversary still addresses *individual* (sender,
+// recipient) deliveries: record i with fanout c_i owns the half-open
+// delivery-index range [base_i, base_i + c_i), where base_i = sum of
+// earlier fanouts; a multicast's deliveries appear in recipient order
+// 0..n-1 and a group's in list order. This enumerates deliveries in
+// exactly the order the former eager-copy representation enumerated
+// envelopes, and a group's exactly as the same sends made one by one
+// (DESIGN.md §22), so erase indices (and therefore seeded adversary
+// decisions) are unchanged.
 //
 // Event-queue scheduler (DESIGN.md §16): delivery is driven by a
 // deterministic event queue parameterized by a NetPolicy
@@ -33,7 +37,8 @@
 // simulator delivered. Under bounded/async policies, each surviving
 // delivery may be deferred by extra rounds (policy draw + adversary
 // delay() calls, clamped to the policy bound):
-// the payload is copied into a due-round bucket and delivered, before
+// the payload is copied into a due-round bucket, once per record and
+// landing round whatever its fanout, and delivered, before
 // that round's fresh lock-step traffic, in emission order. Accounting
 // is charged at EMISSION time (the sender paid to transmit; the network
 // holding a message does not refund it), and erased deliveries never
@@ -74,14 +79,14 @@ inline constexpr std::uint32_t kNoRecord =
 
 /// One message as seen by its recipient. The payload lives in the
 /// simulator's traffic log for the previous round and is shared by all
-/// recipients of a multicast; it stays valid for the whole round.
+/// recipients of a multicast or group; it stays valid for the whole round.
 template <typename Msg>
 struct Delivery {
   NodeId from = kNoNode;
   /// The payload's index in last round's traffic log, set by the
   /// lock-step delivery path only (kNoRecord on the timing path and for
   /// deferred deliveries). Within one round, equal ids name the same
-  /// record, so a family may check a multicast once for all its
+  /// record, so a family may check a multicast or group once for all its
   /// recipients (RecordVerdicts). Sits in the padding after `from`.
   std::uint32_t record = kNoRecord;
   const Msg* payload = nullptr;
@@ -145,21 +150,34 @@ class RecordVerdicts {
 template <typename Msg>
 class TrafficLog {
  public:
+  /// Set in Record::to for a group; the low bits index groups_.
+  static constexpr NodeId kGroupTag = NodeId{1} << 31;
+
   struct Record {
     NodeId from = kNoNode;
-    NodeId to = kNoNode;  ///< kNoNode encodes "multicast to all n"
+    /// kNoNode: a multicast to all n. kGroupTag | i: a group whose
+    /// recipient count is groups_[i], followed by the recipients. Else
+    /// the one recipient of a unicast.
+    NodeId to = kNoNode;
     Msg msg{};
     std::size_t base = 0;  ///< first delivery index owned by this record
 
     bool is_multicast() const { return to == kNoNode; }
+    /// Only meaningful once is_multicast() is false (kNoNode has the tag
+    /// bit too).
+    bool is_group() const { return (to & kGroupTag) != 0; }
   };
 
-  /// Round boundary: drop all records. The vector keeps its capacity, so
-  /// once it has reached its high-water mark a round allocates nothing.
+  /// Round boundary: drop all records. The vectors keep their capacity,
+  /// so once they have reached their high-water mark a round allocates
+  /// nothing.
   void reset(std::uint32_t n) {
+    AMBB_CHECK(n < kGroupTag);
     n_ = n;
     records_.clear();
+    groups_.clear();
     deliveries_ = 0;
+    counted_ = 0;
   }
 
   void add_unicast(NodeId from, NodeId to, const Msg& m) {
@@ -167,24 +185,51 @@ class TrafficLog {
     // into the log (Msg can be large; the hot path sends millions).
     records_.emplace_back(from, to, m, deliveries_);
     deliveries_ += 1;
+    counted_ += 1;
   }
 
   void add_multicast(NodeId from, const Msg& m) {
     records_.emplace_back(from, kNoNode, m, deliveries_);
     deliveries_ += n_;
+    counted_ += 1;
+  }
+
+  /// One record for the same payload sent to each node of `to`, in list
+  /// order; an empty list adds nothing.
+  void add_group(NodeId from, std::span<const NodeId> to, const Msg& m) {
+    if (to.empty()) return;
+    AMBB_CHECK(groups_.size() < kGroupTag);
+    const auto at = static_cast<NodeId>(groups_.size());
+    groups_.push_back(static_cast<NodeId>(to.size()));
+    groups_.insert(groups_.end(), to.begin(), to.end());
+    records_.emplace_back(from, kGroupTag | at, m, deliveries_);
+    deliveries_ += to.size();
+    counted_ += to.size();
   }
 
   std::uint32_t n() const { return n_; }
   std::size_t deliveries() const { return deliveries_; }
   const std::vector<Record>& records() const { return records_; }
+  /// The round's records as RoundStats::records counts them: a group
+  /// counts once per recipient, like the unicasts it stands for.
+  std::size_t counted_records() const { return counted_; }
 
   /// Heap bytes the log holds (capacity, not size).
   std::size_t reserved_bytes() const {
-    return records_.capacity() * sizeof(Record);
+    return records_.capacity() * sizeof(Record) +
+           groups_.capacity() * sizeof(NodeId);
+  }
+
+  /// The recipient list of a group record, in delivery-index order.
+  std::span<const NodeId> recipients(const Record& rec) const {
+    const std::size_t at = rec.to & ~kGroupTag;
+    return std::span<const NodeId>(groups_.data() + at + 1, groups_[at]);
   }
 
   std::size_t fanout(const Record& rec) const {
-    return rec.is_multicast() ? n_ : 1;
+    if (rec.is_multicast()) return n_;
+    if (rec.is_group()) return groups_[rec.to & ~kGroupTag];
+    return 1;
   }
 
   /// Index of the record owning delivery index d.
@@ -198,13 +243,19 @@ class TrafficLog {
   }
 
   NodeId recipient_of(const Record& rec, std::size_t d) const {
-    return rec.is_multicast() ? static_cast<NodeId>(d - rec.base) : rec.to;
+    if (rec.is_multicast()) return static_cast<NodeId>(d - rec.base);
+    if (rec.is_group()) return recipients(rec)[d - rec.base];
+    return rec.to;
   }
 
  private:
   std::uint32_t n_ = 0;
   std::vector<Record> records_;
+  /// Every group's recipient count followed by its recipients, in record
+  /// order.
+  std::vector<NodeId> groups_;
   std::size_t deliveries_ = 0;
+  std::size_t counted_ = 0;
 };
 
 /// Read-only per-delivery view of (a prefix of) a TrafficLog, used for the
@@ -285,6 +336,14 @@ class RoundApi {
   /// delivered but not charged: the paper's multicast costs n-1
   /// transmissions.
   void multicast(const Msg& m) { out_->add_multicast(self_, m); }
+
+  /// Send `m` to each node of `to`, in list order. Stored as ONE group
+  /// record, delivered and charged exactly like the same sends made one
+  /// by one (no free self-copy).
+  void send_group(std::span<const NodeId> to, const Msg& m) {
+    for (NodeId v : to) AMBB_CHECK(v < n_);
+    out_->add_group(self_, to, m);
+  }
 
  private:
   NodeId self_;
@@ -404,7 +463,7 @@ struct SimConfig {
 /// `Policy` prices messages: size_bits(m), kind(m) and slot(m, sent_round).
 /// Each protocol driver supplies a concrete struct with inlineable
 /// members; step() evaluates it once per traffic record (once per
-/// multicast, once per unicast), never per delivery.
+/// multicast, group or unicast), never per delivery.
 template <typename Msg, typename Policy>
 class Simulation final : CorruptionCtl<Msg> {
  public:
@@ -600,21 +659,27 @@ class Simulation final : CorruptionCtl<Msg> {
     if (net_.lockstep()) {
       //  Lock-step path (DESIGN.md §19). A node whose inbox is exactly
       //  the round's multicasts in record order reads the shared stream;
-      //  a pre-pass marks the rest own: unicast and erased-delivery
-      //  recipients. It also counts, per own node, its unicasts minus its
-      //  erased deliveries; adding the multicast count gives the node's
-      //  inbox size (the unsigned count may wrap below zero on the way,
-      //  the sum never does). Then one pass fills the stream and the own
-      //  inboxes in record order, each multicast visiting the own nodes
-      //  in ascending id — its delivery-index order — so the sorted
-      //  erasure cursor still steps through every erased index. Every
-      //  delivery carries its record's index, the id RecordVerdicts keys
-      //  on. The deferred queue is empty under lockstep.
+      //  a pre-pass marks the rest own: unicast, group and erased-delivery
+      //  recipients. It also counts, per own node, its unicast and group
+      //  deliveries minus its erased ones; adding the multicast count
+      //  gives the node's inbox size (the unsigned count may wrap below
+      //  zero on the way, the sum never does). Then one pass fills the
+      //  stream and the own inboxes in record order, each multicast
+      //  visiting the own nodes in ascending id and each group its list —
+      //  their delivery-index orders — so the sorted erasure cursor still
+      //  steps through every erased index. Every delivery carries its
+      //  record's index, the id RecordVerdicts keys on. The deferred
+      //  queue is empty under lockstep.
       std::size_t multicasts = 0;
       auto er = erased_.begin();
       for (const auto& rec : cur_.records()) {
         if (rec.is_multicast()) {
           ++multicasts;
+        } else if (rec.is_group()) {
+          for (NodeId v : cur_.recipients(rec)) {
+            mark_own(v);
+            ++own_end_[v];
+          }
         } else {
           mark_own(rec.to);
           ++own_end_[rec.to];
@@ -643,6 +708,15 @@ class Simulation final : CorruptionCtl<Msg> {
             }
             own_buf_[own_end_[v]++] = delivery;
           }
+        } else if (rec.is_group()) {
+          const auto to = cur_.recipients(rec);
+          for (std::size_t j = 0; j < to.size(); ++j) {
+            if (er != erased_.end() && *er == rec.base + j) {
+              ++er;
+              continue;
+            }
+            own_buf_[own_end_[to[j]]++] = delivery;
+          }
         } else if (er != erased_.end() && *er == rec.base) {
           ++er;
         } else {
@@ -663,19 +737,22 @@ class Simulation final : CorruptionCtl<Msg> {
         if (due != pending_.end()) {
           pending_ready_ = std::move(due->second);
           pending_.erase(due);
-          for (const PendingMsg& pm : pending_ready_) {
-            stage(pm.to, pm.from, &pm.msg);
+          for (const PendingRef& p : pending_ready_.refs) {
+            stage(p.to, p.from, &pending_ready_.payloads[p.payload]);
           }
         }
       }
       //  Then, per delivery, combine the policy's seeded base draw with
       //  any adversary delay() requests (summed, then clamped to the
-      //  policy bound) and either deliver next round or copy the payload
-      //  into the due-round bucket. Erasure wins over delay.
+      //  policy bound) and either deliver next round or queue it in the
+      //  due-round bucket, which copies the payload once per record.
+      //  Erasure wins over delay.
       if (!delayed_.empty()) std::sort(delayed_.begin(), delayed_.end());
       auto er = erased_.begin();
       auto dl = delayed_.begin();
-      for (const auto& rec : cur_.records()) {
+      const auto& recs = cur_.records();
+      for (std::size_t i = 0; i < recs.size(); ++i) {
+        const auto& rec = recs[i];
         const std::size_t fanout = cur_.fanout(rec);
         for (std::size_t d = rec.base; d < rec.base + fanout; ++d) {
           if (er != erased_.end() && *er == d) {
@@ -695,7 +772,16 @@ class Simulation final : CorruptionCtl<Msg> {
             continue;
           }
           const Round land = round_ + 1 + x;
-          pending_[land].push_back(PendingMsg{rec.from, v, rec.msg});
+          PendingBucket& bucket = pending_[land];
+          if (bucket.payloads.empty() || bucket.round != round_ ||
+              bucket.record != i) {
+            bucket.payloads.push_back(rec.msg);
+            bucket.round = round_;
+            bucket.record = i;
+          }
+          bucket.refs.push_back(PendingRef{
+              rec.from, v,
+              static_cast<std::uint32_t>(bucket.payloads.size() - 1)});
           st.delayed += 1;
           if (trace_ != nullptr) {
             trace::Event ev;
@@ -722,7 +808,7 @@ class Simulation final : CorruptionCtl<Msg> {
                 own_total != 0;
     auto t5 = Clock::now();
 
-    st.records = static_cast<std::uint32_t>(cur_.records().size());
+    st.records = static_cast<std::uint32_t>(cur_.counted_records());
     st.deliveries = cur_.deliveries();
     st.honest_bits = ledger_->honest_bits_total() - honest_bits_before;
     st.adversary_bits = ledger_->adversary_bits_total() - adv_bits_before;
@@ -932,18 +1018,27 @@ class Simulation final : CorruptionCtl<Msg> {
   /// Adversary delay() requests of this round: (delivery index, extra
   /// rounds). Sorted in the delivery phase; duplicates sum.
   std::vector<std::pair<std::size_t, std::uint32_t>> delayed_;
-  /// One payload copy per deferred delivery, bucketed by the round whose
-  /// inboxes it lands in. A bucket lives in the map until its due round's
-  /// delivery phase, then moves to pending_ready_ for one round (the
-  /// inboxes reference it — same lifetime rule as prev_). Empty forever
-  /// under lockstep.
-  struct PendingMsg {
+  /// The deferred deliveries landing in one round's inboxes: one payload
+  /// copy per (record, landing round), and per delivery its sender,
+  /// recipient and payload index, in emission order. A bucket lives in
+  /// the map until its due round's delivery phase, then moves to
+  /// pending_ready_ for one round (the inboxes reference its payloads —
+  /// same lifetime rule as prev_). Empty forever under lockstep.
+  struct PendingRef {
     NodeId from;
     NodeId to;
-    Msg msg;
+    std::uint32_t payload;  ///< index into PendingBucket::payloads
   };
-  std::map<Round, std::vector<PendingMsg>> pending_;
-  std::vector<PendingMsg> pending_ready_;
+  struct PendingBucket {
+    std::vector<Msg> payloads;
+    std::vector<PendingRef> refs;
+    /// The emitting round and record index of payloads.back(): later
+    /// deliveries of that record landing here share it.
+    Round round = 0;
+    std::size_t record = 0;
+  };
+  std::map<Round, PendingBucket> pending_;
+  PendingBucket pending_ready_;
   NetPolicy net_;
   bool configured_ = false;
   std::vector<RoundStats> round_stats_;

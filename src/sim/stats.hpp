@@ -18,7 +18,9 @@ namespace ambb {
 struct RoundStats {
   Round round = 0;
 
-  /// Traffic records emitted this round (a multicast is ONE record).
+  /// Traffic records emitted this round: a multicast is ONE record, and
+  /// a group (DESIGN.md §22) counts once per recipient, like the
+  /// unicasts it stands for.
   std::uint32_t records = 0;
   /// Individual (sender, recipient) deliveries those records fan out to.
   std::uint64_t deliveries = 0;

@@ -55,7 +55,8 @@ struct Audit {
 
 /// Forwards everything to the wrapped actor but never sleeps. The inner
 /// actor's output is captured first so the audit can count it, then
-/// re-emitted record by record (multicasts stay multicasts).
+/// re-emitted record by record (multicasts stay multicasts, groups stay
+/// groups).
 template <typename Msg>
 class AlwaysAwake final : public Actor<Msg> {
  public:
@@ -81,6 +82,8 @@ class AlwaysAwake final : public Actor<Msg> {
     for (const auto& rec : scratch_.records()) {
       if (rec.is_multicast()) {
         api.multicast(rec.msg);
+      } else if (rec.is_group()) {
+        api.send_group(scratch_.recipients(rec), rec.msg);
       } else {
         api.send(rec.to, rec.msg);
       }

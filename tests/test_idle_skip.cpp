@@ -76,13 +76,23 @@ CommonParams common(const Params& p) {
 constexpr const char* kForge = "forge";
 
 /// Byzantine node that sends none of its honest traffic, so its epochs as
-/// leader fail and honest nodes accuse it with valid shares, and that
-/// multicasts, in the first round of every epoch, an accusation whose
-/// share does not verify. The forged records share indices with valid
-/// accusations of other rounds, so a verdict cached past its round
-/// (RecordVerdicts) or keyed on the wrong record turns into an accepted
-/// forgery or a dropped accusation, which the per-recipient reference
-/// never makes. Quiet rounds stay elidable, as the grid requires.
+/// leader fail and honest nodes accuse it with valid shares. It also
+/// forges, in two rounds of every epoch:
+///   - in the first (Collect), it multicasts an accusation whose share
+///     does not verify;
+///   - in Respond-1, it sends every node a kPropForward and a
+///     kCertForward group record (DESIGN.md §22) that pass every
+///     recipient-side check (slot, epoch, leader as signer) but whose
+///     signature or certificate does not verify. They land in Query-2,
+///     at the first record indices, which valid Query-1 accusations of
+///     the epoch's failed leader took one round earlier whenever it was
+///     accused afresh; the two kinds swap places from one forger to the
+///     next, so each meets such an index.
+/// A verdict cached past its round (RecordVerdicts) or keyed on the wrong
+/// record turns into an accepted forgery, which plants a bad certificate
+/// in the next Collect, or into a dropped accusation; the per-recipient
+/// reference makes neither. Quiet rounds stay elidable, as the grid
+/// requires.
 class ForgeDev final : public Deviation {
  public:
   bool drop_send(Round, std::uint32_t, Kind, NodeId) override {
@@ -90,24 +100,57 @@ class ForgeDev final : public Deviation {
   }
   void extra(LinearNode& self, Round r, std::uint32_t offset,
              RoundApi<Msg>& api) override {
-    if (offset != kForgeOffset) return;
     const Context& ctx = self.ctx();
-    Msg m;
-    m.kind = Kind::kAccuse;
-    m.slot = ctx.sched.slot_of(r);
-    m.accused = (self.id() + 1 + static_cast<NodeId>(r % (ctx.n - 1))) % ctx.n;
-    m.share = ctx.th->share(self.id(), ctx.accuse_digest_of(m.accused));
-    m.share.mac[0] ^= 0x5A;
-    api.multicast(m);
+    if (offset == kAccuseOffset) {
+      Msg m;
+      m.kind = Kind::kAccuse;
+      m.slot = ctx.sched.slot_of(r);
+      m.accused =
+          (self.id() + 1 + static_cast<NodeId>(r % (ctx.n - 1))) % ctx.n;
+      m.share = ctx.th->share(self.id(), ctx.accuse_digest_of(m.accused));
+      m.share.mac[0] ^= 0x5A;
+      api.multicast(m);
+      return;
+    }
+    if (offset != kForwardOffset) return;
+    const Slot k = ctx.sched.slot_of(r);
+    const Epoch i = ctx.sched.epoch_of(r);
+    const NodeId leader = ctx.leader(k, i);
+    // A proposal carrying a certificate that would become the freshest.
+    Msg prop;
+    prop.kind = Kind::kPropForward;
+    prop.slot = k;
+    prop.epoch = i;
+    prop.value = 0xF0F0;
+    prop.has_cert = true;
+    prop.cert_epoch = 0;
+    prop.cert.mac[0] = 0x5A;
+    // As the leader it signs for real, so only the certificate is bad;
+    // otherwise the signature names the leader and does not verify.
+    prop.sig = ctx.registry->sign(self.id(), prop_digest(prop));
+    prop.sig.signer = leader;
+    Msg cert;
+    cert.kind = Kind::kCertForward;
+    cert.slot = k;
+    cert.epoch = i;
+    cert.value = 0xF0F0;
+    cert.cert.mac[0] = 0x5A;
+    const bool prop_first = self.id() % 2 == 0;
+    api.send_group(ctx.nodes, prop_first ? prop : cert);
+    api.send_group(ctx.nodes, prop_first ? cert : prop);
   }
   Round next_wake(const LinearNode&, Round r, Round) const override {
     const Round epoch = Schedule::kRoundsPerEpoch;
-    const Round next = r / epoch * epoch + kForgeOffset;
-    return next > r ? next : next + epoch;
+    const Round start = r / epoch * epoch;
+    for (Round next : {start + kAccuseOffset, start + kForwardOffset}) {
+      if (next > r) return next;
+    }
+    return start + epoch + kAccuseOffset;
   }
 
  private:
-  static constexpr std::uint32_t kForgeOffset = 0;
+  static constexpr std::uint32_t kAccuseOffset = 0;
+  static constexpr std::uint32_t kForwardOffset = 8;  ///< Respond-1
 };
 
 /// The first f nodes run ForgeDev from round 0.

@@ -4,11 +4,11 @@
 // digest) must be served from the memo. A slot index that drops part of
 // the key shows up here as a collapsed hit ratio and an eviction on
 // almost every miss, even while every unit test of the cache still
-// passes. Under lock-step, Algorithm 5.2 checks each multicast once for
-// all its recipients (RecordVerdicts, DESIGN.md §19), so its memo case
-// runs on the timing path, where no delivery carries a record id and
-// each recipient checks for itself; its lock-step case guards the
-// per-record verdicts instead.
+// passes. Under lock-step, both Algorithm 4 and Algorithm 5.2 check each
+// multicast or group once for all its recipients (RecordVerdicts,
+// DESIGN.md §19 and §22), so the memo cases run on the timing path,
+// where no delivery carries a record id and each recipient checks for
+// itself; the lock-step cases guard the per-record verdicts instead.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,13 +40,39 @@ void expect_memo_hits(const VerifyCache::Stats& s) {
       << s.evictions << " evictions, " << s.misses << " misses";
 }
 
-TEST(MacMemo, LinearMixedRunHits) {
+/// Requires at least 0.8 of the run's RecordVerdicts lookups to hit.
+void expect_verdict_hits(const char* name, const CommonParams& p) {
+  const RecordVerdicts::Stats before = RecordVerdicts::stats();
+  protocol(name).run(p);
+  const RecordVerdicts::Stats after = RecordVerdicts::stats();
+  const std::uint64_t hits = after.hits - before.hits;
+  const std::uint64_t misses = after.misses - before.misses;
+  ASSERT_GT(misses, 0u);
+  EXPECT_GE(static_cast<double>(hits),
+            0.8 * static_cast<double>(hits + misses))
+      << hits << " hits, " << misses << " misses";
+}
+
+CommonParams linear_mixed() {
   CommonParams p;
   p.n = 32;
   p.slots = 16;
   p.seed = 1;
   p.adversary = "mixed";
+  return p;
+}
+
+TEST(MacMemo, LinearMixedRunHits) {
+  CommonParams p = linear_mixed();
+  p.net = "bounded:0";  // the timing path: every recipient checks itself
   expect_memo_hits(run_delta("linear", p));
+}
+
+TEST(RecordVerdicts, LinearMixedLockstepRunHits) {
+  // Proposals, certificates and accusations are multicasts and their
+  // forwards are groups, so most checks repeat one a recipient of the
+  // same record already made.
+  expect_verdict_hits("linear", linear_mixed());
 }
 
 CommonParams quadratic_silent() {
@@ -67,15 +93,7 @@ TEST(MacMemo, QuadraticSilentRunHits) {
 TEST(RecordVerdicts, QuadraticSilentLockstepRunHits) {
   // Each accusation and vote multicast reaches all 16 nodes, so all but
   // the first check of each record must be served from the verdicts.
-  const RecordVerdicts::Stats before = RecordVerdicts::stats();
-  protocol("quadratic").run(quadratic_silent());
-  const RecordVerdicts::Stats after = RecordVerdicts::stats();
-  const std::uint64_t hits = after.hits - before.hits;
-  const std::uint64_t misses = after.misses - before.misses;
-  ASSERT_GT(misses, 0u);
-  EXPECT_GE(static_cast<double>(hits),
-            0.8 * static_cast<double>(hits + misses))
-      << hits << " hits, " << misses << " misses";
+  expect_verdict_hits("quadratic", quadratic_silent());
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // §19). Under lockstep, Simulation::step delivers a round's multicasts
 // once, into one shared stream, and gives a private inbox only to nodes
 // whose deliveries differ from it; own inboxes are slices of one flat
-// buffer, laid out from per-node counts before they are filled. Whatever
+// buffer, laid out from per-node counts before they are filled. Group
+// records (DESIGN.md §22) land like the unicasts they stand for. Whatever
 // the representation, node v's round-(r+1) inbox must be exactly the
 // round-r deliveries addressed to v, in delivery-index order, minus the
 // erased ones. The reference here rebuilds that list per node from the
@@ -46,9 +47,12 @@
 namespace ambb {
 namespace {
 
+/// How a test message was sent.
+enum class Shape : std::uint8_t { kUnicast, kMulticast, kGroup };
+
 struct Msg {
   std::uint64_t tag = 0;
-  bool multicast = false;
+  Shape shape = Shape::kUnicast;
 };
 
 using Sim = ToySim<Msg>;
@@ -61,9 +65,9 @@ std::uint64_t tag_of(Round r, NodeId from, std::uint32_t seq) {
 }
 
 /// Records its whole inbox every round, then sends 0-3 messages, each a
-/// multicast or a unicast to a random node. Honest and Byzantine nodes
-/// use the same logic; a corrupted node's replacement keeps writing to
-/// the node's log.
+/// multicast, a unicast to a random node or a group to 1-4 random nodes
+/// (repeats allowed). Honest and Byzantine nodes use the same logic; a
+/// corrupted node's replacement keeps writing to the node's log.
 class RandomActor final : public Actor<Msg> {
  public:
   RandomActor(std::uint64_t seed, std::vector<Seen>* log)
@@ -77,11 +81,17 @@ class RandomActor final : public Actor<Msg> {
     const auto sends = static_cast<std::uint32_t>(rng_.uniform(4));
     for (std::uint32_t i = 0; i < sends; ++i) {
       Msg m{tag_of(r, api.self(), i)};
-      if (rng_.chance(0.5)) {
-        m.multicast = true;
+      m.shape = static_cast<Shape>(rng_.uniform(3));
+      if (m.shape == Shape::kMulticast) {
         api.multicast(m);
-      } else {
+      } else if (m.shape == Shape::kUnicast) {
         api.send(static_cast<NodeId>(rng_.uniform(api.n())), m);
+      } else {
+        group_.resize(1 + rng_.uniform(4));
+        for (NodeId& v : group_) {
+          v = static_cast<NodeId>(rng_.uniform(api.n()));
+        }
+        api.send_group(group_, m);
       }
     }
   }
@@ -89,6 +99,7 @@ class RandomActor final : public Actor<Msg> {
  private:
   Rng rng_;
   std::vector<Seen>* log_;
+  std::vector<NodeId> group_;
 };
 
 /// One surviving delivery as the adversary saw it at emission.
@@ -104,7 +115,7 @@ struct Sent {
 /// share of the corrupt senders' deliveries and, when the policy allows
 /// it, delays a random share of the rest. Keeps every surviving delivery
 /// with its delivery index for the reference, and counts the rounds whose
-/// traffic mixes unicasts, multicasts and erasures.
+/// traffic mixes unicasts, multicasts, groups and erasures.
 class EraserAdversary final : public Adversary<Msg> {
  public:
   EraserAdversary(std::uint32_t n, std::uint32_t f, std::uint64_t seed,
@@ -128,10 +139,11 @@ class EraserAdversary final : public Adversary<Msg> {
     if (ctl.corruption_budget_left() > 0 && rng_.chance(0.2)) {
       ctl.corrupt(static_cast<NodeId>(rng_.uniform(n_)));
     }
-    bool unicast = false, multicast = false, erased = false;
+    bool shapes[3] = {false, false, false};
+    bool erased = false;
     for (std::size_t d = 0; d < traffic.size(); ++d) {
       const auto ref = traffic[d];
-      (ref.msg.multicast ? multicast : unicast) = true;
+      shapes[static_cast<int>(ref.msg.shape)] = true;
       if (ctl.is_corrupt(ref.from) && rng_.chance(0.3)) {
         ctl.erase(d);
         erased = true;
@@ -142,7 +154,7 @@ class EraserAdversary final : public Adversary<Msg> {
       }
       sent.push_back(Sent{r, d, ref.from, ref.to, ref.msg.tag});
     }
-    if (unicast && multicast && erased) ++mixed_rounds;
+    if (shapes[0] && shapes[1] && shapes[2] && erased) ++mixed_rounds;
   }
 
   std::vector<Sent> sent;
@@ -325,6 +337,33 @@ TEST(SharedInboxPinned, UnicastBetweenTwoMulticastsArrivesInRecordOrder) {
   EXPECT_EQ(actors[0]->records[1], (Ids{0, 2}));
   EXPECT_EQ(actors[1]->records[1], (Ids{0, 1, 2}));
   EXPECT_EQ(actors[2]->records[1], (Ids{0, 2}));
+}
+
+TEST(SharedInboxPinned, GroupRecipientsShareOneRecordId) {
+  // Node 0 multicasts, sends one group to nodes 2 and 1, and a unicast to
+  // node 1. Each group recipient gets it in record order, under the
+  // group's one record id, like a multicast's recipients.
+  CostLedger ledger({"toy"});
+  Sim sim(3, 1, &ledger, ToyPolicy{});
+  const auto actors = install(sim, [](Round r, RoundApi<Msg>& api) {
+    if (r != 0 || api.self() != 0) return;
+    api.multicast(Msg{1});
+    const NodeId to[] = {2, 1};
+    api.send_group(to, Msg{2});
+    api.send(1, Msg{3});
+  });
+  sim.run_rounds(2);
+  using Tags = std::vector<std::uint64_t>;
+  using Ids = std::vector<std::uint32_t>;
+  EXPECT_EQ(actors[0]->inboxes[1], (Tags{1}));
+  EXPECT_EQ(actors[1]->inboxes[1], (Tags{1, 2, 3}));
+  EXPECT_EQ(actors[2]->inboxes[1], (Tags{1, 2}));
+  EXPECT_EQ(actors[0]->records[1], (Ids{0}));
+  EXPECT_EQ(actors[1]->records[1], (Ids{0, 1, 2}));
+  EXPECT_EQ(actors[2]->records[1], (Ids{0, 1}));
+  // The group counts once per recipient in the round's records.
+  EXPECT_EQ(sim.round_stats()[0].records, 4u);
+  EXPECT_EQ(sim.round_stats()[0].deliveries, 6u);
 }
 
 TEST(SharedInboxPinned, TimingPathDeliveriesNameNoRecord) {

@@ -1,10 +1,17 @@
 // Boundary cases of the shared-record traffic representation
 // (sim/net.hpp): TrafficLog::record_of at record bases and fanout edges,
-// TrafficView cursor behaviour under non-sequential access, and erase
+// TrafficView cursor behaviour under non-sequential access, erase
 // indices at fanout boundaries (the delivery-index ranges the strongly
-// adaptive adversary addresses).
+// adaptive adversary addresses), and group records (DESIGN.md §22),
+// which must enumerate exactly like the same sends made one by one.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <tuple>
+#include <vector>
+
+#include "bb/linear_bb.hpp"
 #include "common/check.hpp"
 #include "sim/cost.hpp"
 #include "sim/net.hpp"
@@ -15,6 +22,12 @@ namespace {
 
 using Log = TrafficLog<int>;
 using View = TrafficView<int>;
+
+// A group lives in Record::to, so Algorithm 4's records did not grow:
+// from, to, the 176-byte message and the base index.
+static_assert(sizeof(linear::Msg) == 176);
+static_assert(sizeof(TrafficLog<linear::Msg>::Record) == 192,
+              "a traffic record grew");
 
 TEST(TrafficLog, EmptyLogHasNoDeliveriesAndRecordOfThrows) {
   Log log;
@@ -124,6 +137,87 @@ TEST(TrafficView, PrefixLimitExcludesLaterRecords) {
   EXPECT_EQ(rushed[2].msg, 1);  // still readable after the append
 }
 
+TEST(TrafficLog, GroupOwnsItsListInOrder) {
+  Log log;
+  log.reset(4);
+  const std::vector<NodeId> to = {3, 1, 2};
+  log.add_unicast(0, 2, 10);   // record 0: [0, 1)
+  log.add_group(1, to, 20);    // record 1: [1, 4), recipients 3, 1, 2
+  log.add_multicast(2, 30);    // record 2: [4, 8)
+  log.add_group(3, {}, 40);    // an empty group adds nothing
+  log.add_group(3, std::span<const NodeId>(to).first(1), 50);  // [8, 9)
+
+  ASSERT_EQ(log.records().size(), 4u);
+  EXPECT_EQ(log.deliveries(), 9u);
+  // RoundStats::records counts a group once per recipient.
+  EXPECT_EQ(log.counted_records(), 1u + 3u + 1u + 1u);
+  const auto& recs = log.records();
+  EXPECT_EQ(recs[1].base, 1u);
+  EXPECT_EQ(recs[2].base, 4u);
+  EXPECT_EQ(recs[3].base, 8u);
+  EXPECT_TRUE(recs[1].is_group());
+  EXPECT_FALSE(recs[1].is_multicast());
+  EXPECT_EQ(log.fanout(recs[1]), 3u);
+  EXPECT_EQ(log.fanout(recs[3]), 1u);
+  EXPECT_EQ(std::vector<NodeId>(log.recipients(recs[1]).begin(),
+                                log.recipients(recs[1]).end()),
+            to);
+  EXPECT_EQ(log.recipient_of(recs[1], 1), NodeId{3});
+  EXPECT_EQ(log.recipient_of(recs[1], 2), NodeId{1});
+  EXPECT_EQ(log.recipient_of(recs[1], 3), NodeId{2});
+  EXPECT_EQ(log.recipient_of(recs[3], 8), NodeId{3});
+  EXPECT_EQ(log.record_of(1), 1u);
+  EXPECT_EQ(log.record_of(3), 1u);  // last delivery of the group
+  EXPECT_EQ(log.record_of(4), 2u);
+  EXPECT_EQ(log.record_of(8), 3u);
+  EXPECT_THROW(log.record_of(9), CheckError);
+
+  // reset() drops the groups with the records.
+  log.reset(4);
+  EXPECT_EQ(log.counted_records(), 0u);
+  log.add_group(0, to, 1);
+  EXPECT_EQ(log.recipient_of(log.records()[0], 0), NodeId{3});
+}
+
+TEST(TrafficView, GroupsEnumerateLikeTheSameSendsOneByOne) {
+  // One log mixes groups, unicasts and multicasts; the other makes every
+  // group's sends one unicast at a time. Both views must list the same
+  // (sender, recipient, payload) at every delivery index.
+  const std::uint32_t n = 5;
+  const std::vector<std::tuple<NodeId, std::vector<NodeId>, int>> sends = {
+      {0, {4, 1, 3}, 1}, {1, {2}, 2},       {2, {}, 3},
+      {3, {0, 1, 2, 3, 4}, 4}, {4, {1, 1, 0}, 5},
+  };
+  Log grouped;
+  Log single;
+  grouped.reset(n);
+  single.reset(n);
+  for (const auto& [from, to, m] : sends) {
+    grouped.add_group(from, to, m);
+    for (NodeId v : to) single.add_unicast(from, v, m);
+    grouped.add_multicast(from, m + 100);
+    single.add_multicast(from, m + 100);
+    grouped.add_unicast(from, (from + 1) % n, m + 200);
+    single.add_unicast(from, (from + 1) % n, m + 200);
+  }
+  ASSERT_EQ(grouped.deliveries(), single.deliveries());
+  EXPECT_EQ(grouped.counted_records(), single.counted_records());
+  EXPECT_LT(grouped.records().size(), single.records().size());
+  const View g(&grouped, grouped.deliveries());
+  const View u(&single, single.deliveries());
+  // Forward, then backward (the cursor's re-seek path).
+  for (std::size_t d = 0; d < g.size(); ++d) {
+    EXPECT_EQ(std::make_tuple(g[d].from, g[d].to, g[d].msg),
+              std::make_tuple(u[d].from, u[d].to, u[d].msg))
+        << "delivery " << d;
+  }
+  for (std::size_t d = g.size(); d-- > 0;) {
+    EXPECT_EQ(std::make_tuple(g[d].from, g[d].to, g[d].msg),
+              std::make_tuple(u[d].from, u[d].to, u[d].msg))
+        << "delivery " << d;
+  }
+}
+
 /// Erase indices at fanout boundaries: erasing the first / last delivery
 /// of a multicast removes exactly that (sender, recipient) copy, and the
 /// accounting charge drops by exactly one unit per erased delivery.
@@ -173,6 +267,67 @@ TEST(Simulation, EraseAtFanoutBoundariesRemovesExactlyOneDelivery) {
   // (Inbox contents are protocol-internal; the stats row already pinned
   // the delivery count: 4 fanned out, 2 erased.)
   EXPECT_EQ(sim.round_stats()[0].deliveries, 4u);
+}
+
+/// Erasing one delivery in the middle of a group removes it for that
+/// recipient only, and the group is charged one copy less. A group has
+/// no free self-copy: the sender's copy to itself is charged like any.
+TEST(Simulation, EraseInTheMiddleOfAGroupChargesSizeMinusOne) {
+  struct Recorder : Actor<int> {
+    void on_round(Round r, std::span<const Delivery<int>> inbox,
+                  const TrafficView<int>&, RoundApi<int>&) override {
+      if (r == 1) {
+        for (const auto& d : inbox) got.push_back(d.msg());
+      }
+    }
+    std::vector<int> got;
+  };
+  struct Grouper : Actor<int> {
+    void on_round(Round r, std::span<const Delivery<int>>,
+                  const TrafficView<int>&, RoundApi<int>& api) override {
+      if (r != 0) return;
+      const NodeId to[] = {0, 1, 2, 3};
+      api.send_group(to, 7);
+    }
+  };
+  struct MiddleEraser : Adversary<int> {
+    std::vector<NodeId> initial_corruptions() override { return {0}; }
+    std::unique_ptr<Actor<int>> actor_for(NodeId) override {
+      return std::make_unique<Grouper>();
+    }
+    void observe_round(Round r, const TrafficView<int>& traffic,
+                       CorruptionCtl<int>& ctl) override {
+      if (r != 0) return;
+      ASSERT_EQ(traffic.size(), 4u);
+      ASSERT_EQ(traffic[2].to, NodeId{2});
+      ctl.erase(2);
+    }
+  };
+
+  const std::uint32_t n = 4;
+  CostLedger ledger({"toy"});
+  ToySim<int> sim(n, /*f=*/1, &ledger, ToyPolicy{8});
+  std::vector<Recorder*> rec;
+  for (NodeId v = 0; v < n; ++v) {
+    auto a = std::make_unique<Recorder>();
+    rec.push_back(a.get());
+    sim.set_actor(v, std::move(a));
+  }
+  MiddleEraser adv;
+  SimConfig<int> sc;
+  sc.adversary = &adv;
+  sim.configure(sc);
+
+  sim.step();
+  EXPECT_EQ(ledger.adversary_bits_total(), 3u * 8u);
+  EXPECT_EQ(sim.round_stats()[0].records, 4u);  // once per recipient
+  EXPECT_EQ(sim.round_stats()[0].deliveries, 4u);
+  EXPECT_EQ(sim.round_stats()[0].erasures, 1u);
+
+  sim.step();
+  EXPECT_EQ(rec[1]->got, std::vector<int>{7});
+  EXPECT_TRUE(rec[2]->got.empty());
+  EXPECT_EQ(rec[3]->got, std::vector<int>{7});
 }
 
 }  // namespace
