@@ -67,16 +67,26 @@
 # The unused stage is the dead-code gate (DESIGN.md §21). It builds every
 # shipped binary into build-unused/: the tools and the examples from the
 # top-level project, and perfbench standalone from its own
-# perfbench/CMakeLists.txt. The build uses -O0 -ffunction-sections and
-# links with -Wl,--gc-sections, so the linker drops every function no
-# binary reaches and no function vanishes into an inlined caller. nm then
-# lists every ambb:: function that the src/ archives define and that none
-# of those binaries keeps. Each one fails the stage unless unused_allow
-# below names it with its reason. An allowlist entry that is no longer
-# unused fails too, so the list stays exact. Lambdas are local entities
-# (mangled _ZZ...) and std:: instantiations are not ambb:: functions;
-# neither is checked. Functions defined inline in a header and called
-# only by tests never reach an archive, so the gate cannot see them.
+# perfbench/CMakeLists.txt. The build uses -O0 -ffunction-sections
+# -fkeep-inline-functions and links with -Wl,--gc-sections, so every
+# inline function is emitted, none vanishes into an inlined caller, and
+# the linker drops every function no binary reaches. It also compiles
+# scripts/unused_instances.cpp, which includes every src/ header and
+# instantiates the simulator's class templates for each protocol family,
+# so header-inline functions and template members that no src/ file uses
+# are defined somewhere too. nm then lists every ambb:: function that the
+# src/ archives or that unit define and that none of those binaries
+# keeps. A template member counts as kept when any family's instance of
+# it is, and weak constructors and destructors (implicit or inline
+# special members) are skipped. Each function left fails the stage
+# unless unused_allow below names it with its reason. An allowlist entry
+# that is no longer unused fails too, so the list stays exact. The stage
+# also fails first when the unit lacks a src/ header or a family that
+# declares `using Sim = Simulation<Msg, CostPolicy>`. Lambdas are local
+# entities (mangled _ZZ...) and std:: instantiations are not ambb::
+# functions; neither is checked. A virtual function stays in any binary
+# whose vtable names it, called or not; DESIGN.md §21 records that each
+# one has a caller today.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -166,8 +176,9 @@ perf_smoke() {
 }
 
 # src/ functions that no shipped binary keeps but a test needs as an
-# oracle, a reference or a printer. Exact demangled signatures, one
-# reason each (DESIGN.md §21).
+# oracle, a reference or a printer. Exact demangled signatures, with
+# each family's message and cost types printed as Msg and CostPolicy;
+# one reason each (DESIGN.md §21).
 unused_allow=(
   # TrustCast oracle: test_trustcast checks G_u is a subgraph of G_v.
   "ambb::TrustGraph::is_subgraph_of(ambb::TrustGraph const&) const"
@@ -189,19 +200,57 @@ unused_allow=(
   "ambb::NetPolicy::spec[abi:cxx11]() const"
   # Printer: prints a fault schedule, for sched: repros and test output.
   "ambb::adversary::describe[abi:cxx11](ambb::adversary::FaultSchedule const&)"
+  # Oracle access: test_trustcast and test_linear_invariants read the
+  # live nodes' state through it.
+  "ambb::Simulation<Msg, CostPolicy>::actor(unsigned int) const"
+  # Oracle: test_idle_skip checks elision keeps the round buffers'
+  # footprint; test_alloc_hotpath bounds it for multicasts.
+  "ambb::Simulation<Msg, CostPolicy>::traffic_reserved_bytes() const"
+  # Oracle: the round logs' share of traffic_reserved_bytes.
+  "ambb::TrafficLog<Msg>::reserved_bytes() const"
+  # Alg-4 oracle: no honest node ever holds a corrupt-proof on an honest
+  # node (Lemma 3), and silent leaders are convicted everywhere.
+  "ambb::linear::LinearNode::has_corrupt_proof(unsigned int) const"
+  # Alg-4 oracle: a node's accusation knowledge only grows.
+  "ambb::linear::LinearNode::seen_accuse(unsigned int, unsigned int) const"
+  # Alg-4 oracle: an honest node's query2 emissions stay within f.
+  "ambb::linear::LinearNode::expensive_epochs() const"
 )
 
 unused() {
+  echo "== unused: the instantiation unit covers every header and family =="
+  local unit=scripts/unused_instances.cpp
+  local missing=() h ns
+  for h in $(cd src && find . -name '*.hpp' | sed 's|^\./||' | sort); do
+    grep -qxF "#include \"$h\"" "$unit" || missing+=("#include \"$h\"")
+  done
+  for ns in $(awk 'FNR == 1 { ns = "" }
+                   /^namespace ambb::[a-z_]+ \{/ { ns = substr($2, 7) }
+                   /^using Sim = Simulation<Msg, CostPolicy>;/ { print ns }' \
+                $(find src -name '*.hpp' | sort)); do
+    grep -qxF "AMBB_GATE_FAMILY($ns)" "$unit" || missing+=("AMBB_GATE_FAMILY($ns)")
+  done
+  if (( ${#missing[@]} )); then
+    echo "$unit lacks lines for src/ code it must cover:" >&2
+    printf '  %s\n' "${missing[@]}" >&2
+    return 1
+  fi
   echo "== unused: configure + build at -O0 with --gc-sections =="
   local out=build-unused
+  local cxxflags="-O0 -ffunction-sections -fkeep-inline-functions"
   local flags=(-G "Unix Makefiles" -DCMAKE_BUILD_TYPE=Debug
-               "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections"
+               "-DCMAKE_CXX_FLAGS=$cxxflags"
                "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
   cmake -S . -B "$out/main" "${flags[@]}"
   make -C "$out/main/tools" --no-print-directory -j "$jobs"
   make -C "$out/main/examples" --no-print-directory -j "$jobs"
   cmake -S perfbench -B "$out/perfbench" "${flags[@]}"
   cmake --build "$out/perfbench" -j "$jobs" --target perfbench
+  local cxx
+  cxx="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$out/main/CMakeCache.txt")"
+  # shellcheck disable=SC2086  # $cxxflags is a list of flags
+  "$cxx" -std=c++20 $cxxflags -Wall -Wextra -Werror -Isrc \
+      -c "$unit" -o "$out/unused_instances.o"
   echo "== unused: src/ functions that no shipped binary keeps =="
   local bins
   mapfile -t bins < <(find "$out/main/tools" "$out/main/examples" \
@@ -210,11 +259,21 @@ unused() {
   local dir
   dir="$(mktemp -d)"
   local -x LC_ALL=C
-  nm --defined-only "$out"/main/src/*.a 2>/dev/null |
-    awk '$2 ~ /^[TtWw]$/ && $3 ~ /^_ZN[rVKRO]*4ambb/ { print $3 }' |
-    c++filt | sort -u > "$dir/defined.txt"
+  # A template member counts as kept when any family's instantiation of
+  # it is: a family's message and cost types, as template or function
+  # arguments, print as plain Msg and CostPolicy.
+  local family='s/([<(,] ?)ambb::[a-z_]+::(Msg|CostPolicy)\b/\1\2/g'
+  # Weak constructors and destructors are skipped: they are inline or
+  # implicitly defined special members, such as linear::Msg::Msg().
+  nm --defined-only "$out"/main/src/*.a "$out/unused_instances.o" \
+      2>/dev/null |
+    awk '$2 ~ /^[TtWw]$/ && $3 ~ /^_ZN[rVKRO]*4ambb/ { print $2, $3 }' |
+    c++filt | sed -E "$family" |
+    grep -Ev '^[Ww] (.*::)?([A-Za-z_][A-Za-z0-9_]*)(<.*>)?::~?\2\(' |
+    cut -d' ' -f2- | sort -u > "$dir/defined.txt"
   nm --defined-only "${bins[@]}" |
-    awk '$2 ~ /^[TtWw]$/ { print $3 }' | c++filt | sort -u > "$dir/kept.txt"
+    awk '$2 ~ /^[TtWw]$/ { print $3 }' | c++filt | sed -E "$family" |
+    sort -u > "$dir/kept.txt"
   comm -23 "$dir/defined.txt" "$dir/kept.txt" > "$dir/unused.txt"
   printf '%s\n' "${unused_allow[@]}" | sort -u > "$dir/allow.txt"
   comm -23 "$dir/unused.txt" "$dir/allow.txt" > "$dir/unexpected.txt"

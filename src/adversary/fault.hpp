@@ -132,11 +132,6 @@ struct FaultSchedule {
   std::vector<EraseEvent> erasures;
   std::vector<ActorFault> actor_faults;
   std::vector<NetFault> net_faults;
-
-  bool empty() const {
-    return corruptions.empty() && erasures.empty() &&
-           actor_faults.empty() && net_faults.empty();
-  }
 };
 
 /// Structural validation against the execution parameters. Throws

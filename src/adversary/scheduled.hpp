@@ -232,8 +232,6 @@ class ScheduledAdversary final : public Adversary<Msg> {
   /// Simulation itself.
   void set_trace(trace::TraceSink* trace) { trace_ = trace; }
 
-  const FaultSchedule& schedule() const { return sched_; }
-
   std::vector<NodeId> initial_corruptions() override {
     std::vector<NodeId> out;
     for (const auto& c : sched_.corruptions) {

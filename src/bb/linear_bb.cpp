@@ -286,6 +286,37 @@ void LinearNode::note_cert(Slot k, Epoch j, Value v,
   }
 }
 
+namespace {
+
+/// The commit-proof of value v, epoch j, slot k.
+Msg commit_proof_msg(Slot k, Epoch j, Value v, const ThresholdSig& proof) {
+  Msg m;
+  m.kind = Kind::kCommitProof;
+  m.slot = k;
+  m.epoch = j;
+  m.proof_epoch = j;
+  m.value = v;
+  m.proof = proof;
+  return m;
+}
+
+}  // namespace
+
+Msg LinearNode::held_commit_proof() const {
+  return commit_proof_msg(cur_slot_, commit_proof_epoch_, commit_proof_value_,
+                          commit_proof_);
+}
+
+void LinearNode::relay_held_proof(NodeId convicted, RoundApi<Msg>& api) {
+  if (have_commit_proof_ &&
+      ctx_->leader(cur_slot_, commit_proof_epoch_) == convicted &&
+      commit_proof_epoch_ < star4_forwarded_.size() &&
+      !star4_forwarded_.get(commit_proof_epoch_)) {
+    star4_forwarded_.set(commit_proof_epoch_);
+    out_multicast(api, held_commit_proof());
+  }
+}
+
 void LinearNode::maybe_commit(Slot k, Epoch j, Value v,
                               const ThresholdSig& proof, Round r,
                               RoundApi<Msg>& api) {
@@ -305,25 +336,11 @@ void LinearNode::maybe_commit(Slot k, Epoch j, Value v,
     if (corrupt_proof_have_[lj] && j < star4_forwarded_.size() &&
         !star4_forwarded_.get(j)) {
       star4_forwarded_.set(j);
-      Msg fwd;
-      fwd.kind = Kind::kCommitProof;
-      fwd.slot = k;
-      fwd.epoch = j;
-      fwd.proof_epoch = j;
-      fwd.value = v;
-      fwd.proof = proof;
-      out_multicast(api, fwd);
+      out_multicast(api, commit_proof_msg(k, j, v, proof));
     }
     if (ctx_->opts.always_forward_commit_proof && !forwarded_commit_proof_) {
       forwarded_commit_proof_ = true;
-      Msg fwd;
-      fwd.kind = Kind::kCommitProof;
-      fwd.slot = k;
-      fwd.epoch = j;
-      fwd.proof_epoch = j;
-      fwd.value = v;
-      fwd.proof = proof;
-      out_multicast(api, fwd);
+      out_multicast(api, commit_proof_msg(k, j, v, proof));
     }
     if (!committed_) {
       committed_ = true;
@@ -408,20 +425,7 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
         out_multicast(api, cp);
       }
       // (*4) may now fire for a commit-proof we already hold.
-      if (have_commit_proof_ &&
-          ctx_->leader(cur_slot_, commit_proof_epoch_) == target &&
-          commit_proof_epoch_ < star4_forwarded_.size() &&
-          !star4_forwarded_.get(commit_proof_epoch_)) {
-        star4_forwarded_.set(commit_proof_epoch_);
-        Msg fwd;
-        fwd.kind = Kind::kCommitProof;
-        fwd.slot = cur_slot_;
-        fwd.epoch = commit_proof_epoch_;
-        fwd.proof_epoch = commit_proof_epoch_;
-        fwd.value = commit_proof_value_;
-        fwd.proof = commit_proof_;
-        out_multicast(api, fwd);
-      }
+      relay_held_proof(target, api);
     }
   }
 }
@@ -472,20 +476,7 @@ void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
         corrupt_proof_have_[m.accused] = 1;
         corrupt_proof_sent_[m.accused] = 1;  // aggregate already public
         corrupt_proof_sig_[m.accused] = m.proof;
-        if (have_commit_proof_ &&
-            ctx_->leader(cur_slot_, commit_proof_epoch_) == m.accused &&
-            commit_proof_epoch_ < star4_forwarded_.size() &&
-            !star4_forwarded_.get(commit_proof_epoch_)) {
-          star4_forwarded_.set(commit_proof_epoch_);
-          Msg fwd;
-          fwd.kind = Kind::kCommitProof;
-          fwd.slot = cur_slot_;
-          fwd.epoch = commit_proof_epoch_;
-          fwd.proof_epoch = commit_proof_epoch_;
-          fwd.value = commit_proof_value_;
-          fwd.proof = commit_proof_;
-          out_multicast(api, fwd);
-        }
+        relay_held_proof(m.accused, api);
         break;
       }
       case Kind::kCommitProof:
@@ -751,15 +742,10 @@ void LinearNode::do_commit(RoundApi<Msg>& api) {
   if (cur_leader() != id_ || !lead_proposed_ || lead_proof_made_) return;
   if (lead_cert_votes_.size() < ctx_->n - ctx_->f) return;
   lead_proof_made_ = true;
-  Msg m;
-  m.kind = Kind::kCommitProof;
-  m.slot = cur_slot_;
-  m.epoch = cur_epoch_;
-  m.proof_epoch = cur_epoch_;
-  m.value = lead_value_;
-  m.proof = ctx_->th->combine(
-      std::span<const SigShare>(lead_cert_votes_),
-      commit_digest(cur_slot_, cur_epoch_, lead_value_));
+  const Msg m = commit_proof_msg(
+      cur_slot_, cur_epoch_, lead_value_,
+      ctx_->th->combine(std::span<const SigShare>(lead_cert_votes_),
+                        commit_digest(cur_slot_, cur_epoch_, lead_value_)));
   {
     trace::Event ev;
     ev.kind = trace::EventKind::kCertFormed;
@@ -813,14 +799,7 @@ void LinearNode::respond_to_querier(NodeId v, RoundApi<Msg>& api) {
   if (!accuse_seen_[v].get(cur_leader())) return;  // v must accuse L_i
   auto exp = expected_responder(v, cur_leader());
   if (!exp.has_value() || *exp != id_) return;
-  Msg resp;
-  resp.kind = Kind::kCommitProof;
-  resp.slot = cur_slot_;
-  resp.epoch = commit_proof_epoch_;
-  resp.proof_epoch = commit_proof_epoch_;
-  resp.value = commit_proof_value_;
-  resp.proof = commit_proof_;
-  out(api, v, resp);
+  out(api, v, held_commit_proof());
 }
 
 void LinearNode::do_respond1(std::span<const Delivery<Msg>> inbox,
@@ -904,14 +883,7 @@ void LinearNode::do_respond2(std::span<const Delivery<Msg>> inbox,
       // round — this is what bounds Respond-2 to n responses per node.
       if (!fresh_accuse_from_[v] || answered.get(v)) continue;
       answered.set(v);
-      Msg resp;
-      resp.kind = Kind::kCommitProof;
-      resp.slot = cur_slot_;
-      resp.epoch = commit_proof_epoch_;
-      resp.proof_epoch = commit_proof_epoch_;
-      resp.value = commit_proof_value_;
-      resp.proof = commit_proof_;
-      out(api, v, resp);
+      out(api, v, held_commit_proof());
     } else if (m.kind == Kind::kQuery1) {
       // A late query1 from the Query-2 round (helper re-selection);
       // answered under the exact Respond-1 predicate.

@@ -283,7 +283,6 @@ class LinearNode final : public Actor<Msg> {
   NodeId id() const { return id_; }
   const Context& ctx() const { return *ctx_; }
   bool accused(NodeId v) const { return accused_by_me_.get(v); }
-  const BitVec& accused_by_me() const { return accused_by_me_; }
   /// How many nodes other than this one it has accused.
   std::uint32_t accused_others() const { return accused_others_; }
   bool seen_accuse(NodeId accuser, NodeId target) const {
@@ -307,6 +306,11 @@ class LinearNode final : public Actor<Msg> {
   void handle_accuse(const Delivery<Msg>& env, RoundApi<Msg>& api);
   void maybe_commit(Slot k, Epoch j, Value v, const ThresholdSig& proof,
                     Round r, RoundApi<Msg>& api);
+  /// The commit-proof this node holds for the current slot.
+  Msg held_commit_proof() const;
+  /// (*4): `convicted` now has a corrupt-proof; if it led the held
+  /// proof's epoch, relay that proof once.
+  void relay_held_proof(NodeId convicted, RoundApi<Msg>& api);
   void trace_commit(Slot k, Epoch j, Value v, Round r);
   void note_cert(Slot k, Epoch j, Value v, const ThresholdSig& cert);
 

@@ -98,11 +98,6 @@ class QuadNode final : public Actor<Msg> {
   NodeId id() const { return id_; }
   const Context& ctx() const { return *ctx_; }
   const TrustCastEngine& engine() const { return engine_; }
-  bool voted_corrupt(NodeId target) const { return voted_.get(target); }
-  /// Number of distinct corrupt votes seen for `target` (across slots).
-  std::uint32_t corrupt_votes_seen(NodeId target) const {
-    return static_cast<std::uint32_t>(vote_seen_[target].count());
-  }
 
   // Helpers for Deviation implementations.
   Msg build_prop(Value v) const;

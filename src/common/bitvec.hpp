@@ -31,8 +31,6 @@ class BitVec {
       words_[i >> 6] &= ~mask;
   }
 
-  void reset(std::size_t i) { set(i, false); }
-
   /// Number of set bits.
   std::size_t count() const;
 

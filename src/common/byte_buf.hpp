@@ -87,7 +87,6 @@ class Encoder {
     busy_ = false;  // encoding consumed; scratch() may be re-acquired
     return std::span<const std::uint8_t>(buf_.data(), buf_.size());
   }
-  std::size_t size() const { return buf_.size(); }
 
  private:
   std::vector<std::uint8_t> buf_;

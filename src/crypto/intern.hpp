@@ -65,7 +65,6 @@ class DigestCache {
   static DigestCache& local();
 
   const Stats& stats() const { return stats_; }
-  std::size_t capacity() const { return table_.size(); }
 
  private:
   struct Entry {
@@ -114,7 +113,6 @@ class VerifyCache {
   void clear();
 
   const Stats& stats() const { return stats_; }
-  std::size_t capacity() const { return table_.size(); }
 
  private:
   struct Entry {

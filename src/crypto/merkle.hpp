@@ -36,7 +36,6 @@ class Tree {
   static Tree build(const std::vector<Digest>& leaves);
 
   const Digest& root() const { return levels_.back()[0]; }
-  std::uint32_t n_leaves() const { return n_leaves_; }
 
   Path prove(std::uint32_t index) const;
 

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 
 namespace ambb {
 
@@ -28,22 +27,12 @@ class Sha256 {
   explicit Sha256(const Sha256Midstate& mid);
 
   void update(std::span<const std::uint8_t> data);
-  /// Text convenience; thin wrapper over the span overload (the span API
-  /// is the single implementation — no duplicated hashing logic).
-  void update(std::string_view s) {
-    update(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
-  }
 
   /// Finalize and return the digest. The object must not be reused after.
   Digest finalize();
 
   /// One-shot convenience.
   static Digest hash(std::span<const std::uint8_t> data);
-  static Digest hash(std::string_view s) {
-    return hash(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
-  }
 
   /// Snapshot the state; only valid on a 64-byte block boundary.
   Sha256Midstate midstate() const;

@@ -34,7 +34,6 @@ class ThresholdScheme {
   /// threshold t out of registry.n() nodes (the paper uses t = n - f).
   ThresholdScheme(const KeyRegistry& registry, std::uint32_t t);
 
-  std::uint32_t threshold() const { return t_; }
 
   SigShare share(NodeId signer, const Digest& d) const;
   bool verify_share(const SigShare& s, const Digest& d) const;

@@ -122,7 +122,6 @@ struct JobOutcome {
   /// allow_stall) found in a completed result.
   std::vector<std::string> violations;
 
-  bool failed() const { return !completed || !violations.empty(); }
 };
 
 /// Fixed-pool executor over Jobs, adding per-job timing, property checks

@@ -90,7 +90,7 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
         for (std::uint64_t payload : payloads) {
           const bool is_ext = spec.protocol.rfind("ext:", 0) == 0;
           if (payload != 0 && !is_ext) {
-            AMBB_CHECK_MSG(payload <= 0x1FFFFFFFULL,
+            AMBB_CHECK_MSG(payload <= kMaxInlinePayloadBytes,
                            "sweep '" << spec.name << "': payload " << payload
                                      << " bytes overflows value-bits for a "
                                         "non-ext protocol");

@@ -30,9 +30,6 @@ class Graph {
   const std::vector<std::uint32_t>& neighbors(std::uint32_t u) const {
     return adj_[u];
   }
-  std::uint32_t degree(std::uint32_t u) const {
-    return static_cast<std::uint32_t>(adj_[u].size());
-  }
   std::uint32_t max_degree() const;
   std::uint64_t edge_count() const;
 

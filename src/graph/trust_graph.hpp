@@ -30,8 +30,6 @@ class TrustGraph {
   /// Complete graph over n vertices.
   explicit TrustGraph(std::uint32_t n);
 
-  std::uint32_t n() const { return n_; }
-
   bool has_vertex(NodeId v) const;
   bool has_edge(NodeId u, NodeId v) const;
 

@@ -43,6 +43,10 @@ struct CommonParams {
   std::string net = "lockstep";
 };
 
+/// The largest payload a non-ext row carries inline: its value_bits,
+/// 8 * payload, must fit in 32 bits.
+inline constexpr std::uint64_t kMaxInlinePayloadBytes = 0x1FFFFFFF;
+
 /// One run, fully specified: the parameters plus an optional trace sink.
 /// Implicitly constructible from CommonParams so every pre-trace call
 /// site (`info.run(params)`) keeps working and runs untraced.

@@ -21,12 +21,6 @@ class CommitLog {
  public:
   explicit CommitLog(std::uint32_t n) : n_(n) {}
 
-  /// Pre-size for `max_slot` slots so steady-state record() calls never
-  /// regrow the flat table.
-  void reserve(Slot max_slot) {
-    flat_.reserve(static_cast<std::size_t>(max_slot + 1) * n_);
-  }
-
   /// Materialize all cells for slots [0, max_slot] up front, so no
   /// record() during the run can trigger the lazy resize below (a resize
   /// moves every cell).
@@ -54,12 +48,6 @@ class CommitLog {
     AMBB_CHECK(has(node, slot));
     return flat_[static_cast<std::size_t>(slot) * n_ + node];
   }
-
-  Slot max_slot() const {
-    return flat_.empty() ? 0 : static_cast<Slot>(flat_.size() / n_ - 1);
-  }
-
-  std::uint32_t n() const { return n_; }
 
  private:
   std::uint32_t n_;

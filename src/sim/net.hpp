@@ -207,7 +207,6 @@ class TrafficLog {
     counted_ += to.size();
   }
 
-  std::uint32_t n() const { return n_; }
   std::size_t deliveries() const { return deliveries_; }
   const std::vector<Record>& records() const { return records_; }
   /// The round's records as RoundStats::records counts them: a group
@@ -287,7 +286,6 @@ class TrafficView {
       : log_(log), limit_(limit) {}
 
   std::size_t size() const { return limit_; }
-  bool empty() const { return limit_ == 0; }
 
   DeliveryRef operator[](std::size_t d) const {
     AMBB_CHECK(d < limit_);
@@ -323,9 +321,6 @@ class RoundApi {
  public:
   RoundApi(NodeId self, std::uint32_t n, TrafficLog<Msg>* out)
       : self_(self), n_(n), out_(out) {}
-
-  NodeId self() const { return self_; }
-  std::uint32_t n() const { return n_; }
 
   void send(NodeId to, const Msg& m) {
     AMBB_CHECK(to < n_);
@@ -520,9 +515,6 @@ class Simulation final : CorruptionCtl<Msg> {
     return actors_[node].get();
   }
 
-  std::uint32_t n() const { return n_; }
-  std::uint32_t f() const { return f_; }
-  std::uint32_t corrupt_count() const { return corrupt_count_; }
   bool is_corrupt(NodeId node) const override {
     AMBB_CHECK(node < n_);
     return corrupt_[node] != 0;
@@ -531,11 +523,8 @@ class Simulation final : CorruptionCtl<Msg> {
     return f_ - corrupt_count_;
   }
 
-  /// One RoundStats per executed round.
-  const std::vector<RoundStats>& round_stats() const { return round_stats_; }
-
-  /// Hand the per-round stats over and keep none: the run is over, and
-  /// one copy of a long run's rows is enough.
+  /// Hand the per-round stats (one per executed round) over and keep
+  /// none: the run is over, and one copy of a long run's rows is enough.
   std::vector<RoundStats> take_round_stats() {
     return std::exchange(round_stats_, {});
   }
@@ -826,10 +815,6 @@ class Simulation final : CorruptionCtl<Msg> {
     st.ns_delivery = ns(t4, t5);
     min_wake_ = *std::min_element(wake_.begin(), wake_.end());
     finish_round(st);
-  }
-
-  void run_rounds(std::uint64_t rounds) {
-    for (std::uint64_t i = 0; i < rounds; ++i) step();
   }
 
  private:

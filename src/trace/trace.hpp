@@ -75,33 +75,12 @@ inline void emit(TraceSink* sink, const Event& e) {
   if (sink != nullptr) sink->on_event(e);
 }
 
-/// Default sink: discards everything (kept for call sites that want a
-/// non-null sink object; passing nullptr is equally valid).
-class NullSink final : public TraceSink {
- public:
-  void on_event(const Event&) override {}
-};
-
 /// Test sink: stores events for assertions.
 class CollectorSink final : public TraceSink {
  public:
   void on_event(const Event& e) override { events_.push_back(e); }
 
   const std::vector<Event>& events() const { return events_; }
-
-  std::vector<Event> of_kind(EventKind k) const {
-    std::vector<Event> out;
-    for (const Event& e : events_) {
-      if (e.kind == k) out.push_back(e);
-    }
-    return out;
-  }
-
-  std::size_t count(EventKind k) const {
-    std::size_t c = 0;
-    for (const Event& e : events_) c += (e.kind == k) ? 1 : 0;
-    return c;
-  }
 
  private:
   std::vector<Event> events_;

@@ -60,18 +60,19 @@ struct Audit {
 template <typename Msg>
 class AlwaysAwake final : public Actor<Msg> {
  public:
-  AlwaysAwake(NodeId self, std::unique_ptr<Actor<Msg>> inner, Audit* audit)
-      : self_(self), inner_(std::move(inner)), audit_(audit) {}
+  AlwaysAwake(NodeId self, std::uint32_t n,
+              std::unique_ptr<Actor<Msg>> inner, Audit* audit)
+      : self_(self), n_(n), inner_(std::move(inner)), audit_(audit) {}
 
   void on_round(Round r, std::span<const Delivery<Msg>> inbox,
                 const TrafficView<Msg>& rushed,
                 RoundApi<Msg>& api) override {
-    scratch_.reset(api.n());
-    RoundApi<Msg> capture(api.self(), api.n(), &scratch_);
+    scratch_.reset(n_);
+    RoundApi<Msg> capture(self_, n_, &scratch_);
     unkeyed_.assign(inbox.begin(), inbox.end());
     for (Delivery<Msg>& d : unkeyed_) d.record = kNoRecord;
     inner_->on_round(r, unkeyed_, rushed, capture);
-    if (r < wake_ && inbox.empty() && rushed.empty()) {
+    if (r < wake_ && inbox.empty() && rushed.size() == 0) {
       ++audit_->sleeping_calls;
       EXPECT_TRUE(scratch_.records().empty())
           << "node " << self_ << " declared next_wake " << wake_
@@ -92,6 +93,7 @@ class AlwaysAwake final : public Actor<Msg> {
 
  private:
   NodeId self_;
+  std::uint32_t n_;
   std::unique_ptr<Actor<Msg>> inner_;
   Audit* audit_;
   Round wake_ = 0;
@@ -105,23 +107,24 @@ class AlwaysAwake final : public Actor<Msg> {
 template <typename Msg>
 class AlwaysAwakeAdversary final : public Adversary<Msg> {
  public:
-  AlwaysAwakeAdversary(std::unique_ptr<Adversary<Msg>> inner, Audit* audit)
-      : inner_(std::move(inner)), audit_(audit) {}
+  AlwaysAwakeAdversary(std::uint32_t n,
+                       std::unique_ptr<Adversary<Msg>> inner, Audit* audit)
+      : n_(n), inner_(std::move(inner)), audit_(audit) {}
 
   std::vector<NodeId> initial_corruptions() override {
     return inner_->initial_corruptions();
   }
 
   std::unique_ptr<Actor<Msg>> actor_for(NodeId node) override {
-    return std::make_unique<AlwaysAwake<Msg>>(node, inner_->actor_for(node),
-                                              audit_);
+    return std::make_unique<AlwaysAwake<Msg>>(node, n_,
+                                              inner_->actor_for(node), audit_);
   }
 
   void observe_round(Round r, const TrafficView<Msg>& traffic,
                      CorruptionCtl<Msg>& ctl) override {
     const std::uint32_t budget = ctl.corruption_budget_left();
     inner_->observe_round(r, traffic, ctl);
-    if (r < wake_ && traffic.empty()) {
+    if (r < wake_ && traffic.size() == 0) {
       ++audit_->sleeping_calls;
       EXPECT_EQ(ctl.corruption_budget_left(), budget)
           << "adversary declared next_wake " << wake_
@@ -131,6 +134,7 @@ class AlwaysAwakeAdversary final : public Adversary<Msg> {
   }
 
  private:
+  std::uint32_t n_;
   std::unique_ptr<Adversary<Msg>> inner_;
   Audit* audit_;
   Round wake_ = 0;

@@ -86,7 +86,7 @@ TEST(AdaptiveAccounting, ErasedDeliveryChargedToNobody) {
   SimConfig<ToyMsg> sc;
   sc.adversary = &adv;
   sim.configure(sc);
-  sim.run_rounds(2);
+  run_rounds(sim, 2);
   // Removed before it traversed the wire: neither ledger side pays.
   EXPECT_EQ(ledger.honest_bits_total(), 0u);
   EXPECT_EQ(ledger.adversary_bits_total(), 0u);
@@ -114,7 +114,7 @@ TEST(AdaptiveAccounting, SurvivingTrafficOfFreshlyCorruptedNodeIsAdversaryBits) 
   SimConfig<ToyMsg> sc;
   sc.adversary = &adv;
   sim.configure(sc);
-  sim.run_rounds(2);
+  run_rounds(sim, 2);
   EXPECT_EQ(node1_got, 1);
   EXPECT_EQ(ledger.honest_bits_total(), 0u);
   EXPECT_EQ(ledger.adversary_bits_total(), 100u);
@@ -131,7 +131,7 @@ TEST(AdaptiveAccounting, MulticastSelfDeliveryIsFree) {
                            got[v] += static_cast<int>(inbox.size());
                          }));
   }
-  sim.run_rounds(2);
+  run_rounds(sim, 2);
   for (NodeId v = 0; v < 4; ++v) EXPECT_EQ(got[v], 1) << "node " << v;
   // Four deliveries, three charged: the self-copy is free.
   EXPECT_EQ(ledger.honest_bits_total(), 300u);
@@ -161,7 +161,7 @@ TEST(AdaptiveAccounting, ErasingSelfCopyDoesNotDoubleDeduct) {
   SimConfig<ToyMsg> sc;
   sc.adversary = &adv;
   sim.configure(sc);
-  sim.run_rounds(2);
+  run_rounds(sim, 2);
   // The free self-copy was erased; the three real copies are still billed
   // (to the adversary, since the sender is now corrupt) — the "free self"
   // deduction must not apply on top of the erasure.
@@ -192,7 +192,7 @@ TEST(AdaptiveAccounting, EraseAddressesOneDeliveryOfASharedMulticast) {
   SimConfig<ToyMsg> sc;
   sc.adversary = &adv;
   sim.configure(sc);
-  sim.run_rounds(2);
+  run_rounds(sim, 2);
   // got[0] is not asserted: corrupting node 0 replaced its recording
   // actor with the adversary's.
   EXPECT_EQ(got[1], 1);

@@ -185,9 +185,10 @@ class Multicaster final : public Actor<CastMsg> {
 /// An n-node toy sim in which every node multicasts `per_round` messages
 /// every round.
 std::vector<Multicaster*> all_multicast(ToySim<CastMsg>& sim,
+                                        std::uint32_t n,
                                         std::uint32_t per_round) {
   std::vector<Multicaster*> out;
-  for (NodeId v = 0; v < sim.n(); ++v) {
+  for (NodeId v = 0; v < n; ++v) {
     auto a = std::make_unique<Multicaster>(per_round);
     out.push_back(a.get());
     sim.set_actor(v, std::move(a));
@@ -199,9 +200,9 @@ TEST(AllocHotPath, AllMulticastRoundsAllocateNothing) {
   constexpr std::uint32_t kWarmup = 4, kRounds = 32;
   CostLedger ledger({"toy"});
   ToySim<CastMsg> sim(16, 5, &ledger, ToyPolicy{});
-  const auto actors = all_multicast(sim, 3);
+  const auto actors = all_multicast(sim, 16, 3);
   sim.reserve_rounds(kWarmup + kRounds);
-  sim.run_rounds(kWarmup);
+  run_rounds(sim, kWarmup);
   for (std::uint32_t i = 0; i < kRounds; ++i) {
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
     sim.step();
@@ -221,8 +222,8 @@ TEST(AllocHotPath, AllMulticastFootprintIsLinearInRecords) {
   constexpr std::size_t kRecords = std::size_t{kN} * kPerNode;
   CostLedger ledger({"toy"});
   ToySim<CastMsg> sim(kN, 1, &ledger, ToyPolicy{});
-  const auto actors = all_multicast(sim, kPerNode);
-  sim.run_rounds(4);
+  const auto actors = all_multicast(sim, kN, kPerNode);
+  run_rounds(sim, 4);
   for (const Multicaster* a : actors) EXPECT_EQ(a->last_inbox, kRecords);
 
   constexpr std::size_t kEntry =

@@ -25,7 +25,7 @@ TEST(BitVec, SetGetReset) {
   EXPECT_TRUE(b.get(0));
   EXPECT_TRUE(b.get(64));
   EXPECT_EQ(b.count(), 2u);
-  b.reset(64);
+  b.set(64, false);
   EXPECT_FALSE(b.get(64));
   EXPECT_EQ(b.count(), 1u);
 }

@@ -10,13 +10,13 @@ namespace {
 TEST(Encoder, WidthsAreExact) {
   Encoder e;
   e.put_u8(1);
-  EXPECT_EQ(e.size(), 1u);
+  EXPECT_EQ(e.view().size(), 1u);
   e.put_u16(1);
-  EXPECT_EQ(e.size(), 3u);
+  EXPECT_EQ(e.view().size(), 3u);
   e.put_u32(1);
-  EXPECT_EQ(e.size(), 7u);
+  EXPECT_EQ(e.view().size(), 7u);
   e.put_u64(1);
-  EXPECT_EQ(e.size(), 15u);
+  EXPECT_EQ(e.view().size(), 15u);
 }
 
 TEST(Encoder, BigEndianBytesAreExact) {
@@ -60,7 +60,7 @@ TEST(Encoder, BytesAppended) {
 TEST(Encoder, PutU16CheckedRejectsWideValues) {
   Encoder e;
   e.put_u16_checked(0xFFFF);  // max fits
-  EXPECT_EQ(e.size(), 2u);
+  EXPECT_EQ(e.view().size(), 2u);
   EXPECT_THROW(e.put_u16_checked(0x10000), CheckError);
   EXPECT_THROW(e.put_u16_checked(std::uint64_t{1} << 40), CheckError);
 }
@@ -75,7 +75,7 @@ TEST(Encoder, ScratchReacquireMidEncodeThrows) {
   EXPECT_EQ(e.view().size(), 1u);
   // view() released the guard: re-acquisition is legal again and clears.
   Encoder& e2 = Encoder::scratch();
-  EXPECT_EQ(e2.size(), 0u);
+  EXPECT_TRUE(e2.view().empty());
   e2.clear();  // release for later tests on this thread
 }
 

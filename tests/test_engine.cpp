@@ -183,17 +183,16 @@ TEST(Engine, ThrowingJobIsIsolatedNeighboursComplete) {
   ASSERT_EQ(out.size(), 3u);
 
   EXPECT_TRUE(out[0].completed);
-  EXPECT_FALSE(out[0].failed());
+  EXPECT_TRUE(out[0].violations.empty());
   EXPECT_EQ(out[0].label, "good-a");
 
   EXPECT_FALSE(out[1].completed);
-  EXPECT_TRUE(out[1].failed());
   EXPECT_NE(out[1].error.find("injected driver failure"), std::string::npos)
       << out[1].error;
   EXPECT_TRUE(out[1].violations.empty());
 
   EXPECT_TRUE(out[2].completed);
-  EXPECT_FALSE(out[2].failed());
+  EXPECT_TRUE(out[2].violations.empty());
   expect_identical(out[0].result, out[2].result);
 }
 
@@ -215,7 +214,6 @@ TEST(Engine, PropertyViolationsInCompletedResultsAreSurfaced) {
   const auto out = Engine(1).run({tampered});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].completed);
-  EXPECT_TRUE(out[0].failed());
   ASSERT_FALSE(out[0].violations.empty());
   EXPECT_NE(out[0].violations[0].find("slot 1"), std::string::npos)
       << out[0].violations[0];
@@ -247,7 +245,6 @@ TEST(Engine, AllowStallSkipsTerminationButNotSafetyChecks) {
       Engine(1).run({Job{"lenient", stalled, /*allow_stall=*/true}});
   ASSERT_TRUE(lenient[0].completed);
   EXPECT_TRUE(lenient[0].violations.empty());
-  EXPECT_FALSE(lenient[0].failed());
 }
 
 TEST(BenchJson, ZeroSlotAmortizedIsNaNEndToEnd) {

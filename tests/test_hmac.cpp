@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/hex.hpp"
+#include "text_bytes.hpp"
 
 namespace ambb {
 namespace {
@@ -50,16 +51,16 @@ TEST(Hmac, Rfc4231Case6LongKey) {
 }
 
 TEST(Hmac, KeySensitivity) {
-  Digest k1 = Sha256::hash(std::string("k1"));
-  Digest k2 = Sha256::hash(std::string("k2"));
-  Digest m = Sha256::hash(std::string("m"));
+  Digest k1 = Sha256::hash(text_bytes("k1"));
+  Digest k2 = Sha256::hash(text_bytes("k2"));
+  Digest m = Sha256::hash(text_bytes("m"));
   EXPECT_NE(hmac_sha256(k1, m), hmac_sha256(k2, m));
 }
 
 TEST(Hmac, MessageSensitivity) {
-  Digest k = Sha256::hash(std::string("k"));
-  Digest m1 = Sha256::hash(std::string("m1"));
-  Digest m2 = Sha256::hash(std::string("m2"));
+  Digest k = Sha256::hash(text_bytes("k"));
+  Digest m1 = Sha256::hash(text_bytes("m1"));
+  Digest m2 = Sha256::hash(text_bytes("m2"));
   EXPECT_NE(hmac_sha256(k, m1), hmac_sha256(k, m2));
 }
 

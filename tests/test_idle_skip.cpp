@@ -192,7 +192,7 @@ Outcome run(const Params& p, Audit* audit) {
   for (NodeId v = 0; v < kN; ++v) {
     std::unique_ptr<Actor<Msg>> a = std::make_unique<LinearNode>(v, &ctx);
     if (audit != nullptr) {
-      a = std::make_unique<AlwaysAwake>(v, std::move(a), audit);
+      a = std::make_unique<AlwaysAwake>(v, kN, std::move(a), audit);
     }
     sim.set_actor(v, std::move(a));
   }
@@ -210,8 +210,8 @@ Outcome run(const Params& p, Audit* audit) {
                               : make_adversary(spec, &ctx, seed);
       });
   if (audit != nullptr && adversary != nullptr) {
-    adversary =
-        std::make_unique<AlwaysAwakeAdversary>(std::move(adversary), audit);
+    adversary = std::make_unique<AlwaysAwakeAdversary>(
+        kN, std::move(adversary), audit);
   }
   SimConfig<Msg> sc;
   sc.trace = &sink;
@@ -248,7 +248,7 @@ Outcome run(const Params& p, Audit* audit) {
   o.per_kind = st.ledger.per_kind();
   o.commits = idle_skip::commit_rows(st.commits, kN, kSlots);
   for (NodeId v = 0; v < kN; ++v) o.corrupt.push_back(sim.is_corrupt(v));
-  o.rounds = sim.round_stats();
+  o.rounds = sim.take_round_stats();
   o.jsonl = jsonl.str();
   o.traffic_bytes = sim.traffic_reserved_bytes();
   return o;

@@ -166,7 +166,7 @@ Outcome run(const Params& p, Audit* audit) {
   for (NodeId v = 0; v < p.n; ++v) {
     std::unique_ptr<Actor<Msg>> a = std::make_unique<QuadNode>(v, &ctx);
     if (audit != nullptr) {
-      a = std::make_unique<AlwaysAwake>(v, std::move(a), audit);
+      a = std::make_unique<AlwaysAwake>(v, p.n, std::move(a), audit);
     }
     sim.set_actor(v, std::move(a));
   }
@@ -185,8 +185,8 @@ Outcome run(const Params& p, Audit* audit) {
                               : make_quad_adversary(spec, &ctx, seed);
       });
   if (audit != nullptr && adversary != nullptr) {
-    adversary =
-        std::make_unique<AlwaysAwakeAdversary>(std::move(adversary), audit);
+    adversary = std::make_unique<AlwaysAwakeAdversary>(
+        p.n, std::move(adversary), audit);
   }
   SimConfig<Msg> sc;
   sc.trace = &sink;
@@ -221,7 +221,7 @@ Outcome run(const Params& p, Audit* audit) {
   o.per_kind = st.ledger.per_kind();
   o.commits = idle_skip::commit_rows(st.commits, p.n, p.slots);
   for (NodeId v = 0; v < p.n; ++v) o.corrupt.push_back(sim.is_corrupt(v));
-  o.rounds = sim.round_stats();
+  o.rounds = sim.take_round_stats();
   o.jsonl = jsonl.str();
   o.traffic_bytes = sim.traffic_reserved_bytes();
   return o;

@@ -27,7 +27,6 @@ TEST(Merkle, ProofsRoundTripForEveryLeafCountAndIndex) {
   for (std::uint32_t n = 1; n <= 17; ++n) {
     const auto leaves = demo_leaves(n);
     const auto tree = merkle::Tree::build(leaves);
-    EXPECT_EQ(tree.n_leaves(), n);
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto path = tree.prove(i);
       EXPECT_TRUE(merkle::verify(tree.root(), n, i, leaves[i], path))

@@ -161,7 +161,7 @@ TEST(Scheduler, BoundedDeliveriesLandInsideTheWindow) {
   SimConfig<ToyMsg> sc;
   sc.net = make_net_policy("bounded:3", 42);
   sim.configure(sc);
-  sim.run_rounds(2 + kDelta);
+  run_rounds(sim, 2 + kDelta);
 
   std::uint64_t late = 0;  // deliveries with a nonzero extra delay
   for (NodeId v = 0; v < n; ++v) {
@@ -171,8 +171,9 @@ TEST(Scheduler, BoundedDeliveriesLandInsideTheWindow) {
     if (at[v] > 1) ++late;
   }
   // RoundStats charge delays to the EMISSION round.
-  EXPECT_EQ(sim.round_stats()[0].delayed, late);
-  EXPECT_EQ(summarize(sim.round_stats()).delayed, late);
+  const std::vector<RoundStats> stats = sim.take_round_stats();
+  EXPECT_EQ(stats[0].delayed, late);
+  EXPECT_EQ(summarize(stats).delayed, late);
   // Cost is charged at emission: bits are identical to a lockstep run.
   EXPECT_EQ(ledger.honest_bits_total(), 300u);
 }
@@ -198,10 +199,10 @@ TEST(Scheduler, BoundedZeroDeltaBehavesLikeLockstep) {
     SimConfig<ToyMsg> sc;
     sc.net = make_net_policy(spec, 7);
     sim.configure(sc);
-    sim.run_rounds(3);
+    run_rounds(sim, 3);
     EXPECT_EQ(got_at_round, 1) << spec;
     EXPECT_EQ(ledger.honest_bits_total(), 100u) << spec;
-    EXPECT_EQ(summarize(sim.round_stats()).delayed, 0u) << spec;
+    EXPECT_EQ(summarize(sim.take_round_stats()).delayed, 0u) << spec;
   }
 }
 
@@ -230,10 +231,10 @@ TEST(Scheduler, AsyncAdversaryDefersASpecificDelivery) {
   sc.net = make_net_policy("async", 3);
   sc.adversary = &adv;
   sim.configure(sc);
-  sim.run_rounds(5);
+  run_rounds(sim, 5);
   EXPECT_EQ(arrived, 3u);  // emitted round 0, lands 1 + 2 extra
-  EXPECT_EQ(sim.round_stats()[0].delayed, 1u);
-  EXPECT_EQ(sim.corrupt_count(), 0u);
+  EXPECT_EQ(sim.take_round_stats()[0].delayed, 1u);
+  EXPECT_EQ(sim.corruption_budget_left(), 1u);
 }
 
 TEST(Scheduler, AsyncCapIsTheEventualDeliveryGuarantee) {
@@ -256,7 +257,7 @@ TEST(Scheduler, AsyncCapIsTheEventualDeliveryGuarantee) {
   sc.net = make_net_policy("async:4", 9);
   sc.adversary = &adv;
   sim.configure(sc);
-  sim.run_rounds(8);
+  run_rounds(sim, 8);
   EXPECT_EQ(arrived, 5u);  // 1 + cap, never later: no forever-withholding
 }
 
@@ -265,7 +266,7 @@ TEST(Scheduler, LockstepRejectsTimingFaults) {
   ToySim<ToyMsg> sim(2, 1, &ledger, ToyPolicy{});
   ObserveAdv adv([](Round, const TrafficView<ToyMsg>& traffic,
                     CorruptionCtl<ToyMsg>& ctl) {
-    if (!traffic.empty()) {
+    if (traffic.size() > 0) {
       EXPECT_THROW(ctl.delay(0, 1), CheckError);
     }
   });
@@ -277,7 +278,7 @@ TEST(Scheduler, LockstepRejectsTimingFaults) {
   SimConfig<ToyMsg> sc;
   sc.adversary = &adv;  // net stays the default lockstep policy
   sim.configure(sc);
-  sim.run_rounds(1);
+  run_rounds(sim, 1);
 }
 
 // ---------------------------------------------------------------------

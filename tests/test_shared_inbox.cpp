@@ -70,8 +70,9 @@ std::uint64_t tag_of(Round r, NodeId from, std::uint32_t seq) {
 /// corrupted node's replacement keeps writing to the node's log.
 class RandomActor final : public Actor<Msg> {
  public:
-  RandomActor(std::uint64_t seed, std::vector<Seen>* log)
-      : rng_(seed), log_(log) {}
+  RandomActor(NodeId self, std::uint32_t n, std::uint64_t seed,
+              std::vector<Seen>* log)
+      : self_(self), n_(n), rng_(seed), log_(log) {}
 
   void on_round(Round r, std::span<const Delivery<Msg>> inbox,
                 const TrafficView<Msg>&, RoundApi<Msg>& api) override {
@@ -80,16 +81,16 @@ class RandomActor final : public Actor<Msg> {
     }
     const auto sends = static_cast<std::uint32_t>(rng_.uniform(4));
     for (std::uint32_t i = 0; i < sends; ++i) {
-      Msg m{tag_of(r, api.self(), i)};
+      Msg m{tag_of(r, self_, i)};
       m.shape = static_cast<Shape>(rng_.uniform(3));
       if (m.shape == Shape::kMulticast) {
         api.multicast(m);
       } else if (m.shape == Shape::kUnicast) {
-        api.send(static_cast<NodeId>(rng_.uniform(api.n())), m);
+        api.send(static_cast<NodeId>(rng_.uniform(n_)), m);
       } else {
         group_.resize(1 + rng_.uniform(4));
         for (NodeId& v : group_) {
-          v = static_cast<NodeId>(rng_.uniform(api.n()));
+          v = static_cast<NodeId>(rng_.uniform(n_));
         }
         api.send_group(group_, m);
       }
@@ -97,6 +98,8 @@ class RandomActor final : public Actor<Msg> {
   }
 
  private:
+  NodeId self_;
+  std::uint32_t n_;
   Rng rng_;
   std::vector<Seen>* log_;
   std::vector<NodeId> group_;
@@ -131,7 +134,8 @@ class EraserAdversary final : public Adversary<Msg> {
   }
 
   std::unique_ptr<Actor<Msg>> actor_for(NodeId node) override {
-    return std::make_unique<RandomActor>(rng_.next_u64(), &(*logs_)[node]);
+    return std::make_unique<RandomActor>(node, n_, rng_.next_u64(),
+                                         &(*logs_)[node]);
   }
 
   void observe_round(Round r, const TrafficView<Msg>& traffic,
@@ -181,7 +185,7 @@ TEST_P(SharedInbox, EveryInboxMatchesAPerNodeReference) {
   Sim sim(n, f, &ledger, ToyPolicy{});
   Rng seeder(seed);
   for (NodeId v = 0; v < n; ++v) {
-    sim.set_actor(v, std::make_unique<RandomActor>(seeder.next_u64(),
+    sim.set_actor(v, std::make_unique<RandomActor>(v, n, seeder.next_u64(),
                                                    &logs[v]));
   }
   EraserAdversary adv(n, f, seeder.next_u64(), &logs);
@@ -191,12 +195,13 @@ TEST_P(SharedInbox, EveryInboxMatchesAPerNodeReference) {
   sc.net = make_net_policy(net, seed);
   sc.trace = &sink;
   sim.configure(sc);
-  sim.run_rounds(kRounds);
+  run_rounds(sim, kRounds);
 
   // The landing round of every deferred delivery, from the trace; any
   // other surviving delivery lands one round after it was sent.
   std::map<std::pair<Round, std::size_t>, Round> lands;
-  for (const auto& ev : sink.of_kind(trace::EventKind::kDeliveryDelayed)) {
+  for (const auto& ev : sink.events()) {
+    if (ev.kind != trace::EventKind::kDeliveryDelayed) continue;
     lands[{ev.round, ev.count}] = ev.value;
   }
   // Per node, in inbox order: deliveries landing earlier first; within
@@ -239,9 +244,9 @@ INSTANTIATE_TEST_SUITE_P(
 /// Scripted actor: runs `act` each round and keeps every inbox it saw.
 class Script final : public Actor<Msg> {
  public:
-  using Act = std::function<void(Round, RoundApi<Msg>&)>;
-  explicit Script(Act act = nullptr, Round wake_every = 1)
-      : act_(std::move(act)), wake_every_(wake_every) {}
+  using Act = std::function<void(Round, NodeId self, RoundApi<Msg>&)>;
+  explicit Script(NodeId self, Act act = nullptr, Round wake_every = 1)
+      : self_(self), act_(std::move(act)), wake_every_(wake_every) {}
 
   void on_round(Round r, std::span<const Delivery<Msg>> inbox,
                 const TrafficView<Msg>&, RoundApi<Msg>& api) override {
@@ -255,7 +260,7 @@ class Script final : public Actor<Msg> {
     }
     inboxes.push_back(std::move(tags));
     records.push_back(std::move(ids));
-    if (act_) act_(r, api);
+    if (act_) act_(r, self_, api);
   }
 
   Round next_wake(Round r) const override {
@@ -268,6 +273,7 @@ class Script final : public Actor<Msg> {
   std::vector<std::vector<std::uint32_t>> records;  ///< Delivery::record
 
  private:
+  NodeId self_;
   Act act_;
   Round wake_every_;
 };
@@ -284,8 +290,8 @@ class ScriptedAdversary final : public Adversary<Msg> {
         wake_every_(wake_every) {}
 
   std::vector<NodeId> initial_corruptions() override { return corrupt_; }
-  std::unique_ptr<Actor<Msg>> actor_for(NodeId) override {
-    return std::make_unique<Script>(act_, wake_every_);
+  std::unique_ptr<Actor<Msg>> actor_for(NodeId node) override {
+    return std::make_unique<Script>(node, act_, wake_every_);
   }
   void observe_round(Round r, const TrafficView<Msg>&,
                      CorruptionCtl<Msg>& ctl) override {
@@ -304,11 +310,11 @@ class ScriptedAdversary final : public Adversary<Msg> {
 };
 
 /// Builds an n-node sim of Script actors; returns them for inspection.
-std::vector<Script*> install(Sim& sim, const Script::Act& act,
-                             Round wake_every = 1) {
+std::vector<Script*> install(Sim& sim, std::uint32_t n,
+                             const Script::Act& act, Round wake_every = 1) {
   std::vector<Script*> out;
-  for (NodeId v = 0; v < sim.n(); ++v) {
-    auto a = std::make_unique<Script>(act, wake_every);
+  for (NodeId v = 0; v < n; ++v) {
+    auto a = std::make_unique<Script>(v, act, wake_every);
     out.push_back(a.get());
     sim.set_actor(v, std::move(a));
   }
@@ -318,13 +324,14 @@ std::vector<Script*> install(Sim& sim, const Script::Act& act,
 TEST(SharedInboxPinned, UnicastBetweenTwoMulticastsArrivesInRecordOrder) {
   CostLedger ledger({"toy"});
   Sim sim(3, 1, &ledger, ToyPolicy{});
-  const auto actors = install(sim, [](Round r, RoundApi<Msg>& api) {
-    if (r != 0 || api.self() != 0) return;
-    api.multicast(Msg{1});
-    api.send(1, Msg{2});
-    api.multicast(Msg{3});
-  });
-  sim.run_rounds(2);
+  const auto actors = install(
+      sim, 3, [](Round r, NodeId self, RoundApi<Msg>& api) {
+        if (r != 0 || self != 0) return;
+        api.multicast(Msg{1});
+        api.send(1, Msg{2});
+        api.multicast(Msg{3});
+      });
+  run_rounds(sim, 2);
   using Tags = std::vector<std::uint64_t>;
   EXPECT_EQ(actors[0]->inboxes[1], (Tags{1, 3}));
   EXPECT_EQ(actors[1]->inboxes[1], (Tags{1, 2, 3}));
@@ -345,14 +352,15 @@ TEST(SharedInboxPinned, GroupRecipientsShareOneRecordId) {
   // group's one record id, like a multicast's recipients.
   CostLedger ledger({"toy"});
   Sim sim(3, 1, &ledger, ToyPolicy{});
-  const auto actors = install(sim, [](Round r, RoundApi<Msg>& api) {
-    if (r != 0 || api.self() != 0) return;
-    api.multicast(Msg{1});
-    const NodeId to[] = {2, 1};
-    api.send_group(to, Msg{2});
-    api.send(1, Msg{3});
-  });
-  sim.run_rounds(2);
+  const auto actors = install(
+      sim, 3, [](Round r, NodeId self, RoundApi<Msg>& api) {
+        if (r != 0 || self != 0) return;
+        api.multicast(Msg{1});
+        const NodeId to[] = {2, 1};
+        api.send_group(to, Msg{2});
+        api.send(1, Msg{3});
+      });
+  run_rounds(sim, 2);
   using Tags = std::vector<std::uint64_t>;
   using Ids = std::vector<std::uint32_t>;
   EXPECT_EQ(actors[0]->inboxes[1], (Tags{1}));
@@ -362,8 +370,9 @@ TEST(SharedInboxPinned, GroupRecipientsShareOneRecordId) {
   EXPECT_EQ(actors[1]->records[1], (Ids{0, 1, 2}));
   EXPECT_EQ(actors[2]->records[1], (Ids{0, 1}));
   // The group counts once per recipient in the round's records.
-  EXPECT_EQ(sim.round_stats()[0].records, 4u);
-  EXPECT_EQ(sim.round_stats()[0].deliveries, 6u);
+  const std::vector<RoundStats> stats = sim.take_round_stats();
+  EXPECT_EQ(stats[0].records, 4u);
+  EXPECT_EQ(stats[0].deliveries, 6u);
 }
 
 TEST(SharedInboxPinned, TimingPathDeliveriesNameNoRecord) {
@@ -371,13 +380,14 @@ TEST(SharedInboxPinned, TimingPathDeliveriesNameNoRecord) {
   // recipient, so none of them may claim a record id.
   CostLedger ledger({"toy"});
   Sim sim(3, 1, &ledger, ToyPolicy{});
-  const auto actors = install(sim, [](Round r, RoundApi<Msg>& api) {
-    if (r < 4) api.multicast(Msg{r});
-  });
+  const auto actors = install(
+      sim, 3, [](Round r, NodeId, RoundApi<Msg>& api) {
+        if (r < 4) api.multicast(Msg{r});
+      });
   SimConfig<Msg> sc;
   sc.net = make_net_policy("bounded:1", 3);
   sim.configure(sc);
-  sim.run_rounds(8);
+  run_rounds(sim, 8);
   std::size_t seen = 0;
   for (const Script* a : actors) {
     for (const auto& ids : a->records) {
@@ -423,10 +433,10 @@ TEST(SharedInboxPinned, ErasedMulticastDeliveryVanishesForThatRecipientOnly) {
   // node 1, nothing else.
   CostLedger ledger({"toy"});
   Sim sim(4, 1, &ledger, ToyPolicy{});
-  const auto actors = install(sim, nullptr);
+  const auto actors = install(sim, 4, nullptr);
   ScriptedAdversary adv(
       {0},
-      [](Round r, RoundApi<Msg>& api) {
+      [](Round r, NodeId, RoundApi<Msg>& api) {
         if (r != 0) return;
         api.multicast(Msg{1});
         api.multicast(Msg{2});
@@ -436,13 +446,13 @@ TEST(SharedInboxPinned, ErasedMulticastDeliveryVanishesForThatRecipientOnly) {
   sc.adversary = &adv;
   sim.configure(sc);
   const auto* byz = static_cast<const Script*>(sim.actor(0));
-  sim.run_rounds(2);
+  run_rounds(sim, 2);
   using Tags = std::vector<std::uint64_t>;
   EXPECT_EQ(byz->inboxes[1], (Tags{1, 2}));
   EXPECT_EQ(actors[1]->inboxes[1], (Tags{1}));
   EXPECT_EQ(actors[2]->inboxes[1], (Tags{2}));
   EXPECT_EQ(actors[3]->inboxes[1], (Tags{1, 2}));
-  EXPECT_EQ(sim.round_stats()[0].erasures, 2u);
+  EXPECT_EQ(sim.take_round_stats()[0].erasures, 2u);
 }
 
 TEST(SharedInboxPinned, SleeperWhoseOnlyDeliveryWasErasedStaysAsleep) {
@@ -453,10 +463,10 @@ TEST(SharedInboxPinned, SleeperWhoseOnlyDeliveryWasErasedStaysAsleep) {
   // node that would read it is own — so round 1 takes the O(1) path.
   CostLedger ledger({"toy"});
   Sim sim(3, 1, &ledger, ToyPolicy{});
-  const auto actors = install(sim, nullptr, /*wake_every=*/0);
+  const auto actors = install(sim, 3, nullptr, /*wake_every=*/0);
   ScriptedAdversary adv(
       {0},
-      [](Round r, RoundApi<Msg>& api) {
+      [](Round r, NodeId, RoundApi<Msg>& api) {
         if (r != 0) return;
         api.send(1, Msg{7});
         api.multicast(Msg{8});
@@ -465,14 +475,15 @@ TEST(SharedInboxPinned, SleeperWhoseOnlyDeliveryWasErasedStaysAsleep) {
   SimConfig<Msg> sc;
   sc.adversary = &adv;
   sim.configure(sc);
-  sim.run_rounds(4);
+  run_rounds(sim, 4);
   for (NodeId v = 1; v < 3; ++v) {
     EXPECT_EQ(actors[v]->ran, std::vector<Round>{0}) << "node " << v;
   }
-  ASSERT_EQ(sim.round_stats().size(), 4u);
-  EXPECT_EQ(sim.round_stats()[0].erasures, 4u);
+  const std::vector<RoundStats> stats = sim.take_round_stats();
+  ASSERT_EQ(stats.size(), 4u);
+  EXPECT_EQ(stats[0].erasures, 4u);
   for (Round r = 1; r < 4; ++r) {
-    EXPECT_EQ(sim.round_stats()[r].ns_total(), 0u) << "round " << r;
+    EXPECT_EQ(stats[r].ns_total(), 0u) << "round " << r;
   }
 }
 
@@ -482,10 +493,11 @@ TEST(SharedInboxPinned, AllMulticastRoundSharesOneInboxBuffer) {
   constexpr std::uint32_t kN = 7;
   CostLedger ledger({"toy"});
   Sim sim(kN, 1, &ledger, ToyPolicy{});
-  const auto actors = install(sim, [](Round r, RoundApi<Msg>& api) {
-    if (r == 0) api.multicast(Msg{api.self()});
-  });
-  sim.run_rounds(2);
+  const auto actors = install(
+      sim, kN, [](Round r, NodeId self, RoundApi<Msg>& api) {
+        if (r == 0) api.multicast(Msg{self});
+      });
+  run_rounds(sim, 2);
   const Delivery<Msg>* shared = actors[0]->data[1];
   ASSERT_NE(shared, nullptr);
   for (const Script* a : actors) {
@@ -587,7 +599,7 @@ void expect_valid_share_accepted(bool forged_first) {
   sc.adversary = &adv;
   sim.configure(sc);
   const RecordVerdicts::Stats before = RecordVerdicts::stats();
-  sim.run_rounds(2);
+  run_rounds(sim, 2);
   const RecordVerdicts::Stats after = RecordVerdicts::stats();
 
   // Both shares reached every honest node through the shared stream, so

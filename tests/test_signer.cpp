@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "text_bytes.hpp"
 
 namespace ambb {
 namespace {
 
-Digest d(const std::string& s) { return Sha256::hash(s); }
+Digest d(const std::string& s) { return Sha256::hash(text_bytes(s)); }
 
 TEST(Signer, SignVerifyRoundTrip) {
   KeyRegistry reg(8, 1);

@@ -67,7 +67,7 @@ TEST(Simulation, MessagesArriveNextRound) {
                          }
                        }));
   sim.set_actor(2, idle());
-  sim.run_rounds(3);
+  run_rounds(sim, 3);
   EXPECT_EQ(got_at_round, 1);
 }
 
@@ -83,7 +83,7 @@ TEST(Simulation, MulticastReachesAllAndSelfCopyIsFree) {
                            if (r == 1) deliveries += inbox.size();
                          }));
   }
-  sim.run_rounds(2);
+  run_rounds(sim, 2);
   EXPECT_EQ(deliveries, 4);  // all four nodes, including the sender itself
   // but only n-1 = 3 copies are charged
   EXPECT_EQ(ledger.honest_bits_total(), 300u);
@@ -111,7 +111,7 @@ TEST(Simulation, HonestBitsVsAdversaryBits) {
   sim.set_actor(1, idle());
   sim.set_actor(2, idle());
   bind(sim, &adv);
-  sim.run_rounds(2);
+  run_rounds(sim, 2);
   EXPECT_EQ(ledger.honest_bits_total(), 100u);
   EXPECT_EQ(ledger.adversary_bits_total(), 100u);
 }
@@ -129,7 +129,7 @@ TEST(Simulation, ByzantineActorsSeeRushedHonestTraffic) {
       return std::make_unique<ScriptActor>(
           [saw = saw_](Round, auto, const TrafficView<ToyMsg>& rushed,
                        auto&) {
-            if (!rushed.empty()) *saw = true;
+            if (rushed.size() > 0) *saw = true;
           });
     }
     bool* saw_;
@@ -141,7 +141,7 @@ TEST(Simulation, ByzantineActorsSeeRushedHonestTraffic) {
                        }));
   sim.set_actor(1, idle());
   bind(sim, &adv);
-  sim.run_rounds(1);
+  run_rounds(sim, 1);
   EXPECT_TRUE(saw_rushed);
 }
 
@@ -181,7 +181,7 @@ TEST(Simulation, AfterTheFactRemovalErasesAndRecharges) {
                        }));
   sim.set_actor(2, idle());
   bind(sim, &adv);
-  sim.run_rounds(2);
+  run_rounds(sim, 2);
   EXPECT_EQ(node1_deliveries, 0);
   EXPECT_EQ(ledger.honest_bits_total(), 0u);
   EXPECT_TRUE(sim.is_corrupt(0));
@@ -199,7 +199,7 @@ TEST(Simulation, ErasingHonestTrafficIsRejected) {
     }
     void observe_round(Round, const TrafficView<ToyMsg>& traffic,
                        CorruptionCtl<ToyMsg>& ctl) override {
-      if (!traffic.empty()) {
+      if (traffic.size() > 0) {
         // No corruption first: after-the-fact removal must be refused.
         EXPECT_THROW(ctl.erase(0), CheckError);
       }
@@ -212,7 +212,7 @@ TEST(Simulation, ErasingHonestTrafficIsRejected) {
                        }));
   sim.set_actor(1, idle());
   bind(sim, &adv);
-  sim.run_rounds(1);
+  run_rounds(sim, 1);
 }
 
 TEST(Simulation, CorruptionBudgetEnforced) {
@@ -234,8 +234,8 @@ TEST(Simulation, CorruptionBudgetEnforced) {
 
   for (NodeId v = 0; v < 3; ++v) sim.set_actor(v, idle());
   bind(sim, &adv);
-  sim.run_rounds(1);
-  EXPECT_EQ(sim.corrupt_count(), 1u);
+  run_rounds(sim, 1);
+  EXPECT_EQ(sim.corruption_budget_left(), 0u);
 }
 
 TEST(Simulation, InitialCorruptionsOverBudgetThrow) {
@@ -291,16 +291,20 @@ TEST(IdleRounds, EachSkippedRoundYieldsOneZeroStatsAndOneRoundEnd) {
   SimConfig<ToyMsg> sc;
   sc.trace = &sink;
   sim.configure(sc);
-  sim.run_rounds(25);
+  run_rounds(sim, 25);
 
   const std::vector<Round> busy = {0, 1, 10, 11, 20, 21};
   for (const Sleepy* a : actors) EXPECT_EQ(a->ran(), busy);
-  ASSERT_EQ(sim.round_stats().size(), 25u);
-  EXPECT_EQ(summarize(sim.round_stats()).rounds, 25u);
-  const auto ends = sink.of_kind(trace::EventKind::kRoundEnd);
+  const std::vector<RoundStats> stats = sim.take_round_stats();
+  ASSERT_EQ(stats.size(), 25u);
+  EXPECT_EQ(summarize(stats).rounds, 25u);
+  std::vector<trace::Event> ends;
+  for (const trace::Event& e : sink.events()) {
+    if (e.kind == trace::EventKind::kRoundEnd) ends.push_back(e);
+  }
   ASSERT_EQ(ends.size(), 25u);
   for (Round r = 0; r < 25; ++r) {
-    const RoundStats& st = sim.round_stats()[r];
+    const RoundStats& st = stats[r];
     EXPECT_EQ(st.round, r);
     EXPECT_EQ(ends[r].round, r);
     EXPECT_EQ(ends[r].stats.records, st.records);
@@ -335,7 +339,7 @@ TEST(IdleRounds, ScheduledCorruptionInsideASleepFiresOnTime) {
         return a;
       });
   bind(sim, &adv);
-  sim.run_rounds(30);
+  run_rounds(sim, 30);
 
   ASSERT_TRUE(sim.is_corrupt(1));
   ASSERT_NE(replacement, nullptr);
@@ -343,7 +347,7 @@ TEST(IdleRounds, ScheduledCorruptionInsideASleepFiresOnTime) {
   for (NodeId v : {0u, 2u}) {
     EXPECT_EQ(honest[v]->ran(), std::vector<Round>{0});
   }
-  const auto& stats = sim.round_stats();
+  const std::vector<RoundStats> stats = sim.take_round_stats();
   ASSERT_EQ(stats.size(), 30u);
   EXPECT_EQ(stats[14].corruptions, 1u);
   for (Round r = 1; r < 30; ++r) {
@@ -379,7 +383,7 @@ TEST(IdleRounds, DeferredBucketMaturingMidSleepWakesItsRecipient) {
     }
     void observe_round(Round r, const TrafficView<ToyMsg>& traffic,
                        CorruptionCtl<ToyMsg>& ctl) override {
-      if (r == 0 && !traffic.empty()) ctl.delay(0, 4);
+      if (r == 0 && traffic.size() > 0) ctl.delay(0, 4);
     }
     Round next_wake(Round) const override { return kNeverWake; }
   } adv;
@@ -387,11 +391,11 @@ TEST(IdleRounds, DeferredBucketMaturingMidSleepWakesItsRecipient) {
   sc.net = make_net_policy("bounded:4", 1);
   sc.adversary = &adv;
   sim.configure(sc);
-  sim.run_rounds(12);
+  run_rounds(sim, 12);
 
   EXPECT_EQ(recv->ran(), (std::vector<Round>{0, 5}));
   EXPECT_EQ(got, (std::vector<std::pair<Round, int>>{{5, 3}}));
-  const auto& stats = sim.round_stats();
+  const std::vector<RoundStats> stats = sim.take_round_stats();
   EXPECT_EQ(stats[0].delayed, 1u);
   for (Round r : {1u, 2u, 3u, 6u, 7u, 8u, 9u, 10u, 11u}) {
     EXPECT_TRUE(quiet(stats[r])) << "round " << r;
@@ -432,14 +436,14 @@ TEST(IdleRounds, DefaultWakeActorsAndAdversariesRunEveryRound) {
     std::vector<Round> observed;
   } adv;
   bind(sim, &adv);
-  sim.run_rounds(10);
+  run_rounds(sim, 10);
 
   const std::vector<Round> every = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   EXPECT_EQ(ran0, every);
   EXPECT_EQ(adv.observed, every);
   ASSERT_NE(adv.byz, nullptr);
   EXPECT_EQ(adv.byz->ran(), (std::vector<Round>{0, 5}));
-  for (const RoundStats& st : sim.round_stats()) {
+  for (const RoundStats& st : sim.take_round_stats()) {
     EXPECT_EQ(st.records, st.round == 5 ? 1u : 0u);
   }
 }

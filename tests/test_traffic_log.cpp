@@ -261,12 +261,13 @@ TEST(Simulation, EraseAtFanoutBoundariesRemovesExactlyOneDelivery) {
   // Fanout 4; erased {0, 3}; the free self-copy IS delivery 0 (already
   // erased, so no separate deduction). Charged copies: 4 - 2 = 2.
   EXPECT_EQ(ledger.adversary_bits_total(), 2u * 8u);
-  EXPECT_EQ(sim.round_stats()[0].erasures, 2u);
 
   sim.step();  // deliver: recipients 1 and 2 got it, 0 and 3 did not
-  // (Inbox contents are protocol-internal; the stats row already pinned
-  // the delivery count: 4 fanned out, 2 erased.)
-  EXPECT_EQ(sim.round_stats()[0].deliveries, 4u);
+  // (Inbox contents are protocol-internal; the stats row pins the
+  // delivery count: 4 fanned out, 2 erased.)
+  const std::vector<RoundStats> stats = sim.take_round_stats();
+  EXPECT_EQ(stats[0].erasures, 2u);
+  EXPECT_EQ(stats[0].deliveries, 4u);
 }
 
 /// Erasing one delivery in the middle of a group removes it for that
@@ -320,9 +321,10 @@ TEST(Simulation, EraseInTheMiddleOfAGroupChargesSizeMinusOne) {
 
   sim.step();
   EXPECT_EQ(ledger.adversary_bits_total(), 3u * 8u);
-  EXPECT_EQ(sim.round_stats()[0].records, 4u);  // once per recipient
-  EXPECT_EQ(sim.round_stats()[0].deliveries, 4u);
-  EXPECT_EQ(sim.round_stats()[0].erasures, 1u);
+  const std::vector<RoundStats> stats = sim.take_round_stats();
+  EXPECT_EQ(stats[0].records, 4u);  // once per recipient
+  EXPECT_EQ(stats[0].deliveries, 4u);
+  EXPECT_EQ(stats[0].erasures, 1u);
 
   sim.step();
   EXPECT_EQ(rec[1]->got, std::vector<int>{7});

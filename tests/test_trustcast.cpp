@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
+
+#include "trace/trace.hpp"
 
 namespace ambb::quad {
 namespace {
@@ -136,17 +139,28 @@ TEST(TrustCastEngine, SilentSenderRemovedEverywhere) {
   cfg.slots = 1;  // slot 1 sender = node 0 = corrupt silent
   cfg.seed = 1;
   cfg.adversary = "silent";
+  trace::CollectorSink sink;
+  cfg.trace = &sink;
   cfg.inspect = [&](Sim& sim) {
     for (NodeId u = 0; u < cfg.n; ++u) {
       if (sim.is_corrupt(u)) continue;
       auto* node = dynamic_cast<QuadNode*>(sim.actor(u));
       ASSERT_NE(node, nullptr);
       EXPECT_FALSE(node->engine().graph().has_vertex(0));
-      EXPECT_TRUE(node->voted_corrupt(0));
     }
   };
   auto r = run_quadratic(cfg);
   ASSERT_TRUE(check_all(r).empty());
+  // Every honest node votes the silent sender corrupt.
+  std::vector<bool> voted(cfg.n, false);
+  for (const trace::Event& e : sink.events()) {
+    if (e.kind == trace::EventKind::kCorruptVote && e.subject == 0) {
+      voted[e.node] = true;
+    }
+  }
+  for (NodeId u = cfg.f; u < cfg.n; ++u) {
+    EXPECT_TRUE(voted[u]) << "node " << u;
+  }
   // Everyone commits bot for the silent sender's slot.
   for (NodeId u = cfg.f; u < cfg.n; ++u) {
     EXPECT_EQ(r.commits.get(u, 1).value, kBotValue);

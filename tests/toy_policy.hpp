@@ -35,6 +35,12 @@ struct ToyPolicy {
 template <typename Msg>
 using ToySim = Simulation<Msg, ToyPolicy>;
 
+/// Steps `sim` through `rounds` rounds, as drive() does.
+template <typename Sim>
+void run_rounds(Sim& sim, std::uint64_t rounds) {
+  for (std::uint64_t i = 0; i < rounds; ++i) sim.step();
+}
+
 /// Actor that declares its own wake (idle-round elision, DESIGN.md §17):
 /// records every round it runs, runs `act` (may be empty) and answers
 /// next_wake with `wake(r)`.

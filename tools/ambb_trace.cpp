@@ -97,6 +97,15 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
   // sweep layer (engine/sweep.cpp). Applied after the loop so the flag
   // order does not matter.
   if (cli.params.payload_bytes != 0 && cli.protocol.rfind("ext:", 0) != 0) {
+    if (cli.params.payload_bytes > ambb::kMaxInlinePayloadBytes) {
+      std::fprintf(stderr,
+                   "ambb_trace: --payload %llu bytes overflows value-bits "
+                   "for a non-ext protocol (at most %llu)\n",
+                   static_cast<unsigned long long>(cli.params.payload_bytes),
+                   static_cast<unsigned long long>(
+                       ambb::kMaxInlinePayloadBytes));
+      return false;
+    }
     cli.params.value_bits =
         static_cast<std::uint32_t>(8 * cli.params.payload_bytes);
   }
