@@ -28,7 +28,9 @@
 # write one trace per job and exit zero, and two ambb_trace replays must
 # exit zero and print their cache lines (digest and MAC memo hits, misses
 # and evictions, then the per-record verdict hits and misses); the
-# Alg-5.2 replay must read non-zero verdict hits. The
+# Alg-4 replay's totals line must split its rounds into executed and
+# elided ones that add up, and the Alg-5.2 replay must read non-zero
+# verdict hits. The
 # JsonlSink-under-the-worker-pool case is additionally covered by the
 # TSan stage, because test_trace_determinism carries the engine label
 # too.
@@ -125,6 +127,16 @@ trace() {
     echo "ambb_trace printed no cache line" >&2
     exit 1
   }
+  # Every round is either executed (one RoundStats row) or elided.
+  local totals rounds executed elided
+  totals='^totals: .* over \([0-9]*\) rounds: \([0-9]*\) executed'
+  totals+=' ([0-9]* mail-only), \([0-9]*\) elided$'
+  read -r rounds executed elided \
+      < <(sed -n "s/$totals/\1 \2 \3/p" "$dir/replay.txt") || true
+  if [ -z "${elided:-}" ] || [ $((executed + elided)) -ne "$rounds" ]; then
+    echo "ambb_trace totals line missing or executed + elided != rounds" >&2
+    exit 1
+  fi
   # Alg-5.2 accusations and votes are multicasts: under lock-step their
   # recipients must share one verdict per record (DESIGN.md §19).
   build/tools/ambb_trace --protocol quadratic --adversary silent --n 16 \

@@ -346,8 +346,15 @@ RunResult run_extension(const ExtConfig& cfg) {
                                     : 0);
   }
   res.commits = std::move(commits);
-  res.round_stats.insert(res.round_stats.end(), base.round_stats.begin(),
-                         base.round_stats.end());
+  // The base phase's rows follow the dispersal phase's, renumbered into
+  // the merged run's rounds so they stay in round order.
+  const Round base_start = total_rounds - base.rounds;
+  res.round_stats.reserve(res.round_stats.size() + base.round_stats.size());
+  for (RoundStats st : base.round_stats) {
+    st.round += base_start;
+    res.round_stats.push_back(st);
+  }
+  res.elided_rounds += base.elided_rounds;
   return res;
 }
 

@@ -208,7 +208,6 @@ RunResult drive(const RunConfig& cfg, RunState& run,
   for (NodeId v = 0; v < cfg.n; ++v) sim.set_actor(v, fam.node(v));
   const Round total =
       Round{cfg.slots} * fam.rounds_per_slot + fam.drain_rounds;
-  sim.reserve_rounds(total);
   const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
   std::unique_ptr<Adversary<Msg>> adversary = select_adversary<Msg>(
       cfg, fam.adversary_salt, total, net,
@@ -259,6 +258,7 @@ RunResult drive(const RunConfig& cfg, RunState& run,
   res.per_kind_bits = run.ledger.per_kind();
   res.commits = run.commits;
   res.round_stats = sim.take_round_stats();
+  res.elided_rounds = sim.elided_rounds();
   res.corrupt.resize(cfg.n);
   for (NodeId v = 0; v < cfg.n; ++v) res.corrupt[v] = sim.is_corrupt(v);
   res.senders.resize(cfg.slots + 1, kNoNode);

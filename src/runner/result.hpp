@@ -16,7 +16,7 @@ struct RunResult {
   std::uint32_t n = 0;
   std::uint32_t f = 0;
   Slot slots = 0;           ///< number of slots L that were run
-  Round rounds = 0;         ///< lock-step rounds executed
+  Round rounds = 0;         ///< lock-step rounds run, elided ones included
 
   std::uint64_t honest_bits = 0;     ///< C(L, n, f): the paper's metric
   std::uint64_t adversary_bits = 0;  ///< bits sent by corrupt nodes (context)
@@ -31,11 +31,19 @@ struct RunResult {
   std::vector<NodeId> senders;         ///< sender of each slot, [0] unused
   std::vector<Value> sender_inputs;    ///< honest sender's input per slot
 
-  /// One entry per executed round (see sim/stats.hpp).
+  /// One entry per executed round, in round order (see sim/stats.hpp).
   std::vector<RoundStats> round_stats;
+  /// Rounds elided as quiescent (DESIGN.md §17): they have no entry in
+  /// round_stats, so round_stats.size() + elided_rounds == rounds.
+  std::uint64_t elided_rounds = 0;
 
-  /// Aggregate of round_stats (all zeros if the driver did not fill it).
-  RoundStatsSummary stats_summary() const { return summarize(round_stats); }
+  /// Aggregate of round_stats (all zeros if the driver did not fill it);
+  /// its `rounds` also counts the elided rounds, which add nothing else.
+  RoundStatsSummary stats_summary() const {
+    RoundStatsSummary s = summarize(round_stats);
+    s.rounds += elided_rounds;
+    return s;
+  }
 
   /// Average honest bits per slot over the first `upto` slots (all if 0).
   /// Quiet NaN for a zero-slot run; JSON writers render it as null

@@ -48,9 +48,10 @@
 // the simulator asks the actor/adversary for its next_wake() and skips
 // it until then unless it has mail (or, for Byzantine actors and the
 // adversary, the round carries traffic). A round in which nothing is
-// due takes an O(1) path that still records a zero-filled RoundStats
-// and a kRoundEnd, so every output stays byte-identical. The default
-// wake is r + 1: families that do not opt in run every round.
+// due takes an O(1) path: it keeps no RoundStats row, only counts the
+// round as elided, and still emits a zero-stats kRoundEnd, so every trace
+// stays byte-identical. The default wake is r + 1: families that do not
+// opt in run every round.
 #pragma once
 
 #include <algorithm>
@@ -523,17 +524,15 @@ class Simulation final : CorruptionCtl<Msg> {
     return f_ - corrupt_count_;
   }
 
-  /// Hand the per-round stats (one per executed round) over and keep
-  /// none: the run is over, and one copy of a long run's rows is enough.
+  /// Hand the per-round stats (one per executed round, in round order)
+  /// over and keep none: the run is over, and one copy of a long run's
+  /// rows is enough.
   std::vector<RoundStats> take_round_stats() {
     return std::exchange(round_stats_, {});
   }
 
-  /// Pre-size the per-round stats buffer; drivers that know the total
-  /// round count call this so steady-state rounds never regrow it.
-  void reserve_rounds(std::uint64_t rounds) {
-    round_stats_.reserve(static_cast<std::size_t>(rounds));
-  }
+  /// Rounds that took the O(1) quiescent path and so have no row.
+  std::uint64_t elided_rounds() const { return elided_rounds_; }
 
   /// Heap bytes held by the per-round traffic buffers: both round logs,
   /// the shared stream, the own-inbox buffer and the timing path's
@@ -550,7 +549,8 @@ class Simulation final : CorruptionCtl<Msg> {
   void step() {
     if (quiescent()) {
       // The O(1) path: what a full step produces when nobody runs — zero
-      // counters, zero ns_*.
+      // counters, zero ns_* — is only counted, not stored.
+      ++elided_rounds_;
       RoundStats st;
       st.round = round_;
       finish_round(st);
@@ -814,6 +814,7 @@ class Simulation final : CorruptionCtl<Msg> {
     st.ns_accounting = ns(t3, t4);
     st.ns_delivery = ns(t4, t5);
     min_wake_ = *std::min_element(wake_.begin(), wake_.end());
+    round_stats_.push_back(st);
     finish_round(st);
   }
 
@@ -827,8 +828,9 @@ class Simulation final : CorruptionCtl<Msg> {
            (pending_.empty() || pending_.begin()->first != round_ + 1);
   }
 
+  /// Emits the round's kRoundEnd and advances. Only an executed round
+  /// stores its row (step() pushes it); an elided one is only counted.
   void finish_round(const RoundStats& st) {
-    round_stats_.push_back(st);
     {
       trace::Event ev;
       ev.kind = trace::EventKind::kRoundEnd;
@@ -1027,6 +1029,7 @@ class Simulation final : CorruptionCtl<Msg> {
   NetPolicy net_;
   bool configured_ = false;
   std::vector<RoundStats> round_stats_;
+  std::uint64_t elided_rounds_ = 0;
   trace::TraceSink* trace_ = nullptr;
 };
 

@@ -40,7 +40,8 @@ struct RoundStats {
   std::uint64_t delayed = 0;
 
   /// Wall-clock per phase of Simulation::step(), nanoseconds. A round
-  /// elided as quiescent (DESIGN.md §17) runs no phase and reports 0.
+  /// elided as quiescent (DESIGN.md §17) runs no phase and keeps no row;
+  /// only its kRoundEnd event carries a zero-filled RoundStats.
   std::uint64_t ns_honest = 0;      ///< step 1: honest actors
   std::uint64_t ns_byzantine = 0;   ///< step 2: rushing Byzantine actors
   std::uint64_t ns_adversary = 0;   ///< step 3: observe_round

@@ -148,17 +148,14 @@ struct Outcome {
   std::vector<std::uint64_t> per_kind;
   std::vector<std::tuple<bool, Value, Round>> commits;
   std::vector<bool> corrupt;
-  std::vector<RoundStats> rounds;
+  std::vector<RoundStats> rounds;  ///< executed rounds only
+  std::uint64_t elided_rounds = 0;
   std::string jsonl;
   std::size_t traffic_bytes = 0;
 
-  /// Rounds that took the simulator's O(1) quiescent path, the only one
-  /// that reports zero ns_*.
-  std::uint64_t constant_time_rounds() const {
-    std::uint64_t c = 0;
-    for (const RoundStats& st : rounds) c += st.ns_total() == 0 ? 1 : 0;
-    return c;
-  }
+  /// Rounds that took the simulator's O(1) quiescent path, which keeps
+  /// no row and only counts them.
+  std::uint64_t constant_time_rounds() const { return elided_rounds; }
 };
 
 /// The commit log of `slots` slots x `n` nodes, absent entries included.
@@ -193,11 +190,21 @@ inline Outcome production_outcome(const std::string& proto,
   o.commits = commit_rows(r.commits, r.n, r.slots);
   for (std::uint8_t c : r.corrupt) o.corrupt.push_back(c != 0);
   o.rounds = r.round_stats;
+  o.elided_rounds = r.elided_rounds;
   o.jsonl = jsonl.str();
   return o;
 }
 
-/// Equal on every measured bit; RoundStats compared without ns_*.
+/// The non-timing fields of a RoundStats row.
+inline auto counters(const RoundStats& s) {
+  return std::make_tuple(s.round, s.records, s.deliveries, s.honest_bits,
+                         s.adversary_bits, s.erasures, s.corruptions,
+                         s.delayed);
+}
+
+/// Equal on every measured bit; RoundStats compared without ns_*. Rows
+/// are matched by round: a round `got` elided has no row there, and the
+/// reference's row for it must be all zero.
 inline void expect_same(const Outcome& got, const Outcome& ref) {
   EXPECT_EQ(got.honest_bits, ref.honest_bits);
   EXPECT_EQ(got.adversary_bits, ref.adversary_bits);
@@ -205,18 +212,22 @@ inline void expect_same(const Outcome& got, const Outcome& ref) {
   EXPECT_EQ(got.per_kind, ref.per_kind);
   EXPECT_EQ(got.commits, ref.commits);
   EXPECT_EQ(got.corrupt, ref.corrupt);
-  ASSERT_EQ(got.rounds.size(), ref.rounds.size());
-  for (std::size_t i = 0; i < ref.rounds.size(); ++i) {
-    const RoundStats& a = got.rounds[i];
-    const RoundStats& b = ref.rounds[i];
-    ASSERT_EQ(std::make_tuple(a.round, a.records, a.deliveries,
-                              a.honest_bits, a.adversary_bits, a.erasures,
-                              a.corruptions, a.delayed),
-              std::make_tuple(b.round, b.records, b.deliveries,
-                              b.honest_bits, b.adversary_bits, b.erasures,
-                              b.corruptions, b.delayed))
-        << "RoundStats differ in round " << i;
+  EXPECT_EQ(got.rounds.size() + got.elided_rounds,
+            ref.rounds.size() + ref.elided_rounds);
+  std::size_t i = 0;
+  for (const RoundStats& b : ref.rounds) {
+    if (i < got.rounds.size() && got.rounds[i].round == b.round) {
+      ASSERT_EQ(counters(got.rounds[i++]), counters(b))
+          << "RoundStats differ in round " << b.round;
+      continue;
+    }
+    RoundStats zero;
+    zero.round = b.round;
+    ASSERT_EQ(counters(b), counters(zero))
+        << "round " << b.round << " was elided but did something";
   }
+  ASSERT_EQ(i, got.rounds.size())
+      << "round " << got.rounds[i].round << " has no reference row";
   EXPECT_TRUE(got.jsonl == ref.jsonl) << "JSONL traces differ";
   EXPECT_EQ(got.traffic_bytes, ref.traffic_bytes);
 }

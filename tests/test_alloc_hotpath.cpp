@@ -4,11 +4,13 @@
 // operator new/delete are replaced with counting hooks and a
 // full multi-shot run is stepped with a per-round observer: once the
 // warmup slots have grown every traffic log, inbox buffer and reserved
-// container to its high-water mark, each remaining round must perform
-// ZERO heap allocations. This is the enforcement side of the cleared,
-// never freed round buffers — a regression that sneaks a std::vector
-// rebuild or a node-based container back into the round loop fails
-// here, not in a profiler three PRs later.
+// container to its high-water mark, each round of a steady window must
+// perform ZERO heap allocations. The RoundStats row vector grows with
+// the executed rounds, so that window lies between two of its
+// doublings. This is the enforcement side of the cleared, never freed
+// round buffers — a regression that sneaks a std::vector rebuild or a
+// node-based container back into the round loop fails here, not in a
+// profiler three PRs later.
 //
 // The hooks count every allocation in the process, so the test avoids
 // allocating in its own observer (the sample buffer is pre-reserved).
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -96,20 +99,24 @@ TEST(AllocHotPath, SteadyStateAlg4RoundsAllocateNothing) {
   cfg.eps = 0.2;
   cfg.adversary = "none";
 
-  // Absolute counter samples, one per round; pre-reserved so recording
-  // them is itself allocation-free.
+  // Absolute counter samples and stored RoundStats rows, one per round;
+  // pre-reserved so recording them is itself allocation-free.
   const std::uint64_t total_rounds =
       std::uint64_t{cfg.slots} * linear::Schedule{cfg.f}.rounds_per_slot();
-  std::vector<std::uint64_t> samples;
+  std::vector<std::uint64_t> samples, rows;
   samples.reserve(static_cast<std::size_t>(total_rounds) + 1);
-  cfg.on_round_end = [&samples](Round, linear::Sim&) {
+  rows.reserve(static_cast<std::size_t>(total_rounds) + 1);
+  cfg.on_round_end = [&samples, &rows](Round r, linear::Sim& sim) {
     samples.push_back(g_allocs.load(std::memory_order_relaxed));
+    rows.push_back(r + 1 - sim.elided_rounds());
   };
 
   samples.push_back(g_allocs.load(std::memory_order_relaxed));
+  rows.push_back(0);
   const RunResult r = run_linear(cfg);
   ASSERT_EQ(samples.size(), static_cast<std::size_t>(total_rounds) + 1);
   ASSERT_EQ(r.rounds, total_rounds);
+  ASSERT_EQ(rows.back(), r.round_stats.size());
 
   // Warmup: the first two slots grow every buffer to high water (slot 1
   // populates everything once; slot 2 covers paths that only allocate on
@@ -117,8 +124,26 @@ TEST(AllocHotPath, SteadyStateAlg4RoundsAllocateNothing) {
   const std::uint64_t rounds_per_slot = total_rounds / cfg.slots;
   const std::size_t warmup = static_cast<std::size_t>(2 * rounds_per_slot);
 
+  // The RoundStats row vector still grows after warmup: only executed
+  // rounds store a row, so nothing can size it up front. libstdc++
+  // doubles it when a push finds it full, i.e. when it holds a power of
+  // two rows. Measure the steady window between two such doublings:
+  // from the round after the first doubling past warmup up to the
+  // round before the next one (or the end of the run). It must span
+  // at least one whole slot, so every round of the slot is measured.
+  const auto regrows = [&rows](std::size_t i) {
+    return rows[i + 1] > rows[i] && std::has_single_bit(rows[i]);
+  };
+  std::size_t begin = warmup;
+  while (begin + 1 < samples.size() && !regrows(begin)) ++begin;
+  ++begin;
+  std::size_t end = begin;
+  while (end + 1 < samples.size() && !regrows(end)) ++end;
+  ASSERT_GE(end - begin, rounds_per_slot)
+      << "steady window [" << begin << ", " << end << ") is under a slot";
+
   std::uint64_t steady_allocs = 0;
-  for (std::size_t i = warmup; i + 1 < samples.size(); ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     const std::uint64_t delta = samples[i + 1] - samples[i];
     EXPECT_EQ(delta, 0u) << "round " << i << " performed " << delta
                          << " heap allocations in steady state";
@@ -197,11 +222,14 @@ std::vector<Multicaster*> all_multicast(ToySim<CastMsg>& sim,
 }
 
 TEST(AllocHotPath, AllMulticastRoundsAllocateNothing) {
-  constexpr std::uint32_t kWarmup = 4, kRounds = 32;
+  // Each executed round appends one RoundStats row, and nothing reserves
+  // the rows up front. libstdc++ doubles the row vector's capacity as it
+  // grows, so after 33 warm-up rounds it holds 64 and the 31 measured
+  // rounds fill it without regrowing it.
+  constexpr std::uint32_t kWarmup = 33, kRounds = 31;
   CostLedger ledger({"toy"});
   ToySim<CastMsg> sim(16, 5, &ledger, ToyPolicy{});
   const auto actors = all_multicast(sim, 16, 3);
-  sim.reserve_rounds(kWarmup + kRounds);
   run_rounds(sim, kWarmup);
   for (std::uint32_t i = 0; i < kRounds; ++i) {
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);

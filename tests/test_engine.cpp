@@ -107,6 +107,7 @@ void expect_identical(const RunResult& a, const RunResult& b) {
     }
   }
 
+  EXPECT_EQ(a.elided_rounds, b.elided_rounds);
   ASSERT_EQ(a.round_stats.size(), b.round_stats.size());
   for (std::size_t i = 0; i < a.round_stats.size(); ++i) {
     const RoundStats& ra = a.round_stats[i];

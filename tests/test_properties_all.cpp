@@ -1,7 +1,8 @@
 // Registry-driven sweep: every protocol x every supported adversary x
 // several seeds must satisfy Definition 2 (consistency, termination,
 // validity) — except the documented HotStuff/selective liveness failure,
-// which must fail termination and nothing else.
+// which must fail termination and nothing else — and keep one RoundStats
+// row per executed round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,20 @@ std::vector<Param> all_params() {
 
 class AllProtocols : public ::testing::TestWithParam<Param> {};
 
+/// A run keeps one RoundStats row per executed round, in strictly
+/// increasing round order, and counts the elided rest (DESIGN.md §17).
+void expect_rows_cover_rounds(const RunResult& r) {
+  EXPECT_EQ(r.round_stats.size() + r.elided_rounds, r.rounds);
+  EXPECT_EQ(r.stats_summary().rounds, r.rounds);
+  for (std::size_t i = 0; i < r.round_stats.size(); ++i) {
+    EXPECT_LT(r.round_stats[i].round, r.rounds);
+    if (i > 0) {
+      EXPECT_GT(r.round_stats[i].round, r.round_stats[i - 1].round)
+          << "row " << i;
+    }
+  }
+}
+
 TEST_P(AllProtocols, Definition2Properties) {
   const auto& [name, adv, seed] = GetParam();
   const ProtocolInfo& info = protocol(name);
@@ -43,6 +58,7 @@ TEST_P(AllProtocols, Definition2Properties) {
 
   EXPECT_EQ(check_consistency(r), std::vector<std::string>{});
   EXPECT_EQ(check_validity(r), std::vector<std::string>{});
+  expect_rows_cover_rounds(r);
 
   if (!info.policy.may_stall(adv)) {
     EXPECT_EQ(check_termination(r), std::vector<std::string>{});

@@ -267,16 +267,28 @@ std::unique_ptr<Sleepy> periodic(Round period, Sleepy::Act act = nullptr) {
       std::move(act));
 }
 
-bool quiet(const RoundStats& st) {
-  return st.records == 0 && st.deliveries == 0 && st.honest_bits == 0 &&
-         st.adversary_bits == 0 && st.erasures == 0 && st.corruptions == 0 &&
-         st.delayed == 0 && st.ns_total() == 0;
+/// The rounds that have a RoundStats row, i.e. that were not elided.
+std::vector<Round> rows_of(const std::vector<RoundStats>& stats) {
+  std::vector<Round> out;
+  for (const RoundStats& st : stats) out.push_back(st.round);
+  return out;
 }
 
-TEST(IdleRounds, EachSkippedRoundYieldsOneZeroStatsAndOneRoundEnd) {
+/// The row of round r; fails the test if r has none.
+const RoundStats& row(const std::vector<RoundStats>& stats, Round r) {
+  for (const RoundStats& st : stats) {
+    if (st.round == r) return st;
+  }
+  ADD_FAILURE() << "round " << r << " has no row";
+  static const RoundStats none;
+  return none;
+}
+
+TEST(IdleRounds, EachSkippedRoundYieldsNoRowOneRoundEndAndOneElidedRound) {
   // Node 0 multicasts every 10th round; everyone wakes for the mail the
   // round after and then sleeps until the next multiple of 10. Rounds
-  // 2-9, 12-19 and 22-24 have nothing due and take the O(1) path.
+  // 2-9, 12-19 and 22-24 have nothing due and take the O(1) path: no
+  // row, one zero-stats kRoundEnd and one more elided round each.
   CostLedger ledger({"toy"});
   ToySim<ToyMsg> sim(3, 1, &ledger, ToyPolicy{});
   std::vector<Sleepy*> actors;
@@ -296,21 +308,25 @@ TEST(IdleRounds, EachSkippedRoundYieldsOneZeroStatsAndOneRoundEnd) {
   const std::vector<Round> busy = {0, 1, 10, 11, 20, 21};
   for (const Sleepy* a : actors) EXPECT_EQ(a->ran(), busy);
   const std::vector<RoundStats> stats = sim.take_round_stats();
-  ASSERT_EQ(stats.size(), 25u);
-  EXPECT_EQ(summarize(stats).rounds, 25u);
+  EXPECT_EQ(rows_of(stats), busy);
+  EXPECT_EQ(summarize(stats).rounds, busy.size());
+  EXPECT_EQ(sim.elided_rounds(), 25u - busy.size());
   std::vector<trace::Event> ends;
   for (const trace::Event& e : sink.events()) {
     if (e.kind == trace::EventKind::kRoundEnd) ends.push_back(e);
   }
   ASSERT_EQ(ends.size(), 25u);
   for (Round r = 0; r < 25; ++r) {
-    const RoundStats& st = stats[r];
-    EXPECT_EQ(st.round, r);
     EXPECT_EQ(ends[r].round, r);
-    EXPECT_EQ(ends[r].stats.records, st.records);
     if (r % 10 >= 2) {
-      EXPECT_TRUE(quiet(st)) << "round " << r;
+      EXPECT_EQ(ends[r].stats.round, r);
+      EXPECT_EQ(ends[r].stats.records, 0u) << "round " << r;
+      EXPECT_EQ(ends[r].stats.deliveries, 0u) << "round " << r;
+      EXPECT_EQ(ends[r].stats.ns_total(), 0u) << "round " << r;
+      continue;
     }
+    const RoundStats& st = row(stats, r);
+    EXPECT_EQ(ends[r].stats.records, st.records);
     EXPECT_EQ(st.deliveries, r % 10 == 0 ? 3u : 0u) << "round " << r;
   }
   EXPECT_EQ(ledger.honest_bits_total(), 3u * 2 * 100);
@@ -348,12 +364,9 @@ TEST(IdleRounds, ScheduledCorruptionInsideASleepFiresOnTime) {
     EXPECT_EQ(honest[v]->ran(), std::vector<Round>{0});
   }
   const std::vector<RoundStats> stats = sim.take_round_stats();
-  ASSERT_EQ(stats.size(), 30u);
-  EXPECT_EQ(stats[14].corruptions, 1u);
-  for (Round r = 1; r < 30; ++r) {
-    if (r == 14 || r == 15) continue;
-    EXPECT_TRUE(quiet(stats[r])) << "round " << r;
-  }
+  EXPECT_EQ(rows_of(stats), (std::vector<Round>{0, 14, 15}));
+  EXPECT_EQ(sim.elided_rounds(), 27u);
+  EXPECT_EQ(row(stats, 14).corruptions, 1u);
 }
 
 TEST(IdleRounds, DeferredBucketMaturingMidSleepWakesItsRecipient) {
@@ -396,10 +409,11 @@ TEST(IdleRounds, DeferredBucketMaturingMidSleepWakesItsRecipient) {
   EXPECT_EQ(recv->ran(), (std::vector<Round>{0, 5}));
   EXPECT_EQ(got, (std::vector<std::pair<Round, int>>{{5, 3}}));
   const std::vector<RoundStats> stats = sim.take_round_stats();
-  EXPECT_EQ(stats[0].delayed, 1u);
-  for (Round r : {1u, 2u, 3u, 6u, 7u, 8u, 9u, 10u, 11u}) {
-    EXPECT_TRUE(quiet(stats[r])) << "round " << r;
-  }
+  EXPECT_EQ(row(stats, 0).delayed, 1u);
+  // Rounds 1-3 and 6-11 are elided; round 4 stages the bucket and round
+  // 5 delivers it.
+  EXPECT_EQ(rows_of(stats), (std::vector<Round>{0, 4, 5}));
+  EXPECT_EQ(sim.elided_rounds(), 9u);
 }
 
 TEST(IdleRounds, DefaultWakeActorsAndAdversariesRunEveryRound) {
@@ -443,7 +457,10 @@ TEST(IdleRounds, DefaultWakeActorsAndAdversariesRunEveryRound) {
   EXPECT_EQ(adv.observed, every);
   ASSERT_NE(adv.byz, nullptr);
   EXPECT_EQ(adv.byz->ran(), (std::vector<Round>{0, 5}));
-  for (const RoundStats& st : sim.take_round_stats()) {
+  const std::vector<RoundStats> stats = sim.take_round_stats();
+  EXPECT_EQ(rows_of(stats), every);
+  EXPECT_EQ(sim.elided_rounds(), 0u);
+  for (const RoundStats& st : stats) {
     EXPECT_EQ(st.records, st.round == 5 ? 1u : 0u);
   }
 }

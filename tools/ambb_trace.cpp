@@ -372,10 +372,19 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // Executed rounds have a RoundStats row, and the mail-only ones among
+  // them ran but sent no record; elided rounds took the O(1) quiescent
+  // path and have no row (DESIGN.md §17).
+  const std::size_t mail_only = static_cast<std::size_t>(
+      std::count_if(r.round_stats.begin(), r.round_stats.end(),
+                    [](const RoundStats& st) { return st.records == 0; }));
   std::printf("\ntotals: %zu accusations, %zu trust-edge removals, "
-              "%zu corrupt votes, %zu adversary actions over %llu rounds\n",
+              "%zu corrupt votes, %zu adversary actions over %llu rounds: "
+              "%zu executed (%zu mail-only), %llu elided\n",
               acc, edges, votes, adv,
-              static_cast<unsigned long long>(r.rounds));
+              static_cast<unsigned long long>(r.rounds),
+              r.round_stats.size(), mail_only,
+              static_cast<unsigned long long>(r.elided_rounds));
   std::printf("caches: ");
   print_memo("digest", digest_before, digest_after);
   std::printf("; ");
