@@ -137,14 +137,19 @@ trace() {
     echo "ambb_trace totals line missing or executed + elided != rounds" >&2
     exit 1
   fi
-  # Alg-5.2 accusations and votes are multicasts: under lock-step their
-  # recipients must share one verdict per record (DESIGN.md §19).
+  # Alg-4's accusations, proposals, certificates and commit- and
+  # corrupt-proofs, and Alg-5.2's accusations and votes, are multicasts or
+  # group forwards: under lock-step their recipients must share one
+  # verdict per record (DESIGN.md §19, §22), so both replays need hits.
   build/tools/ambb_trace --protocol quadratic --adversary silent --n 16 \
       --f 8 --slots 8 > "$dir/replay_quad.txt"
-  grep -q '^caches: .*; verdict [1-9][0-9]* hits' "$dir/replay_quad.txt" || {
-    echo "ambb_trace quadratic replay shows no per-record verdict hits" >&2
-    exit 1
-  }
+  local replay
+  for replay in replay replay_quad; do
+    grep -q '^caches: .*; verdict [1-9][0-9]* hits' "$dir/$replay.txt" || {
+      echo "ambb_trace $replay shows no per-record verdict hits" >&2
+      exit 1
+    }
+  done
   rm -rf "$dir"
 }
 

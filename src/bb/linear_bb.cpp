@@ -88,11 +88,14 @@ std::uint64_t CostPolicy::size_bits(const Msg& m) const {
 // (tag, canonical bytes) pair. Digest values are bit-identical to hashing
 // the canonical bytes directly (the tag only keys the cache).
 //
-// On top of the shared cache, the two hottest helpers keep a one-entry
-// last-arguments memo: all n recipients of a multicast re-derive the same
-// digest back to back, so consecutive calls repeat arguments almost
-// always, and the memo answers them with three integer compares instead
-// of an encode + cache probe. Purely an observer of a pure function.
+// On top of the shared cache, each helper keeps a one-entry
+// last-arguments memo: the leader's checks of the shares it collects, and
+// every check the record verdicts do not cover (Collect certificates,
+// timing-path deliveries), repeat arguments back to back, and the memo
+// answers them with a few compares instead of an encode + cache probe.
+// The memos are load-bearing: without those of vote_digest, commit_digest
+// and prop_digest alg4-lockstep ran 1,923 -> 1,648 slots/s on a 4-core
+// Xeon (DESIGN.md §14). Purely an observer of a pure function.
 
 Digest vote_digest(Slot k, Epoch i, Value m) {
   struct Memo { Slot k; Epoch i; Value m; Digest d; bool set; };
@@ -122,13 +125,19 @@ Digest commit_digest(Slot k, Epoch i, Value m) {
   return memo.d;
 }
 
-// Off the hot path: make_context tabulates it once per target and run.
+// On the timing path every recipient of an accusation derives this digest
+// (no record id, so no shared verdict), and accusations of one target
+// arrive in bursts, so the memo answers most calls (DESIGN.md §14).
 Digest accuse_digest(NodeId accused) {
+  struct Memo { NodeId t; Digest d; bool set; };
+  thread_local Memo memo{0, {}, false};
+  if (memo.set && memo.t == accused) return memo.d;
   Encoder& e = Encoder::scratch();
   e.reserve(16);
   e.put_tag("accuse");
   e.put_u32(accused);
-  return DigestCache::local().hash("accuse", e.view());
+  memo = Memo{accused, DigestCache::local().hash("accuse", e.view()), true};
+  return memo.d;
 }
 
 Digest prop_digest(const Msg& prop) {
@@ -277,13 +286,11 @@ void LinearNode::reset_epoch(Epoch i) {
 
 void LinearNode::note_cert(Slot k, Epoch j, Value v,
                            const ThresholdSig& cert) {
-  if (k != cur_slot_) return;
-  if (!have_freshest_ || j > freshest_epoch_) {
-    have_freshest_ = true;
-    freshest_epoch_ = j;
-    freshest_value_ = v;
-    freshest_cert_ = cert;
-  }
+  if (k != cur_slot_ || !fresher(j)) return;
+  have_freshest_ = true;
+  freshest_epoch_ = j;
+  freshest_value_ = v;
+  freshest_cert_ = cert;
 }
 
 namespace {
@@ -320,7 +327,6 @@ void LinearNode::relay_held_proof(NodeId convicted, RoundApi<Msg>& api) {
 void LinearNode::maybe_commit(Slot k, Epoch j, Value v,
                               const ThresholdSig& proof, Round r,
                               RoundApi<Msg>& api) {
-  if (!ctx_->th->verify(proof, commit_digest(k, j, v))) return;
   if (k == cur_slot_) {
     // Hold the proof for responding to queries and (*4) forwarding even
     // if this node committed earlier in the slot.
@@ -376,7 +382,7 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
   // forwards that reach the accused repeat an accusation it already saw.
   if (accuse_seen_[accuser].get(target)) return;
   const bool valid = ctx_->verdicts.get(round_, env.record, [&] {
-    return ctx_->th->verify_share(m.share, ctx_->accuse_digest_of(target));
+    return ctx_->th->verify_share(m.share, accuse_digest(target));
   });
   if (!valid) return;
   accuse_seen_[accuser].set(target);
@@ -400,7 +406,7 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
     if (accuse_shares_[target].size() >= ctx_->n - ctx_->f) {
       corrupt_proof_sig_[target] = ctx_->th->combine(
           std::span<const SigShare>(accuse_shares_[target]),
-          ctx_->accuse_digest_of(target));
+          accuse_digest(target));
       corrupt_proof_have_[target] = 1;
       accuse_shares_[target].clear();
       accuse_shares_[target].shrink_to_fit();
@@ -453,6 +459,16 @@ bool LinearNode::cert_verifies(const Delivery<Msg>& env) const {
   });
 }
 
+bool LinearNode::proof_verifies(const Delivery<Msg>& env) const {
+  const Msg& m = env.msg();
+  return ctx_->verdicts.get(round_, env.record, [&] {
+    return ctx_->th->verify(
+        m.proof, m.kind == Kind::kCommitProof
+                     ? commit_digest(m.slot, m.proof_epoch, m.value)
+                     : accuse_digest(m.accused));
+  });
+}
+
 void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
                                RoundApi<Msg>& api) {
   if (fresh_dirty_) {
@@ -470,9 +486,7 @@ void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
       case Kind::kCorruptProof: {
         if (m.accused >= ctx_->n) break;
         if (corrupt_proof_have_[m.accused]) break;
-        if (!ctx_->th->verify(m.proof, ctx_->accuse_digest_of(m.accused))) {
-          break;
-        }
+        if (!proof_verifies(env)) break;
         corrupt_proof_have_[m.accused] = 1;
         corrupt_proof_sent_[m.accused] = 1;  // aggregate already public
         corrupt_proof_sig_[m.accused] = m.proof;
@@ -480,21 +494,28 @@ void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
         break;
       }
       case Kind::kCommitProof:
-        maybe_commit(m.slot, m.proof_epoch, m.value, m.proof, r, api);
+        if (proof_verifies(env)) {
+          maybe_commit(m.slot, m.proof_epoch, m.value, m.proof, r, api);
+        }
         break;
+      // A certificate no fresher than the one held, on a forward of a value
+      // this epoch already saw or on its own, changes nothing whether or
+      // not it verifies, so it is dropped before the check: most forwards
+      // and certificates repeat what the node holds.
       case Kind::kCollect:
-        if (m.has_cert && m.slot == cur_slot_ &&
+        if (m.has_cert && m.slot == cur_slot_ && fresher(m.cert_epoch) &&
             ctx_->th->verify(m.cert,
                              vote_digest(m.slot, m.cert_epoch, m.value))) {
           note_cert(m.slot, m.cert_epoch, m.value, m.cert);
         }
         break;
       case Kind::kPropForward: {
+        const bool known =
+            std::find(prop_values_seen_.begin(), prop_values_seen_.end(),
+                      m.value) != prop_values_seen_.end();
+        if (known && !(m.has_cert && fresher(m.cert_epoch))) break;
         if (validate_proposal(env)) {
-          if (std::find(prop_values_seen_.begin(), prop_values_seen_.end(),
-                        m.value) == prop_values_seen_.end()) {
-            prop_values_seen_.push_back(m.value);
-          }
+          if (!known) prop_values_seen_.push_back(m.value);
           if (prop_values_seen_.size() >= 2) equivocation_ = true;
           if (m.has_cert) note_cert(m.slot, m.cert_epoch, m.value, m.cert);
         }
@@ -502,7 +523,7 @@ void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
       }
       case Kind::kCert:
       case Kind::kCertForward:
-        if (m.slot == cur_slot_ && cert_verifies(env)) {
+        if (m.slot == cur_slot_ && fresher(m.epoch) && cert_verifies(env)) {
           note_cert(m.slot, m.epoch, m.value, m.cert);
         }
         break;
@@ -638,7 +659,7 @@ void LinearNode::issue_accuse(NodeId v, RoundApi<Msg>& api) {
   m.kind = Kind::kAccuse;
   m.slot = cur_slot_;
   m.accused = v;
-  m.share = ctx_->th->share(id_, ctx_->accuse_digest_of(v));
+  m.share = ctx_->th->share(id_, accuse_digest(v));
   // Record our own accusation immediately: helper selection in the same
   // round must already exclude nodes we just accused.
   if (!accuse_seen_[id_].get(v)) {
@@ -1019,12 +1040,8 @@ Context make_context(const RunConfig& cfg, RunState& run, const Options& opts,
   ctx.input_for_slot = run.input_for_slot;
   ctx.sender_of = run.sender_of;
   ctx.trace = cfg.trace;
-  ctx.accuse_digests.reserve(cfg.n);
   ctx.nodes.reserve(cfg.n);
-  for (NodeId t = 0; t < cfg.n; ++t) {
-    ctx.accuse_digests.push_back(accuse_digest(t));
-    ctx.nodes.push_back(t);
-  }
+  for (NodeId t = 0; t < cfg.n; ++t) ctx.nodes.push_back(t);
   return ctx;
 }
 

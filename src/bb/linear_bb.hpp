@@ -62,7 +62,6 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
-#include "common/check.hpp"
 #include "common/types.hpp"
 #include "common/wire.hpp"
 #include "crypto/signer.hpp"
@@ -191,29 +190,22 @@ struct Context {
   std::function<Value(Slot)> input_for_slot;
   std::function<NodeId(Slot)> sender_of;
   trace::TraceSink* trace = nullptr;  ///< optional event sink, not owned
-  /// accuse_digest(t) for every t < n: accusations name only node ids, so
-  /// their n digests are computed once per run instead of per delivery.
-  std::vector<Digest> accuse_digests;
   /// 0..n-1: the recipient list of a multicast sent as a group.
   std::vector<NodeId> nodes;
   /// Verdict of each record of the round on the part of its check that
   /// does not depend on the recipient, shared by its recipients: an
   /// accusation's share, a proposal's signature and certificate, a
-  /// certificate. Each record has one kind, so one table serves all.
+  /// certificate, a commit-proof, a corrupt-proof. Each record has one
+  /// kind, so one table serves all.
   mutable RecordVerdicts verdicts;
 
   NodeId leader(Slot k, Epoch i) const {
     return i == 0 ? sender_of(k) : static_cast<NodeId>((i - 1) % n);
   }
-  const Digest& accuse_digest_of(NodeId accused) const {
-    AMBB_CHECK(accused < accuse_digests.size());
-    return accuse_digests[accused];
-  }
 };
 
 /// The Context of one run over `run`'s commit log and inputs and the
-/// given keys and expander, with its accuse digest table filled. Every
-/// Alg-4 run builds its Context here.
+/// given keys and expander. Every Alg-4 run builds its Context here.
 Context make_context(const RunConfig& cfg, RunState& run, const Options& opts,
                      const KeyRegistry& registry, const ThresholdScheme& th,
                      const Graph& expander);
@@ -304,6 +296,8 @@ class LinearNode final : public Actor<Msg> {
   void process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
                      RoundApi<Msg>& api);
   void handle_accuse(const Delivery<Msg>& env, RoundApi<Msg>& api);
+  /// Hold, relay and commit a commit-proof; its only caller has checked
+  /// it (proof_verifies).
   void maybe_commit(Slot k, Epoch j, Value v, const ThresholdSig& proof,
                     Round r, RoundApi<Msg>& api);
   /// The commit-proof this node holds for the current slot.
@@ -312,6 +306,9 @@ class LinearNode final : public Actor<Msg> {
   /// proof's epoch, relay that proof once.
   void relay_held_proof(NodeId convicted, RoundApi<Msg>& api);
   void trace_commit(Slot k, Epoch j, Value v, Round r);
+  /// Whether a certificate of epoch j would replace the freshest one
+  /// held; note_cert keeps only such a one.
+  bool fresher(Epoch j) const { return !have_freshest_ || j > freshest_epoch_; }
   void note_cert(Slot k, Epoch j, Value v, const ThresholdSig& cert);
 
   // Offset-specific progress steps.
@@ -350,6 +347,9 @@ class LinearNode final : public Actor<Msg> {
   bool validate_proposal(const Delivery<Msg>& env) const;
   /// The record's verdict on a kCert / kCertForward certificate.
   bool cert_verifies(const Delivery<Msg>& env) const;
+  /// The record's verdict on a kCommitProof / kCorruptProof threshold
+  /// signature; the caller has made the recipient-side drops.
+  bool proof_verifies(const Delivery<Msg>& env) const;
   /// Leader of (cur_slot_, cur_epoch_), recomputed by reset_epoch (cached:
   /// the Context::leader indirection is a std::function in epoch 0).
   NodeId cur_leader() const { return cur_leader_; }

@@ -21,7 +21,8 @@
 // VerifyCache keyed on the registry uid (cleared when a thread switches
 // registries) — concurrent engine jobs may share one registry across
 // worker threads, so the cache cannot live inside the registry itself.
-// No locks, no sharing, race-free under any --jobs setting.
+// No locks, no sharing, race-free under any --jobs setting. No other memo
+// sits between a signature check and the VerifyCache (DESIGN.md §14).
 #pragma once
 
 #include <array>

@@ -86,21 +86,7 @@ Signature KeyRegistry::sign(NodeId signer, const Digest& d) const {
 bool KeyRegistry::verify(const Signature& sig, const Digest& d) const {
   if (sig.signer >= n_) return false;
   constexpr std::uint64_t kSigDom = fnv1a_str("sig");
-  // Last-args memo (see ThresholdScheme::verify): a multicast signature is
-  // re-verified by every recipient in turn with identical arguments.
-  thread_local struct {
-    std::uint64_t reg = 0;  ///< registry uid, 0 = empty
-    NodeId signer = kNoNode;
-    Digest d{};
-    Digest mac{};
-  } memo;
-  if (memo.reg != uid_ || memo.signer != sig.signer || memo.d != d) {
-    memo.reg = uid_;
-    memo.signer = sig.signer;
-    memo.d = d;
-    memo.mac = cached_mac(sig.signer, node_prf_[sig.signer], kSigDom, d);
-  }
-  return sig.mac == memo.mac;
+  return sig.mac == cached_mac(sig.signer, node_prf_[sig.signer], kSigDom, d);
 }
 
 Digest KeyRegistry::mac_as(NodeId i, const char* domain,

@@ -52,13 +52,6 @@ class KeyRegistry {
   /// uses this, through combine() below.
   Digest master_mac(const char* domain, const Digest& d) const;
 
-  /// Process-unique instance id. Thread-local last-args memos key on this
-  /// instead of `this`: a new registry can reuse a freed registry's
-  /// address, and many digests (e.g. accusation digests) are identical
-  /// across runs, so a pointer-keyed memo could leak MACs from a registry
-  /// with different keys.
-  std::uint64_t uid() const { return uid_; }
-
   /// Hit/miss/eviction counters of the calling thread's MAC memo,
   /// cumulative over every registry the thread has used (a registry
   /// switch drops the entries, not the counters). Like
@@ -73,6 +66,11 @@ class KeyRegistry {
                     std::uint64_t domain, const Digest& d) const;
 
   std::uint32_t n_;
+  /// Process-unique instance id; the thread-local MAC memo keys on it
+  /// instead of `this`: a new registry can reuse a freed registry's
+  /// address, and many digests (e.g. accusation digests) are identical
+  /// across runs, so a pointer-keyed memo could leak MACs from a registry
+  /// with different keys.
   std::uint64_t uid_;
   Digest master_key_;
   std::vector<Digest> node_keys_;
@@ -83,9 +81,12 @@ class KeyRegistry {
   // four public operations are pure functions of this triple, so results
   // are memoized: in a broadcast run every recipient re-verifies the same
   // signature, and only the first verification pays for the HMAC. The
-  // memo is a thread-local VerifyCache keyed on uid() (see cached_mac),
+  // memo is a thread-local VerifyCache keyed on uid_ (see cached_mac),
   // NOT a member: the registry stays immutable after construction, so
   // any thread may call sign/verify on it without a race (DESIGN.md §14).
+  // It is the only memo in front of a MAC: a check repeated per recipient
+  // is answered by the family's record verdict (RecordVerdicts) on the
+  // lock-step path, and by this memo on the timing path.
 };
 
 }  // namespace ambb

@@ -40,20 +40,7 @@ ThresholdSig ThresholdScheme::combine(std::span<const SigShare> shares,
 }
 
 bool ThresholdScheme::verify(const ThresholdSig& sig, const Digest& d) const {
-  // Last-args memo: in a broadcast round every recipient verifies the same
-  // certificate back-to-back, so remembering the expected MAC for the most
-  // recent digest short-circuits the registry's cache probe entirely.
-  thread_local struct {
-    std::uint64_t reg = 0;  ///< registry uid (see KeyRegistry::uid)
-    Digest d{};
-    Digest mac{};
-  } memo;
-  if (memo.reg != registry_->uid() || memo.d != d) {
-    memo.reg = registry_->uid();
-    memo.d = d;
-    memo.mac = registry_->master_mac("th", d);
-  }
-  return sig.mac == memo.mac;
+  return sig.mac == registry_->master_mac("th", d);
 }
 
 }  // namespace ambb

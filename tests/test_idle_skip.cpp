@@ -11,7 +11,10 @@
 // excepted), the JSONL trace byte for byte, and the traffic buffers'
 // reserved bytes (which pins that the O(1) path keeps the log swap). The
 // unwrapped copy must also match the registry row it mirrors, except on
-// the "forge" row, whose forged accusations no registry adversary sends.
+// the "forge" row, whose forged records no registry adversary sends; that
+// row must keep consistency and validity instead (and termination under
+// lock-step), since a check deleted outright accepts a forgery in both
+// runs alike.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,6 +33,7 @@
 #include "graph/expander.hpp"
 #include "runner/drive.hpp"
 #include "runner/registry.hpp"
+#include "runner/result.hpp"
 #include "sim/net_policy.hpp"
 #include "trace/trace.hpp"
 
@@ -75,11 +79,29 @@ CommonParams common(const Params& p) {
 /// no such adversary, so this row is compared only with its reference.
 constexpr const char* kForge = "forge";
 
+/// The threshold signature of `d` combined from the first n - f nodes'
+/// shares: the one valid signature on `d`, whoever combined it.
+ThresholdSig combined(const Context& ctx, const Digest& d) {
+  std::vector<SigShare> shares;
+  for (NodeId v = 0; v < ctx.n - ctx.f; ++v) {
+    shares.push_back(ctx.th->share(v, d));
+  }
+  return ctx.th->combine(shares, d);
+}
+
 /// Byzantine node that sends none of its honest traffic, so its epochs as
 /// leader fail and honest nodes accuse it with valid shares. It also
-/// forges, in two rounds of every epoch:
+/// forges, in six rounds of every epoch:
 ///   - in the first (Collect), it multicasts an accusation whose share
 ///     does not verify;
+///   - in Propose, from slot 2 on, it multicasts a valid commit-proof of
+///     the previous slot's value (a no-op at a node that committed that
+///     slot), and in Propagate-1 a commit-proof of this slot and epoch
+///     for 0xF0F0 that does not verify;
+///   - in Vote, once it has seen its own corrupt-proof, it multicasts
+///     that valid proof (news to a node that forgets corrupt-proofs
+///     between slots), and in Certificate a corrupt-proof that does not
+///     verify, of the last epoch's leader, the first honest one;
 ///   - in Respond-1, it sends every node a kPropForward and a
 ///     kCertForward group record (DESIGN.md §22) that pass every
 ///     recipient-side check (slot, epoch, leader as signer) but whose
@@ -88,11 +110,14 @@ constexpr const char* kForge = "forge";
 ///     the epoch's failed leader took one round earlier whenever it was
 ///     accused afresh; the two kinds swap places from one forger to the
 ///     next, so each meets such an index.
+/// Each forged proof passes every recipient-side check too, and in an
+/// epoch whose leader sends nothing it lands at the record index where
+/// this forger's valid proof of the same kind lay one round earlier.
 /// A verdict cached past its round (RecordVerdicts) or keyed on the wrong
 /// record turns into an accepted forgery, which plants a bad certificate
-/// in the next Collect, or into a dropped accusation; the per-recipient
-/// reference makes neither. Quiet rounds stay elidable, as the grid
-/// requires.
+/// in the next Collect, commits 0xF0F0 or gates an honest leader's epoch,
+/// or into a dropped accusation; the per-recipient reference makes none
+/// of these. Quiet rounds stay elidable, as the grid requires.
 class ForgeDev final : public Deviation {
  public:
   bool drop_send(Round, std::uint32_t, Kind, NodeId) override {
@@ -101,20 +126,55 @@ class ForgeDev final : public Deviation {
   void extra(LinearNode& self, Round r, std::uint32_t offset,
              RoundApi<Msg>& api) override {
     const Context& ctx = self.ctx();
+    const Slot k = ctx.sched.slot_of(r);
+    const Epoch i = ctx.sched.epoch_of(r);
+    convicted_ = convicted_ || self.has_corrupt_proof(self.id());
+    if (offset == kValidCommitOffset || offset == kForgedCommitOffset) {
+      if (k < 2 || !ctx.commits->has(self.id(), k - 1)) return;
+      const CommitRecord& c = ctx.commits->get(self.id(), k - 1);
+      Msg m;
+      m.kind = Kind::kCommitProof;
+      if (offset == kValidCommitOffset) {
+        m.slot = k - 1;
+        m.epoch = m.proof_epoch = ctx.sched.epoch_of(c.round);
+        m.value = c.value;
+        m.proof = combined(ctx, commit_digest(m.slot, m.epoch, m.value));
+      } else {
+        m.slot = k;
+        m.epoch = m.proof_epoch = i;
+        m.value = 0xF0F0;
+        m.proof.mac[0] = 0x5A;
+      }
+      api.multicast(m);
+      return;
+    }
+    if (offset == kValidCorruptOffset || offset == kForgedCorruptOffset) {
+      if (!convicted_) return;
+      Msg m;
+      m.kind = Kind::kCorruptProof;
+      m.slot = k;
+      if (offset == kValidCorruptOffset) {
+        m.accused = self.id();
+        m.proof = combined(ctx, accuse_digest(m.accused));
+      } else {
+        m.accused = ctx.leader(k, ctx.sched.epochs_per_slot() - 1);
+        m.proof.mac[0] = 0x5A;
+      }
+      api.multicast(m);
+      return;
+    }
     if (offset == kAccuseOffset) {
       Msg m;
       m.kind = Kind::kAccuse;
-      m.slot = ctx.sched.slot_of(r);
+      m.slot = k;
       m.accused =
           (self.id() + 1 + static_cast<NodeId>(r % (ctx.n - 1))) % ctx.n;
-      m.share = ctx.th->share(self.id(), ctx.accuse_digest_of(m.accused));
+      m.share = ctx.th->share(self.id(), accuse_digest(m.accused));
       m.share.mac[0] ^= 0x5A;
       api.multicast(m);
       return;
     }
     if (offset != kForwardOffset) return;
-    const Slot k = ctx.sched.slot_of(r);
-    const Epoch i = ctx.sched.epoch_of(r);
     const NodeId leader = ctx.leader(k, i);
     // A proposal carrying a certificate that would become the freshest.
     Msg prop;
@@ -142,15 +202,25 @@ class ForgeDev final : public Deviation {
   Round next_wake(const LinearNode&, Round r, Round) const override {
     const Round epoch = Schedule::kRoundsPerEpoch;
     const Round start = r / epoch * epoch;
-    for (Round next : {start + kAccuseOffset, start + kForwardOffset}) {
-      if (next > r) return next;
+    for (std::uint32_t offset : kOffsets) {
+      if (start + offset > r) return start + offset;
     }
-    return start + epoch + kAccuseOffset;
+    return start + epoch + kOffsets[0];
   }
 
  private:
   static constexpr std::uint32_t kAccuseOffset = 0;
-  static constexpr std::uint32_t kForwardOffset = 8;  ///< Respond-1
+  static constexpr std::uint32_t kValidCommitOffset = 1;    ///< Propose
+  static constexpr std::uint32_t kForgedCommitOffset = 2;   ///< Propagate-1
+  static constexpr std::uint32_t kValidCorruptOffset = 3;   ///< Vote
+  static constexpr std::uint32_t kForgedCorruptOffset = 4;  ///< Certificate
+  static constexpr std::uint32_t kForwardOffset = 8;        ///< Respond-1
+  static constexpr std::uint32_t kOffsets[] = {
+      kAccuseOffset,       kValidCommitOffset,   kForgedCommitOffset,
+      kValidCorruptOffset, kForgedCorruptOffset, kForwardOffset};
+
+  /// This node has seen its own corrupt-proof, in this slot or before.
+  bool convicted_ = false;
 };
 
 /// The first f nodes run ForgeDev from round 0.
@@ -169,7 +239,10 @@ std::unique_ptr<Adversary<Msg>> make_forger(const Context* ctx,
 
 /// run_linear's setup and round loop, with an optional AlwaysAwake
 /// wrapping of every actor and of the adversary (`audit` != nullptr).
-Outcome run(const Params& p, Audit* audit) {
+/// `violations`, if set, receives the run's broken BB properties:
+/// consistency and validity, and termination under lock-step.
+Outcome run(const Params& p, Audit* audit,
+            std::vector<std::string>* violations = nullptr) {
   KeyRegistry registry(kN, p.seed);
   ThresholdScheme th(registry, kN - kF);
   Graph expander = build_expander(kN, kEps, p.seed ^ 0xE0A11DE5ULL);
@@ -251,6 +324,26 @@ Outcome run(const Params& p, Audit* audit) {
   o.elided_rounds = sim.elided_rounds();
   o.jsonl = jsonl.str();
   o.traffic_bytes = sim.traffic_reserved_bytes();
+  if (violations != nullptr) {
+    RunResult res;
+    res.n = kN;
+    res.slots = kSlots;
+    res.commits = st.commits;
+    res.corrupt.assign(kN, 0);
+    for (NodeId v = 0; v < kN; ++v) res.corrupt[v] = sim.is_corrupt(v);
+    res.senders.assign(kSlots + 1, kNoNode);
+    res.sender_inputs.assign(kSlots + 1, kBotValue);
+    for (Slot k = 1; k <= kSlots; ++k) {
+      res.senders[k] = st.sender_of(k);
+      res.sender_inputs[k] = st.input_for_slot(k);
+    }
+    *violations = check_consistency(res);
+    const auto add = [violations](const std::vector<std::string>& more) {
+      violations->insert(violations->end(), more.begin(), more.end());
+    };
+    add(check_validity(res));
+    if (p.net == "lockstep") add(check_termination(res));
+  }
   return o;
 }
 
@@ -291,9 +384,13 @@ TEST_P(IdleSkip, ElisionMatchesAlwaysAwakeReference) {
       SCOPED_TRACE(p.adversary + " / " + net + " / " + opt_name +
                    " / seed " + std::to_string(seed));
       const Outcome ref = run(p, &audit);
-      const Outcome got = run(p, nullptr);
+      std::vector<std::string> violations;
+      const Outcome got = run(p, nullptr, &violations);
       expect_same(got, ref);
-      if (adv == kForge) continue;
+      if (adv == kForge) {
+        for (const std::string& v : violations) ADD_FAILURE() << v;
+        continue;
+      }
       Outcome prod = idle_skip::production_outcome(proto, common(p));
       prod.traffic_bytes = got.traffic_bytes;
       expect_same(got, prod);

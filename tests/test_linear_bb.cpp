@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <tuple>
 
+#include "common/check.hpp"
+
 namespace ambb::linear {
 namespace {
 
@@ -206,24 +208,6 @@ TEST(Linear, KindNamesCoverAllKinds) {
   EXPECT_EQ(names.size(),
             static_cast<std::size_t>(Kind::kKindCount));
   for (const auto& n : names) EXPECT_NE(n, "?");
-}
-
-TEST(Linear, ContextTabulatesAccuseDigestsAndChecksTheIndex) {
-  RunConfig core;
-  core.n = 8;
-  core.f = 2;
-  RunState st(core, kind_names());
-  KeyRegistry registry(core.n, core.seed);
-  ThresholdScheme th(registry, core.n - core.f);
-  const Graph expander = build_expander(core.n, 0.1, core.seed);
-  const Context ctx =
-      make_context(core, st, Options::paper(), registry, th, expander);
-  for (NodeId t = 0; t < core.n; ++t) {
-    EXPECT_EQ(ctx.accuse_digest_of(t), accuse_digest(t)) << "target " << t;
-  }
-  EXPECT_THROW((void)ctx.accuse_digest_of(core.n), CheckError);
-  // A Context not built by make_context has no table: fail, never UB.
-  EXPECT_THROW((void)Context{}.accuse_digest_of(0), CheckError);
 }
 
 }  // namespace

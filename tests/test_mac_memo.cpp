@@ -9,6 +9,9 @@
 // DESIGN.md §19 and §22), so the memo cases run on the timing path,
 // where no delivery carries a record id and each recipient checks for
 // itself; the lock-step cases guard the per-record verdicts instead.
+// There the MAC memo is the only memo a repeated check reaches: no
+// last-arguments memo sits in front of KeyRegistry::verify or
+// ThresholdScheme::verify, so these bounded:0 cases are its guard.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -583,7 +583,7 @@ void expect_valid_share_accepted(bool forged_first) {
   const Context ctx =
       make_context(core, st, Options::paper(), registry, th, expander);
 
-  const SigShare valid = th.share(kForger, ctx.accuse_digest_of(kTarget));
+  const SigShare valid = th.share(kForger, accuse_digest(kTarget));
   SigShare forged = valid;
   forged.mac[0] ^= 0x5A;
   ForgerAdversary adv(forged_first ? forged : valid,
