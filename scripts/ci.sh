@@ -27,7 +27,8 @@
 # then smoke-tests the end-to-end surface: ambb_sweep --trace-dir must
 # write one trace per job and exit zero, and two ambb_trace replays must
 # exit zero and print their cache lines (digest and MAC memo hits, misses
-# and evictions, then the per-record verdict hits and misses); the
+# and evictions, then the per-record verdict hits and misses); the Alg-4
+# replay must also print its peak-RSS memory line; the
 # Alg-4 replay's totals line must split its rounds into executed and
 # elided ones that add up, and the Alg-5.2 replay must read non-zero
 # verdict hits. The
@@ -125,6 +126,10 @@ trace() {
       --slots 8 > "$dir/replay.txt"
   grep -q '^caches: digest .*; mac .*; verdict ' "$dir/replay.txt" || {
     echo "ambb_trace printed no cache line" >&2
+    exit 1
+  }
+  grep -q '^memory: peak RSS [0-9][0-9.]* MiB$' "$dir/replay.txt" || {
+    echo "ambb_trace printed no memory line" >&2
     exit 1
   }
   # Every round is either executed (one RoundStats row) or elided.

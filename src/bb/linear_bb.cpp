@@ -191,8 +191,8 @@ LinearNode::LinearNode(NodeId id, const Context* ctx,
       ctx_(ctx),
       dev_(std::move(deviation)),
       accused_by_me_(ctx->n),
-      accuse_seen_(ctx->n, BitVec(ctx->n)),
-      accuse_shares_(ctx->n),
+      accuse_seen_(ctx->n, ctx->n),
+      accuse_count_(ctx->n, 0),
       corrupt_proof_have_(ctx->n, 0),
       corrupt_proof_sent_(ctx->n, 0),
       corrupt_proof_sig_(ctx->n),
@@ -254,8 +254,8 @@ void LinearNode::reset_slot(Slot k) {
   if (!ctx_->opts.persistent_accusations) {
     accused_by_me_.clear_all();
     accused_others_ = 0;
-    for (auto& row : accuse_seen_) row.clear_all();
-    for (auto& s : accuse_shares_) s.clear();
+    accuse_seen_.clear_all();
+    std::fill(accuse_count_.begin(), accuse_count_.end(), 0);
     std::fill(corrupt_proof_have_.begin(), corrupt_proof_have_.end(), 0);
     std::fill(corrupt_proof_sent_.begin(), corrupt_proof_sent_.end(), 0);
   }
@@ -380,12 +380,13 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
   if (accuser >= ctx_->n || target >= ctx_->n || accuser == target) return;
   // A duplicate is dropped whatever its share, so test that first: most
   // forwards that reach the accused repeat an accusation it already saw.
-  if (accuse_seen_[accuser].get(target)) return;
+  if (accuse_seen_.get(accuser, target)) return;
   const bool valid = ctx_->verdicts.get(round_, env.record, [&] {
     return ctx_->th->verify_share(m.share, accuse_digest(target));
   });
   if (!valid) return;
-  accuse_seen_[accuser].set(target);
+  accuse_seen_.set(accuser, target);
+  ctx_->accuse_share(accuser, target) = m.share;
   fresh_accuse_from_[accuser] = 1;
   fresh_pairs_.emplace_back(accuser, target);
   fresh_dirty_ = true;
@@ -402,14 +403,9 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
 
   // (*3): aggregate n-f accusations into a corrupt-proof.
   if (!corrupt_proof_have_[target]) {
-    accuse_shares_[target].push_back(m.share);
-    if (accuse_shares_[target].size() >= ctx_->n - ctx_->f) {
-      corrupt_proof_sig_[target] = ctx_->th->combine(
-          std::span<const SigShare>(accuse_shares_[target]),
-          accuse_digest(target));
+    if (++accuse_count_[target] >= ctx_->n - ctx_->f) {
+      corrupt_proof_sig_[target] = combine_accusations(target);
       corrupt_proof_have_[target] = 1;
-      accuse_shares_[target].clear();
-      accuse_shares_[target].shrink_to_fit();
       {
         trace::Event ev;
         ev.kind = trace::EventKind::kCertFormed;
@@ -434,6 +430,21 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
       relay_held_proof(target, api);
     }
   }
+}
+
+// combine() checks every share again, so a table entry that is not this
+// pair's valid share fails loudly instead of forming a proof.
+ThresholdSig LinearNode::combine_accusations(NodeId target) const {
+  // Reused scratch: n shares at most, gathered at most once per target.
+  thread_local std::vector<SigShare> shares;
+  shares.clear();
+  for (NodeId a = 0; a < ctx_->n; ++a) {
+    if (accuse_seen_.get(a, target)) {
+      shares.push_back(ctx_->accuse_share(a, target));
+    }
+  }
+  return ctx_->th->combine(std::span<const SigShare>(shares),
+                           accuse_digest(target));
 }
 
 // A forward's d recipients share its record, as a multicast's n do, so
@@ -662,9 +673,10 @@ void LinearNode::issue_accuse(NodeId v, RoundApi<Msg>& api) {
   m.share = ctx_->th->share(id_, accuse_digest(v));
   // Record our own accusation immediately: helper selection in the same
   // round must already exclude nodes we just accused.
-  if (!accuse_seen_[id_].get(v)) {
-    accuse_seen_[id_].set(v);
-    if (!corrupt_proof_have_[v]) accuse_shares_[v].push_back(m.share);
+  if (!accuse_seen_.get(id_, v)) {
+    accuse_seen_.set(id_, v);
+    ctx_->accuse_share(id_, v) = m.share;
+    if (!corrupt_proof_have_[v]) ++accuse_count_[v];
   }
   out_multicast(api, m);
 }
@@ -785,7 +797,7 @@ std::optional<NodeId> LinearNode::pick_helper(NodeId leader) const {
   for (NodeId v = 0; v < ctx_->n; ++v) {
     if (v == id_) continue;
     if (accused_by_me_.get(v)) continue;
-    if (accuse_seen_[v].get(leader)) continue;
+    if (accuse_seen_.get(v, leader)) continue;
     return v;
   }
   return std::nullopt;
@@ -795,8 +807,8 @@ std::optional<NodeId> LinearNode::expected_responder(NodeId querier,
                                                      NodeId leader) const {
   for (NodeId w = 0; w < ctx_->n; ++w) {
     if (w == querier) continue;
-    if (accuse_seen_[querier].get(w)) continue;
-    if (accuse_seen_[w].get(leader)) continue;
+    if (accuse_seen_.get(querier, w)) continue;
+    if (accuse_seen_.get(w, leader)) continue;
     return w;
   }
   return std::nullopt;
@@ -817,7 +829,7 @@ void LinearNode::do_query1(RoundApi<Msg>& api) {
 }
 
 void LinearNode::respond_to_querier(NodeId v, RoundApi<Msg>& api) {
-  if (!accuse_seen_[v].get(cur_leader())) return;  // v must accuse L_i
+  if (!accuse_seen_.get(v, cur_leader())) return;  // v must accuse L_i
   auto exp = expected_responder(v, cur_leader());
   if (!exp.has_value() || *exp != id_) return;
   out(api, v, held_commit_proof());
@@ -1042,6 +1054,7 @@ Context make_context(const RunConfig& cfg, RunState& run, const Options& opts,
   ctx.trace = cfg.trace;
   ctx.nodes.reserve(cfg.n);
   for (NodeId t = 0; t < cfg.n; ++t) ctx.nodes.push_back(t);
+  ctx.accuse_shares.resize(std::size_t{cfg.n} * cfg.n);
   return ctx;
 }
 

@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "common/wire.hpp"
 #include "crypto/signer.hpp"
@@ -198,14 +199,27 @@ struct Context {
   /// certificate, a commit-proof, a corrupt-proof. Each record has one
   /// kind, so one table serves all.
   mutable RecordVerdicts verdicts;
+  /// Accepted accusation shares of the run, [accuser * n + target]. A
+  /// valid share is a function of (accuser, target) alone, so the run
+  /// holds each once, not once per node (DESIGN.md §14). A node writes an
+  /// entry only when it accepts the pair (handle_accuse after the
+  /// record's verdict, issue_accuse for its own share) and reads only
+  /// entries of pairs it accepted.
+  mutable std::vector<SigShare> accuse_shares;
 
   NodeId leader(Slot k, Epoch i) const {
     return i == 0 ? sender_of(k) : static_cast<NodeId>((i - 1) % n);
   }
+  SigShare& accuse_share(NodeId accuser, NodeId target) const {
+    const std::size_t i = std::size_t{accuser} * n + target;
+    AMBB_CHECK(target < n && i < accuse_shares.size());
+    return accuse_shares[i];
+  }
 };
 
 /// The Context of one run over `run`'s commit log and inputs and the
-/// given keys and expander. Every Alg-4 run builds its Context here.
+/// given keys and expander, with its share table sized. Every Alg-4 run
+/// builds its Context here.
 Context make_context(const RunConfig& cfg, RunState& run, const Options& opts,
                      const KeyRegistry& registry, const ThresholdScheme& th,
                      const Graph& expander);
@@ -278,7 +292,7 @@ class LinearNode final : public Actor<Msg> {
   /// How many nodes other than this one it has accused.
   std::uint32_t accused_others() const { return accused_others_; }
   bool seen_accuse(NodeId accuser, NodeId target) const {
-    return accuse_seen_[accuser].get(target);
+    return accuse_seen_.get(accuser, target);
   }
   bool has_corrupt_proof(NodeId v) const { return corrupt_proof_have_[v]; }
   std::uint64_t expensive_epochs() const { return expensive_epochs_; }
@@ -296,6 +310,8 @@ class LinearNode final : public Actor<Msg> {
   void process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
                      RoundApi<Msg>& api);
   void handle_accuse(const Delivery<Msg>& env, RoundApi<Msg>& api);
+  /// (*3): the corrupt-proof on `target` from the accepted shares.
+  ThresholdSig combine_accusations(NodeId target) const;
   /// Hold, relay and commit a commit-proof; its only caller has checked
   /// it (proof_verifies).
   void maybe_commit(Slot k, Epoch j, Value v, const ThresholdSig& proof,
@@ -370,8 +386,9 @@ class LinearNode final : public Actor<Msg> {
   // ---- persistent across slots ----
   BitVec accused_by_me_;
   std::uint32_t accused_others_ = 0;  ///< |accused_by_me_ minus self|
-  std::vector<BitVec> accuse_seen_;           ///< [accuser] -> accused set
-  std::vector<std::vector<SigShare>> accuse_shares_;  ///< per accused
+  BitMatrix accuse_seen_;  ///< [accuser][accused], shares in the Context
+  /// Per accused: pairs accepted while it had no corrupt-proof.
+  std::vector<std::uint32_t> accuse_count_;
   std::vector<std::uint8_t> corrupt_proof_have_;
   std::vector<std::uint8_t> corrupt_proof_sent_;
   std::vector<ThresholdSig> corrupt_proof_sig_;

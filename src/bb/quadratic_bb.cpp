@@ -13,8 +13,8 @@ QuadNode::QuadNode(NodeId id, const Context* ctx,
       dev_(std::move(deviation)),
       engine_(id, ctx),
       voted_(ctx->n),
-      vote_seen_(ctx->n, BitVec(ctx->n)),
-      vote_forwarded_(ctx->n, BitVec(ctx->n)),
+      vote_seen_(ctx->n, ctx->n),
+      vote_forwarded_(ctx->n, ctx->n),
       vote_sigs_(ctx->n) {}
 
 Msg QuadNode::build_prop(Value v) const {
@@ -55,11 +55,11 @@ void QuadNode::vote_corrupt(NodeId target, RoundApi<Msg>& api, Round r) {
   m.accused = target;
   m.sig = ctx_->registry->sign(id_, corrupt_digest(target));
   // Record our own vote so the tau-counting sees it immediately.
-  if (!vote_seen_[target].get(id_)) {
-    vote_seen_[target].set(id_);
+  if (!vote_seen_.get(target, id_)) {
+    vote_seen_.set(target, id_);
     vote_sigs_[target].push_back(m.sig);
   }
-  vote_forwarded_[target].set(id_);
+  vote_forwarded_.set(target, id_);
   api.multicast(m);
 }
 
@@ -92,12 +92,12 @@ void QuadNode::on_round(Round r, std::span<const Delivery<Msg>> inbox,
       const NodeId voter = m.sig.signer;
       const NodeId target = m.accused;
       if (voter >= n || target >= n) continue;
-      if (vote_seen_[target].get(voter)) continue;
+      if (vote_seen_.get(target, voter)) continue;
       const bool valid = ctx_->verdicts.get(r, env.record, [&] {
         return ctx_->registry->verify(m.sig, corrupt_digest(target));
       });
       if (!valid) continue;
-      vote_seen_[target].set(voter);
+      vote_seen_.set(target, voter);
       vote_sigs_[target].push_back(m.sig);
     } else {
       const bool allow_send =
@@ -125,13 +125,13 @@ void QuadNode::on_round(Round r, std::span<const Delivery<Msg>> inbox,
       if (!engine_.sender_present()) vote_corrupt(sender, api, r);
     } else {
       if (!engine_.sender_present() &&
-          vote_seen_[sender].count() >= tau) {
+          vote_seen_.row_count(sender) >= tau) {
         // Forward every vote we have not forwarded yet (each is a
         // distinct <corrupt, S_k>_w, shared across slots), then our own.
         for (std::size_t idx = 0; idx < vote_sigs_[sender].size(); ++idx) {
           const Signature& sig = vote_sigs_[sender][idx];
-          if (vote_forwarded_[sender].get(sig.signer)) continue;
-          vote_forwarded_[sender].set(sig.signer);
+          if (vote_forwarded_.get(sender, sig.signer)) continue;
+          vote_forwarded_.set(sender, sig.signer);
           Msg m;
           m.kind = Kind::kCorrupt;
           m.slot = cur_slot_;
@@ -192,7 +192,7 @@ Round QuadNode::next_wake(Round r) const {
     const NodeId sender = engine_.slot_sender();
     if (!voted_.get(sender)) {
       wake = std::max(offset + 1, n + 1);
-    } else if (!vote_forwarded_[sender].contains(vote_seen_[sender])) {
+    } else if (!vote_forwarded_.row_contains(sender, vote_seen_)) {
       wake = std::max(offset + 1, n + 2);
     }
   }

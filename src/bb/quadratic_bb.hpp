@@ -114,8 +114,8 @@ class QuadNode final : public Actor<Msg> {
 
   // persistent: Dolev-Strong votes are shared across slots.
   BitVec voted_;                       ///< own <corrupt, v>_id sent
-  std::vector<BitVec> vote_seen_;      ///< [target] -> voters seen
-  std::vector<BitVec> vote_forwarded_; ///< [target] -> voters forwarded
+  BitMatrix vote_seen_;       ///< [target][voter] seen
+  BitMatrix vote_forwarded_;  ///< [target][voter] forwarded
   std::vector<std::vector<Signature>> vote_sigs_;  ///< [target] kept sigs
 
   Slot cur_slot_ = 0;

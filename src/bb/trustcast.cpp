@@ -78,7 +78,7 @@ TrustCastEngine::TrustCastEngine(NodeId id, const Context* ctx)
     : id_(id),
       ctx_(ctx),
       graph_(ctx->n),
-      accuse_sent_seen_(ctx->n, BitVec(ctx->n)) {}
+      accuse_sent_seen_(ctx->n, ctx->n) {}
 
 void TrustCastEngine::begin_slot(Slot k) {
   slot_ = k;
@@ -113,8 +113,8 @@ void TrustCastEngine::settle() {
 }
 
 void TrustCastEngine::issue_accuse(NodeId v, RoundApi<Msg>& api) {
-  if (accuse_sent_seen_[id_].get(v)) return;
-  accuse_sent_seen_[id_].set(v);
+  if (accuse_sent_seen_.get(id_, v)) return;
+  accuse_sent_seen_.set(id_, v);
   {
     trace::Event ev;
     ev.kind = trace::EventKind::kAccusation;
@@ -192,12 +192,12 @@ void TrustCastEngine::handle(const Delivery<Msg>& d, RoundApi<Msg>& api,
       const NodeId accused = m.accused;
       if (accuser >= ctx_->n || accused >= ctx_->n || accuser == accused)
         return;
-      if (accuse_sent_seen_[accuser].get(accused)) return;  // duplicate
+      if (accuse_sent_seen_.get(accuser, accused)) return;  // duplicate
       const bool valid = ctx_->verdicts.get(round_, d.record, [&] {
         return ctx_->registry->verify(m.sig, accuse_digest(accused));
       });
       if (!valid) return;
-      accuse_sent_seen_[accuser].set(accused);
+      accuse_sent_seen_.set(accuser, accused);
       remove_edge(accuser, accused);
       // Forward once per (accuser, accused) pair, ever.
       if (allow_send) {

@@ -170,7 +170,7 @@ class TrustCastEngine {
   bool prune_pending_ = false;  ///< an edge went since the last prune
 
   // persistent: one multicast per (accuser, accused) pair, ever.
-  std::vector<BitVec> accuse_sent_seen_;  ///< [accuser] -> accused set
+  BitMatrix accuse_sent_seen_;  ///< [accuser][accused]
 
   // per slot
   Slot slot_ = 0;

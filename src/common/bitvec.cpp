@@ -1,5 +1,6 @@
 #include "common/bitvec.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace ambb {
@@ -21,14 +22,6 @@ std::size_t BitVec::count() const {
   return c;
 }
 
-bool BitVec::contains(const BitVec& other) const {
-  AMBB_CHECK(n_ == other.n_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((other.words_[i] & ~words_[i]) != 0) return false;
-  }
-  return true;
-}
-
 std::vector<std::size_t> BitVec::ones() const {
   std::vector<std::size_t> out;
   for (std::size_t w = 0; w < words_.size(); ++w) {
@@ -44,6 +37,33 @@ std::vector<std::size_t> BitVec::ones() const {
 
 void BitVec::clear_all() {
   for (auto& w : words_) w = 0;
+}
+
+BitMatrix::BitMatrix(std::size_t rows, std::size_t cols)
+    : rows_(rows),
+      cols_(cols),
+      stride_((cols + 63) / 64),
+      words_(rows * stride_, 0) {}
+
+std::size_t BitMatrix::row_count(std::size_t r) const {
+  AMBB_CHECK(r < rows_);
+  std::size_t c = 0;
+  for (std::size_t w = r * stride_; w < (r + 1) * stride_; ++w) {
+    c += static_cast<std::size_t>(std::popcount(words_[w]));
+  }
+  return c;
+}
+
+bool BitMatrix::row_contains(std::size_t r, const BitMatrix& other) const {
+  AMBB_CHECK(r < rows_ && rows_ == other.rows_ && cols_ == other.cols_);
+  for (std::size_t w = r * stride_; w < (r + 1) * stride_; ++w) {
+    if ((other.words_[w] & ~words_[w]) != 0) return false;
+  }
+  return true;
+}
+
+void BitMatrix::clear_all() {
+  std::fill(words_.begin(), words_.end(), 0);
 }
 
 }  // namespace ambb

@@ -33,14 +33,14 @@ TlMacCache& mac_cache() {
   return tl;
 }
 
-constexpr std::uint64_t fnv1a_str(const char* s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (; *s != '\0'; ++s) {
-    h ^= static_cast<std::uint8_t>(*s);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+// Every MAC keys on its domain's hash, so these values are part of every
+// signature, share and aggregate the simulation produces; they must not
+// change.
+constexpr std::uint64_t kSigDom = MacDomain("sig").hash();
+static_assert(kSigDom == 0x591f5b51511723f4ULL);
+static_assert(MacDomain("thshare").hash() == 0x5b438187263302beULL);
+static_assert(MacDomain("th").hash() == 0x9bf37300c697eb87ULL);
+static_assert(MacDomain("msig").hash() == 0x5015c81b0081dc83ULL);
 }  // namespace
 
 KeyRegistry::KeyRegistry(std::uint32_t n, std::uint64_t master_seed) : n_(n) {
@@ -79,24 +79,22 @@ VerifyCache::Stats KeyRegistry::mac_cache_stats() {
 
 Signature KeyRegistry::sign(NodeId signer, const Digest& d) const {
   AMBB_CHECK(signer < n_);
-  constexpr std::uint64_t kSigDom = fnv1a_str("sig");
   return Signature{signer, cached_mac(signer, node_prf_[signer], kSigDom, d)};
 }
 
 bool KeyRegistry::verify(const Signature& sig, const Digest& d) const {
   if (sig.signer >= n_) return false;
-  constexpr std::uint64_t kSigDom = fnv1a_str("sig");
   return sig.mac == cached_mac(sig.signer, node_prf_[sig.signer], kSigDom, d);
 }
 
-Digest KeyRegistry::mac_as(NodeId i, const char* domain,
+Digest KeyRegistry::mac_as(NodeId i, MacDomain domain,
                            const Digest& d) const {
   AMBB_CHECK(i < n_);
-  return cached_mac(i, node_prf_[i], fnv1a_str(domain), d);
+  return cached_mac(i, node_prf_[i], domain.hash(), d);
 }
 
-Digest KeyRegistry::master_mac(const char* domain, const Digest& d) const {
-  return cached_mac(kMasterOwner, master_prf_[0], fnv1a_str(domain), d);
+Digest KeyRegistry::master_mac(MacDomain domain, const Digest& d) const {
+  return cached_mac(kMasterOwner, master_prf_[0], domain.hash(), d);
 }
 
 }  // namespace ambb

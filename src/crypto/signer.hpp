@@ -32,6 +32,28 @@ struct Signature {
   bool operator==(const Signature&) const = default;
 };
 
+/// A MAC domain-separation tag, held as the 64-bit FNV-1a hash of its
+/// string. The constructor is consteval: a call site passes a literal
+/// (`"thshare"`) and the hash is computed at compile time, not per MAC.
+class MacDomain {
+ public:
+  consteval MacDomain(const char* tag) : hash_(fnv1a(tag)) {}
+
+  constexpr std::uint64_t hash() const { return hash_; }
+
+ private:
+  static consteval std::uint64_t fnv1a(const char* s) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (; *s != '\0'; ++s) {
+      h ^= static_cast<std::uint8_t>(*s);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+
+  std::uint64_t hash_;
+};
+
 class KeyRegistry {
  public:
   KeyRegistry(std::uint32_t n, std::uint64_t master_seed);
@@ -46,11 +68,11 @@ class KeyRegistry {
 
   /// Raw MAC under node i's key with a domain-separation tag; building
   /// block for the threshold / multi-signature schemes.
-  Digest mac_as(NodeId i, const char* domain, const Digest& d) const;
+  Digest mac_as(NodeId i, MacDomain domain, const Digest& d) const;
 
   /// Raw MAC under the master (dealer) key; only the threshold combiner
   /// uses this, through combine() below.
-  Digest master_mac(const char* domain, const Digest& d) const;
+  Digest master_mac(MacDomain domain, const Digest& d) const;
 
   /// Hit/miss/eviction counters of the calling thread's MAC memo,
   /// cumulative over every registry the thread has used (a registry

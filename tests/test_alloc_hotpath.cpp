@@ -1,6 +1,8 @@
 // Steady-state allocation audit for the Algorithm 4 hot path (DESIGN.md
 // §14), the Algorithm 5.2 trust-graph mutators (§18) and the shared
-// multicast inbox (§19), whose footprint is pinned too. Global
+// multicast inbox (§19), whose footprint is pinned too; node setup must
+// make a number of allocations independent of n (one BitMatrix per pair
+// set, §14). Global
 // operator new/delete are replaced with counting hooks and a
 // full multi-shot run is stepped with a per-round observer: once the
 // warmup slots have grown every traffic log, inbox buffer and reserved
@@ -26,6 +28,8 @@
 #include <vector>
 
 #include "bb/linear_bb.hpp"
+#include "bb/quadratic_bb.hpp"
+#include "graph/expander.hpp"
 #include "graph/trust_graph.hpp"
 #include "runner/result.hpp"
 #include "sim/net.hpp"
@@ -154,6 +158,40 @@ TEST(AllocHotPath, SteadyStateAlg4RoundsAllocateNothing) {
   // The run itself must still be a real, committing execution.
   EXPECT_GT(r.honest_bits, 0u);
   EXPECT_GT(samples.back(), samples.front());  // warmup did allocate
+}
+
+/// Heap allocations made by constructing one Alg-4 LinearNode and one
+/// Alg-5.2 QuadNode of an n-node run.
+std::uint64_t node_setup_allocs(std::uint32_t n) {
+  RunConfig core;
+  core.n = n;
+  core.f = n / 4;
+  core.slots = 1;
+  RunState run(core, linear::kind_names());
+  const KeyRegistry registry(n, 1);
+  const ThresholdScheme th(registry, n - core.f);
+  const Graph expander = build_expander(n, 0.2, 1);
+  const linear::Context lin = linear::make_context(
+      core, run, linear::Options::paper(), registry, th, expander);
+  quad::Context quad;
+  quad.n = n;
+  quad.f = core.f;
+  quad.sched = quad::Schedule{n, core.f};
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  {
+    const linear::LinearNode a(0, &lin);
+    const quad::QuadNode b(0, &quad);
+  }
+  return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocHotPath, NodeSetupAllocationsDoNotGrowWithN) {
+  // Each per-node pair set is one BitMatrix, one allocation; as a vector
+  // of n BitVec rows it took n + 1.
+  const std::uint64_t at64 = node_setup_allocs(64);
+  EXPECT_EQ(at64, node_setup_allocs(128));
+  EXPECT_LT(at64, 64u);
 }
 
 TEST(AllocHotPath, TrustGraphMutatorsAllocateNothing) {

@@ -14,7 +14,10 @@
 // the "forge" row, whose forged records no registry adversary sends; that
 // row must keep consistency and validity instead (and termination under
 // lock-step), since a check deleted outright accepts a forgery in both
-// runs alike.
+// runs alike. After every round of the unwrapped run, the accusation
+// share table must hold only valid shares, one for each pair a node
+// accepted (tests/share_table.hpp): the forge row's forged shares must
+// never land there.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,6 +41,7 @@
 #include "trace/trace.hpp"
 
 #include "always_awake.hpp"
+#include "share_table.hpp"
 
 namespace ambb::linear {
 namespace {
@@ -291,6 +295,9 @@ Outcome run(const Params& p, Audit* audit,
   sc.adversary = adversary.get();
   sim.configure(sc);
 
+  // The unwrapped run's nodes are visible, so it checks the share table
+  // after every round (tests/share_table.hpp).
+  bool check_shares = audit == nullptr;
   for (std::uint64_t i = 0; i < total_rounds; ++i) {
     if (i % ctx.sched.rounds_per_slot() == 0) {
       trace::Event ev;
@@ -311,6 +318,7 @@ Outcome run(const Params& p, Audit* audit,
       sink.on_event(ev);
     }
     sim.step();
+    if (check_shares) check_shares = share_table::expect_sound(ctx, sim);
   }
 
   Outcome o;

@@ -9,11 +9,16 @@
 //     budget.
 //   - Expensive-epoch bound: total query2 emissions by one honest node
 //     are bounded by f (each consumes a fresh accusation).
+//   - Share table: the run-wide accusation share table holds only valid
+//     shares, one for each pair a node accepted (tests/share_table.hpp).
 #include "bb/linear_bb.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+
+#include "share_table.hpp"
 
 namespace ambb::linear {
 namespace {
@@ -139,6 +144,46 @@ TEST(LinearInvariants, AccusationKnowledgeMonotone) {
   auto r = run_linear(cfg);
   EXPECT_TRUE(check_all(r).empty());
 }
+
+class ShareTable : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ShareTable, HoldsOnlyValidSharesOfAcceptedPairs) {
+  LinearConfig cfg;
+  cfg.n = 16;
+  cfg.f = 5;
+  cfg.slots = 8;
+  cfg.seed = 11;
+  cfg.adversary = "mixed";
+  cfg.net = GetParam();
+  bool sound = true;
+  std::uint64_t accepted = 0;
+  cfg.on_round_end = [&](Round, Sim& sim) {
+    for (NodeId u = 0; u < cfg.n && sound; ++u) {
+      if (const auto* node = dynamic_cast<const LinearNode*>(sim.actor(u))) {
+        sound = share_table::expect_sound(node->ctx(), sim);
+        return;
+      }
+    }
+  };
+  cfg.inspect = [&](Sim& sim) {
+    for (NodeId u = 0; u < cfg.n; ++u) {
+      const auto* node = dynamic_cast<const LinearNode*>(sim.actor(u));
+      for (NodeId a = 0; a < cfg.n && node != nullptr; ++a) {
+        for (NodeId t = 0; t < cfg.n; ++t) accepted += node->seen_accuse(a, t);
+      }
+    }
+  };
+  run_linear(cfg);
+  EXPECT_GT(accepted, 0u) << "no accusation was ever accepted";
+}
+
+INSTANTIATE_TEST_SUITE_P(Nets, ShareTable,
+                         ::testing::Values("lockstep", "bounded:2"),
+                         [](const auto& info) {
+                           std::string s = info.param;
+                           std::replace(s.begin(), s.end(), ':', '_');
+                           return s;
+                         });
 
 TEST(LinearInvariants, SilentLeadersGetConvictedExactlyOnce) {
   // Under the all-silent adversary every corrupt node ends up with a

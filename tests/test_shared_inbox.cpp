@@ -19,7 +19,8 @@
 // round. The last tests pin both, down to an Algorithm 4 round in which
 // one Byzantine node multicasts a forged and a valid share on the same
 // accusation: a cache keyed on the accusation instead of the record
-// would reject the valid one.
+// would reject the valid one. Under lock-step and bounded:2, only the
+// valid share may land in the run's accusation share table.
 #include "sim/net.hpp"
 #include "toy_policy.hpp"
 
@@ -43,6 +44,8 @@
 #include "runner/drive.hpp"
 #include "sim/net_policy.hpp"
 #include "trace/trace.hpp"
+
+#include "share_table.hpp"
 
 namespace ambb {
 namespace {
@@ -540,7 +543,7 @@ class TwoShares final : public Actor<Msg> {
   SigShare second_;
 };
 
-/// Corrupts kForger and records the accusation forwards of round 1.
+/// Corrupts kForger and records every accusation forward.
 class ForgerAdversary final : public Adversary<Msg> {
  public:
   ForgerAdversary(SigShare first, SigShare second)
@@ -550,9 +553,8 @@ class ForgerAdversary final : public Adversary<Msg> {
   std::unique_ptr<Actor<Msg>> actor_for(NodeId) override {
     return std::make_unique<TwoShares>(first_, second_);
   }
-  void observe_round(Round r, const TrafficView<Msg>& traffic,
+  void observe_round(Round, const TrafficView<Msg>& traffic,
                      CorruptionCtl<Msg>&) override {
-    if (r != 1) return;
     for (std::size_t d = 0; d < traffic.size(); ++d) {
       const auto ref = traffic[d];
       if (ref.msg.kind == Kind::kAccuseForward) {
@@ -568,9 +570,11 @@ class ForgerAdversary final : public Adversary<Msg> {
   SigShare second_;
 };
 
-/// Runs rounds 0 and 1 with the forger's two shares in the given order;
-/// every honest node must accept exactly the valid share.
-void expect_valid_share_accepted(bool forged_first) {
+/// Runs the forger's two shares in the given order until every copy has
+/// landed (rounds 0 and 1 under lock-step); every honest node must accept
+/// exactly the valid share, and only it may land in the share table.
+void expect_valid_share_accepted(bool forged_first,
+                                 const std::string& net = "lockstep") {
   RunConfig core;
   core.n = kN;
   core.f = kF;
@@ -595,15 +599,25 @@ void expect_valid_share_accepted(bool forged_first) {
   }
   SimConfig<Msg> sc;
   sc.adversary = &adv;
+  sc.net = make_net_policy(net, core.seed);
   sim.configure(sc);
+  const bool lockstep = net == "lockstep";
   const RecordVerdicts::Stats before = RecordVerdicts::stats();
-  run_rounds(sim, 2);
+  // A copy lands up to max_extra() rounds late, and so does its forward.
+  const std::uint64_t rounds = 2 + 2 * sc.net.max_extra();
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    sim.step();
+    share_table::expect_sound(ctx, sim);
+  }
   const RecordVerdicts::Stats after = RecordVerdicts::stats();
+  EXPECT_EQ(ctx.accuse_share(kForger, kTarget), valid);
 
-  // Both shares reached every honest node through the shared stream, so
-  // the cache was used, once per record.
-  EXPECT_EQ(after.misses - before.misses, forged_first ? 2u : 1u);
-  EXPECT_GT(after.hits - before.hits, 0u);
+  // Under lock-step both shares reached every honest node through the
+  // shared stream, so the cache was used, once per record.
+  if (lockstep) {
+    EXPECT_EQ(after.misses - before.misses, forged_first ? 2u : 1u);
+    EXPECT_GT(after.hits - before.hits, 0u);
+  }
   std::vector<std::tuple<NodeId, NodeId, SigShare>> expected;
   for (NodeId u = 0; u < kN; ++u) {
     if (u == kForger) continue;
@@ -612,7 +626,15 @@ void expect_valid_share_accepted(bool forged_first) {
     EXPECT_TRUE(node->seen_accuse(kForger, kTarget)) << "node " << u;
     if (u != kTarget) expected.emplace_back(u, kTarget, valid);
   }
-  // (*2): each honest node forwards the share it accepted, and only it.
+  // (*2): each honest node forwards the share it accepted, and only it;
+  // off lock-step the forwards go out in the rounds their shares land.
+  if (!lockstep) {
+    std::sort(adv.forwards.begin(), adv.forwards.end(),
+              [](const auto& x, const auto& y) {
+                return std::tie(std::get<0>(x), std::get<1>(x)) <
+                       std::tie(std::get<0>(y), std::get<1>(y));
+              });
+  }
   EXPECT_EQ(adv.forwards, expected);
 }
 
@@ -622,6 +644,14 @@ TEST(RecordVerdictsAlg4, ForgedThenValidShareOnOneAccusation) {
 
 TEST(RecordVerdictsAlg4, ValidThenForgedShareOnOneAccusation) {
   expect_valid_share_accepted(/*forged_first=*/false);
+}
+
+TEST(RecordVerdictsAlg4, ForgedThenValidShareUnderBoundedDelay) {
+  expect_valid_share_accepted(/*forged_first=*/true, "bounded:2");
+}
+
+TEST(RecordVerdictsAlg4, ValidThenForgedShareUnderBoundedDelay) {
+  expect_valid_share_accepted(/*forged_first=*/false, "bounded:2");
 }
 
 }  // namespace

@@ -20,6 +20,11 @@
 //                    fuzz cell under the same network it ran with
 //   --slot K         only print the timeline of slot K (summary stays)
 //   --jsonl FILE     also dump the raw deterministic JSONL event stream
+//
+// The summary ends with the replay's cache counters and the process's
+// peak resident set size (getrusage), which only observe the run.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -392,6 +397,10 @@ int main(int argc, char** argv) {
   std::printf("; ");
   print_hits("verdict", verdict_before, verdict_after);
   std::printf("\n");
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  std::printf("memory: peak RSS %.1f MiB\n",
+              static_cast<double>(ru.ru_maxrss) / 1024.0);  // ru_maxrss: KiB
   if (any_stall) std::printf("liveness: at least one slot stalled\n");
   return 0;
 }
