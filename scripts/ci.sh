@@ -128,7 +128,8 @@ trace() {
     echo "ambb_trace printed no cache line" >&2
     exit 1
   }
-  grep -q '^memory: peak RSS [0-9][0-9.]* MiB$' "$dir/replay.txt" || {
+  grep -q '^memory: peak RSS [0-9][0-9.]* MiB; round buffers [0-9][0-9.]* MiB$' \
+      "$dir/replay.txt" || {
     echo "ambb_trace printed no memory line" >&2
     exit 1
   }
@@ -225,11 +226,6 @@ unused_allow=(
   # Oracle access: test_trustcast and test_linear_invariants read the
   # live nodes' state through it.
   "ambb::Simulation<Msg, CostPolicy>::actor(unsigned int) const"
-  # Oracle: test_idle_skip checks elision keeps the round buffers'
-  # footprint; test_alloc_hotpath bounds it for multicasts.
-  "ambb::Simulation<Msg, CostPolicy>::traffic_reserved_bytes() const"
-  # Oracle: the round logs' share of traffic_reserved_bytes.
-  "ambb::TrafficLog<Msg>::reserved_bytes() const"
   # Alg-4 oracle: no honest node ever holds a corrupt-proof on an honest
   # node (Lemma 3), and silent leaders are convicted everywhere.
   "ambb::linear::LinearNode::has_corrupt_proof(unsigned int) const"

@@ -301,7 +301,7 @@ Msg commit_proof_msg(Slot k, Epoch j, Value v, const ThresholdSig& proof) {
   m.kind = Kind::kCommitProof;
   m.slot = k;
   m.epoch = j;
-  m.proof_epoch = j;
+  m.cert_epoch = j;
   m.value = v;
   m.proof = proof;
   return m;
@@ -475,7 +475,7 @@ bool LinearNode::proof_verifies(const Delivery<Msg>& env) const {
   return ctx_->verdicts.get(round_, env.record, [&] {
     return ctx_->th->verify(
         m.proof, m.kind == Kind::kCommitProof
-                     ? commit_digest(m.slot, m.proof_epoch, m.value)
+                     ? commit_digest(m.slot, m.cert_epoch, m.value)
                      : accuse_digest(m.accused));
   });
 }
@@ -506,7 +506,7 @@ void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
       }
       case Kind::kCommitProof:
         if (proof_verifies(env)) {
-          maybe_commit(m.slot, m.proof_epoch, m.value, m.proof, r, api);
+          maybe_commit(m.slot, m.cert_epoch, m.value, m.proof, r, api);
         }
         break;
       // A certificate no fresher than the one held, on a forward of a value

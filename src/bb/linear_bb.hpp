@@ -95,22 +95,33 @@ enum class Kind : MsgKind {
 const char* kind_name(Kind k);
 std::vector<std::string> kind_names();
 
+/// One storage slot per role (DESIGN.md §14): no kind carries both a
+/// certificate and a proof, nor both a share and the leader's signature
+/// (size_bits), so each pair shares a union. SigShare and Signature are
+/// layout-compatible, so a read through either name is defined. The
+/// field order leaves two bytes of padding: 96 bytes in all.
 struct Msg {
+  // User-provided: GCC 12 deletes the implicit one, as a union member has
+  // a non-trivial default constructor. The initializers below apply.
+  Msg() {}
+
   Kind kind = Kind::kCollect;
+  bool has_cert = false;     ///< Collect/Propose: false encodes bot
+  NodeId accused = kNoNode;  ///< Accuse* / CorruptProof
+  Value value = 0;
   Slot slot = 0;
   Epoch epoch = 0;
-  Value value = 0;
-
-  bool has_cert = false;     ///< Collect/Propose: false encodes bot
+  /// Collect/Propose: the certificate's epoch; CommitProof: the proof's
+  /// epoch j.
   Epoch cert_epoch = 0;
-  ThresholdSig cert{};       ///< thsig(vote, k, j, m)
-
-  Epoch proof_epoch = 0;     ///< CommitProof: the epoch j of the proof
-  ThresholdSig proof{};      ///< commit-proof or corrupt-proof
-
-  SigShare share{};          ///< Vote / CertVote / Accuse share
-  Signature sig{};           ///< leader signature on a proposal
-  NodeId accused = kNoNode;  ///< Accuse* / CorruptProof
+  union {
+    ThresholdSig cert{};     ///< thsig(vote, k, j, m)
+    ThresholdSig proof;      ///< commit-proof or corrupt-proof
+  };
+  union {
+    SigShare share{};        ///< Vote / CertVote / Accuse share
+    Signature sig;           ///< leader signature on a proposal
+  };
 };
 
 /// Exact wire size in bits under the paper's size model.

@@ -355,6 +355,9 @@ RunResult run_extension(const ExtConfig& cfg) {
     res.round_stats.push_back(st);
   }
   res.elided_rounds += base.elided_rounds;
+  // The two phases' simulators are never alive together.
+  res.round_buffer_bytes =
+      std::max(res.round_buffer_bytes, base.round_buffer_bytes);
   return res;
 }
 

@@ -204,69 +204,79 @@ template <class Msg, class Policy, class Phase = NoPhases>
 RunResult drive(const RunConfig& cfg, RunState& run,
                 const Family<Msg, Policy>& fam, Phase phase = {}) {
   using Sim = Simulation<Msg, Policy>;
-  Sim sim(cfg.n, std::max(cfg.f, fam.sim_f_floor), &run.ledger, fam.policy);
-  for (NodeId v = 0; v < cfg.n; ++v) sim.set_actor(v, fam.node(v));
-  const Round total =
-      Round{cfg.slots} * fam.rounds_per_slot + fam.drain_rounds;
-  const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
-  std::unique_ptr<Adversary<Msg>> adversary = select_adversary<Msg>(
-      cfg, fam.adversary_salt, total, net,
-      fam.replica ? fam.replica : fam.node, fam.named);
-  SimConfig<Msg> sc;
-  sc.trace = cfg.trace;
-  sc.net = net;
-  sc.adversary = adversary.get();
-  sim.configure(sc);
-
-  const auto* on_round_end =
-      fam.hooks != nullptr && fam.hooks->on_round_end
-          ? &fam.hooks->on_round_end
-          : nullptr;
-  Slot k = 1;
-  std::uint32_t off = 0;
-  for (Round r = 0; r < total; ++r) {
-    if (cfg.trace != nullptr && k <= cfg.slots) {
-      if (off == 0) {
-        trace::Event ev;
-        ev.kind = trace::EventKind::kSlotStart;
-        ev.round = r;
-        ev.slot = k;
-        ev.node = run.sender_of(k);
-        cfg.trace->on_event(ev);
-      }
-      phase(r, k, off);
-    }
-    sim.step();
-    if (on_round_end != nullptr) (*on_round_end)(r, sim);
-    if (++off == fam.rounds_per_slot) {
-      off = 0;
-      ++k;
-    }
-  }
-  if (fam.hooks != nullptr && fam.hooks->inspect) fam.hooks->inspect(sim);
-
   RunResult res;
+  // The simulator and the adversary live in this scope only: what the
+  // result needs of them is taken out before they go, so their round
+  // buffers are freed before the result is packaged (DESIGN.md §20).
+  {
+    Sim sim(cfg.n, std::max(cfg.f, fam.sim_f_floor), &run.ledger,
+            fam.policy);
+    for (NodeId v = 0; v < cfg.n; ++v) sim.set_actor(v, fam.node(v));
+    const Round total =
+        Round{cfg.slots} * fam.rounds_per_slot + fam.drain_rounds;
+    const NetPolicy net = make_net_policy(cfg.net, cfg.seed);
+    std::unique_ptr<Adversary<Msg>> adversary = select_adversary<Msg>(
+        cfg, fam.adversary_salt, total, net,
+        fam.replica ? fam.replica : fam.node, fam.named);
+    SimConfig<Msg> sc;
+    sc.trace = cfg.trace;
+    sc.net = net;
+    sc.adversary = adversary.get();
+    sim.configure(sc);
+
+    const auto* on_round_end =
+        fam.hooks != nullptr && fam.hooks->on_round_end
+            ? &fam.hooks->on_round_end
+            : nullptr;
+    Slot k = 1;
+    std::uint32_t off = 0;
+    for (Round r = 0; r < total; ++r) {
+      if (cfg.trace != nullptr && k <= cfg.slots) {
+        if (off == 0) {
+          trace::Event ev;
+          ev.kind = trace::EventKind::kSlotStart;
+          ev.round = r;
+          ev.slot = k;
+          ev.node = run.sender_of(k);
+          cfg.trace->on_event(ev);
+        }
+        phase(r, k, off);
+      }
+      sim.step();
+      if (on_round_end != nullptr) (*on_round_end)(r, sim);
+      if (++off == fam.rounds_per_slot) {
+        off = 0;
+        ++k;
+      }
+    }
+    if (fam.hooks != nullptr && fam.hooks->inspect) fam.hooks->inspect(sim);
+
+    res.rounds = sim.now();
+    res.round_stats = sim.take_round_stats();
+    res.elided_rounds = sim.elided_rounds();
+    res.round_buffer_bytes = sim.traffic_reserved_bytes();
+    res.corrupt.resize(cfg.n);
+    for (NodeId v = 0; v < cfg.n; ++v) res.corrupt[v] = sim.is_corrupt(v);
+  }
+
   res.n = cfg.n;
   res.f = cfg.f;
   res.slots = cfg.slots;
-  res.rounds = sim.now();
   res.honest_bits = run.ledger.honest_bits_total();
   res.adversary_bits = run.ledger.adversary_bits_total();
   res.honest_msgs = run.ledger.honest_msgs_total();
   res.per_slot_bits = run.ledger.per_slot();
   res.kind_names = run.ledger.kind_names();
   res.per_kind_bits = run.ledger.per_kind();
-  res.commits = run.commits;
-  res.round_stats = sim.take_round_stats();
-  res.elided_rounds = sim.elided_rounds();
-  res.corrupt.resize(cfg.n);
-  for (NodeId v = 0; v < cfg.n; ++v) res.corrupt[v] = sim.is_corrupt(v);
   res.senders.resize(cfg.slots + 1, kNoNode);
   res.sender_inputs.resize(cfg.slots + 1, kBotValue);
   for (Slot s = 1; s <= cfg.slots; ++s) {
     res.senders[s] = run.sender_of(s);
     res.sender_inputs[s] = run.input_for_slot(s);
   }
+  // Last: a causal input (input_with_log) reads the log above. The run is
+  // over, so the log moves rather than being copied.
+  res.commits = std::move(run.commits);
   return res;
 }
 

@@ -2,6 +2,7 @@
 // the multi-shot BB properties of Definition 2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,6 +37,10 @@ struct RunResult {
   /// Rounds elided as quiescent (DESIGN.md §17): they have no entry in
   /// round_stats, so round_stats.size() + elided_rounds == rounds.
   std::uint64_t elided_rounds = 0;
+  /// Heap bytes the simulator's per-round traffic buffers held at the end
+  /// of the run (Simulation::traffic_reserved_bytes). An observer only:
+  /// it is in no BENCH field and no measurement diff.
+  std::size_t round_buffer_bytes = 0;
 
   /// Aggregate of round_stats (all zeros if the driver did not fill it);
   /// its `rounds` also counts the elided rounds, which add nothing else.

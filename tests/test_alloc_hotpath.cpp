@@ -38,9 +38,15 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+// Allocations of exactly g_watch_size bytes (0: none watched).
+std::atomic<std::size_t> g_watch_size{0};
+std::atomic<std::uint64_t> g_watch_hits{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (size == g_watch_size.load(std::memory_order_relaxed)) {
+    g_watch_hits.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -158,6 +164,26 @@ TEST(AllocHotPath, SteadyStateAlg4RoundsAllocateNothing) {
   // The run itself must still be a real, committing execution.
   EXPECT_GT(r.honest_bits, 0u);
   EXPECT_GT(samples.back(), samples.front());  // warmup did allocate
+}
+
+TEST(AllocHotPath, CommitTableIsAllocatedOnce) {
+  // RunState presizes the [slot][node] commit table; drive() moves it
+  // into the result instead of copying it (DESIGN.md §20).
+  linear::LinearConfig cfg;
+  cfg.n = 16;
+  cfg.f = 4;
+  cfg.slots = 5;
+  cfg.seed = 3;
+  cfg.eps = 0.2;
+  cfg.adversary = "none";
+  const std::size_t table =
+      std::size_t{cfg.slots + 1} * cfg.n * sizeof(CommitRecord);
+  g_watch_hits.store(0, std::memory_order_relaxed);
+  g_watch_size.store(table, std::memory_order_relaxed);
+  const RunResult r = run_linear(cfg);
+  g_watch_size.store(0, std::memory_order_relaxed);
+  EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 1u);
+  for (NodeId v = 0; v < cfg.n; ++v) EXPECT_TRUE(r.commits.has(v, cfg.slots));
 }
 
 /// Heap allocations made by constructing one Alg-4 LinearNode and one

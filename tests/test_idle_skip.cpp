@@ -140,12 +140,12 @@ class ForgeDev final : public Deviation {
       m.kind = Kind::kCommitProof;
       if (offset == kValidCommitOffset) {
         m.slot = k - 1;
-        m.epoch = m.proof_epoch = ctx.sched.epoch_of(c.round);
+        m.epoch = m.cert_epoch = ctx.sched.epoch_of(c.round);
         m.value = c.value;
         m.proof = combined(ctx, commit_digest(m.slot, m.epoch, m.value));
       } else {
         m.slot = k;
-        m.epoch = m.proof_epoch = i;
+        m.epoch = m.cert_epoch = i;
         m.value = 0xF0F0;
         m.proof.mac[0] = 0x5A;
       }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <type_traits>
 
 #include "common/check.hpp"
 
@@ -201,6 +202,123 @@ TEST(Linear, MessageSizesFollowWireModel) {
   m.has_cert = true;
   EXPECT_EQ(size_bits(m, w),
             w.header_bits() + 256 + 1 + 16 + 256 + 256 + w.id_bits());
+}
+
+// Msg keeps one storage slot per role (DESIGN.md §14): the records are
+// copied as bytes, and a share and a signature share one slot.
+static_assert(std::is_trivially_copyable_v<Msg>);
+static_assert(std::is_layout_compatible_v<SigShare, Signature>);
+
+// The fields size_bits prices for each kind, besides the header's kind,
+// slot and epoch.
+enum Field : unsigned {
+  kHasCert = 1u << 0,
+  kAccused = 1u << 1,
+  kValue = 1u << 2,
+  kCertEpoch = 1u << 3,
+  kCertSig = 1u << 4,
+  kProofSig = 1u << 5,
+  kShare = 1u << 6,
+  kLeaderSig = 1u << 7,
+};
+
+unsigned priced_fields(Kind k) {
+  switch (k) {
+    case Kind::kCollect:
+      return kHasCert | kValue | kCertEpoch | kCertSig;
+    case Kind::kPropose:
+    case Kind::kPropForward:
+      return kHasCert | kValue | kCertEpoch | kCertSig | kLeaderSig;
+    case Kind::kVote:
+    case Kind::kCertVote:
+      return kValue | kShare;
+    case Kind::kCert:
+    case Kind::kCertForward:
+      return kValue | kCertSig;
+    case Kind::kCommitProof:
+      return kCertEpoch | kValue | kProofSig;
+    case Kind::kAccuse:
+    case Kind::kAccuseForward:
+      return kAccused | kShare;
+    case Kind::kCorruptProof:
+      return kAccused | kProofSig;
+    case Kind::kQuery1:
+    case Kind::kQuery2:
+      return 0;
+    case Kind::kKindCount:
+      break;
+  }
+  ADD_FAILURE() << "kind " << static_cast<int>(k) << " has no field list";
+  return 0;
+}
+
+Digest filled(std::uint8_t b) {
+  Digest d;
+  d.fill(b);
+  return d;
+}
+
+// Every field of every kind survives a trip through a traffic record: no
+// two fields one kind carries share storage.
+TEST(Linear, EveryPricedFieldSurvivesATrafficRecord) {
+  constexpr Slot kSlot = 0x51075107;
+  constexpr Epoch kEpoch = 0xE90C;
+  constexpr NodeId kAccusedNode = 0x0ACC05ED;
+  constexpr Value kVal = 0x7A1E7A1E7A1E7A1EULL;
+  constexpr Epoch kCertEpochVal = 0xCE47;
+  const SigShare kShareVal{0x5A4E, filled(0xD3)};
+  const Signature kSigVal{0x0516, filled(0xE4)};
+  for (MsgKind raw = 0; raw < static_cast<MsgKind>(Kind::kKindCount);
+       ++raw) {
+    const Kind kind = static_cast<Kind>(raw);
+    const unsigned fields = priced_fields(kind);
+    SCOPED_TRACE(kind_name(kind));
+    Msg m;
+    m.kind = kind;
+    m.slot = kSlot;
+    m.epoch = kEpoch;
+    if (fields & kHasCert) m.has_cert = true;
+    if (fields & kAccused) m.accused = kAccusedNode;
+    if (fields & kValue) m.value = kVal;
+    if (fields & kCertEpoch) m.cert_epoch = kCertEpochVal;
+    if (fields & kCertSig) m.cert.mac = filled(0xC1);
+    if (fields & kProofSig) m.proof.mac = filled(0xB2);
+    if (fields & kShare) m.share = kShareVal;
+    if (fields & kLeaderSig) m.sig = kSigVal;
+
+    TrafficLog<Msg> log;
+    log.reset(4);
+    log.add_unicast(1, 2, m);
+    ASSERT_EQ(log.records().size(), 1u);
+    const Msg& got = log.records()[0].msg;
+    EXPECT_EQ(got.kind, kind);
+    EXPECT_EQ(got.slot, kSlot);
+    EXPECT_EQ(got.epoch, kEpoch);
+    if (fields & kHasCert) {
+      EXPECT_TRUE(got.has_cert);
+    }
+    if (fields & kAccused) {
+      EXPECT_EQ(got.accused, kAccusedNode);
+    }
+    if (fields & kValue) {
+      EXPECT_EQ(got.value, kVal);
+    }
+    if (fields & kCertEpoch) {
+      EXPECT_EQ(got.cert_epoch, kCertEpochVal);
+    }
+    if (fields & kCertSig) {
+      EXPECT_EQ(got.cert.mac, filled(0xC1));
+    }
+    if (fields & kProofSig) {
+      EXPECT_EQ(got.proof.mac, filled(0xB2));
+    }
+    if (fields & kShare) {
+      EXPECT_EQ(got.share, kShareVal);
+    }
+    if (fields & kLeaderSig) {
+      EXPECT_EQ(got.sig, kSigVal);
+    }
+  }
 }
 
 TEST(Linear, KindNamesCoverAllKinds) {

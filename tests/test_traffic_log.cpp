@@ -24,9 +24,10 @@ using Log = TrafficLog<int>;
 using View = TrafficView<int>;
 
 // A group lives in Record::to, so Algorithm 4's records did not grow:
-// from, to, the 176-byte message and the base index.
-static_assert(sizeof(linear::Msg) == 176);
-static_assert(sizeof(TrafficLog<linear::Msg>::Record) == 192,
+// from, to, the 96-byte message (one slot per role, DESIGN.md §14) and
+// the base index.
+static_assert(sizeof(linear::Msg) == 96);
+static_assert(sizeof(TrafficLog<linear::Msg>::Record) == 112,
               "a traffic record grew");
 
 TEST(TrafficLog, EmptyLogHasNoDeliveriesAndRecordOfThrows) {

@@ -21,8 +21,9 @@
 //   --slot K         only print the timeline of slot K (summary stays)
 //   --jsonl FILE     also dump the raw deterministic JSONL event stream
 //
-// The summary ends with the replay's cache counters and the process's
-// peak resident set size (getrusage), which only observe the run.
+// The summary ends with the replay's cache counters, the process's peak
+// resident set size (getrusage) and the bytes the simulator's round
+// buffers held at the end of the run, which only observe the run.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -399,8 +400,9 @@ int main(int argc, char** argv) {
   std::printf("\n");
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
-  std::printf("memory: peak RSS %.1f MiB\n",
-              static_cast<double>(ru.ru_maxrss) / 1024.0);  // ru_maxrss: KiB
+  std::printf("memory: peak RSS %.1f MiB; round buffers %.2f MiB\n",
+              static_cast<double>(ru.ru_maxrss) / 1024.0,  // ru_maxrss: KiB
+              static_cast<double>(r.round_buffer_bytes) / (1024.0 * 1024.0));
   if (any_stall) std::printf("liveness: at least one slot stalled\n");
   return 0;
 }
