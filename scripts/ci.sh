@@ -156,6 +156,13 @@ trace() {
       exit 1
     }
   done
+  # Alg-5.2's honest forwards repeat one payload: honest readers of the
+  # shared stream must skip those exact repeats (DESIGN.md §19).
+  grep -q '^caches: .*; repeats [1-9][0-9]* of [0-9]* multicasts$' \
+      "$dir/replay_quad.txt" || {
+    echo "ambb_trace replay_quad shows no elided repeats" >&2
+    exit 1
+  }
   rm -rf "$dir"
 }
 

@@ -51,6 +51,8 @@ struct Msg {
   Value value = 0;
   NodeId accused = kNoNode;  ///< kAccuse / kCorrupt target
   Signature sig{};           ///< sender / accuser / voter signature
+
+  bool operator==(const Msg&) const = default;
 };
 
 std::uint64_t size_bits(const Msg& m, const WireModel& wire);
@@ -99,6 +101,25 @@ struct CostPolicy {
   MsgKind kind(const Msg& m) const { return static_cast<MsgKind>(m.kind); }
   Slot slot(const Msg& m, Round sent_round) const {
     return m.slot != 0 ? m.slot : sched.slot_of(sent_round);
+  }
+
+  /// Opts in to repeat elision (ElidesRepeats, DESIGN.md §19): a hash of
+  /// every field but the MAC, which every valid copy derives from the
+  /// others; a forged twin thus meets its original in the index, and ==
+  /// alone tells them apart. QuadNode keeps the promise: an honest node's
+  /// handling of a message reads only its payload, a kProp with a known
+  /// value is dropped, a seen kAccuse (accuser, accused) or kCorrupt
+  /// (target, voter) pair is dropped, and a copy of a payload whose
+  /// signature failed fails too.
+  std::uint64_t repeat_key(const Msg& m) const {
+    // Independent products, so the multiplies overlap.
+    std::uint64_t h =
+        ((std::uint64_t{m.slot} << 32 | m.accused) * 0x9E3779B97F4A7C15ULL) ^
+        ((std::uint64_t{m.sig.signer} << 8 |
+          static_cast<std::uint8_t>(m.kind)) * 0xBF58476D1CE4E5B9ULL) ^
+        (m.value * 0x94D049BB133111EBULL);
+    h ^= h >> 29;
+    return h * 0xBF58476D1CE4E5B9ULL;
   }
 };
 

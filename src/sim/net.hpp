@@ -20,15 +20,17 @@
 // shared inbox stream; only a node whose inbox differs from that stream
 // (it gets a unicast or a group delivery, loses a delivery to erasure or
 // gets a deferred one) is given its own inbox, filled in the same order
-// (DESIGN.md §19). The adversary still addresses *individual* (sender,
-// recipient) deliveries: record i with fanout c_i owns the half-open
-// delivery-index range [base_i, base_i + c_i), where base_i = sum of
-// earlier fanouts; a multicast's deliveries appear in recipient order
-// 0..n-1 and a group's in list order. This enumerates deliveries in
-// exactly the order the former eager-copy representation enumerated
-// envelopes, and a group's exactly as the same sends made one by one
-// (DESIGN.md §22), so erase indices (and therefore seeded adversary
-// decisions) are unchanged.
+// (DESIGN.md §19). A family whose policy defines repeat_key
+// (ElidesRepeats) also has the exact repeats left out of the stream its
+// honest readers get; Byzantine readers and own inboxes see every copy.
+// The adversary still addresses *individual* (sender, recipient)
+// deliveries: record i with fanout c_i owns the half-open delivery-index
+// range [base_i, base_i + c_i), where base_i = sum of earlier fanouts; a
+// multicast's deliveries appear in recipient order 0..n-1 and a group's
+// in list order. This enumerates deliveries in exactly the order the
+// former eager-copy representation enumerated envelopes, and a group's
+// exactly as the same sends made one by one (DESIGN.md §22), so erase
+// indices (and therefore seeded adversary decisions) are unchanged.
 //
 // Event-queue scheduler (DESIGN.md §16): delivery is driven by a
 // deterministic event queue parameterized by a NetPolicy
@@ -56,6 +58,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -146,6 +149,102 @@ class RecordVerdicts {
 
   std::vector<std::uint64_t> tags_;
 };
+
+/// Finds the exact repeats among one round's multicasts, for the families
+/// whose policy defines repeat_key (DESIGN.md §19). An open-addressing
+/// set of record ids, indexed by the high half of each payload's key and
+/// sized to the distinct payloads seen (load at most one half), so a
+/// flood of equal copies keeps it small. A key match is only a candidate:
+/// the caller decides a repeat by comparing whole payloads. Repeat and
+/// multicast counts go to thread-local counters that only observe.
+class RepeatIndex {
+ public:
+  struct Stats {
+    std::uint64_t repeats = 0;     ///< multicasts found to repeat one
+    std::uint64_t multicasts = 0;  ///< multicasts looked at
+  };
+
+  /// Round boundary: forget every payload. The table keeps its capacity.
+  void reset() {
+    resize_empty(kMinSlots);
+    used_ = 0;
+  }
+
+  /// Whether record `id` repeats a record added since reset(), by
+  /// `same(j)`: record j's payload equals id's. If not, adds `id`.
+  template <typename Same>
+  bool repeat(std::uint64_t key, std::uint32_t id, Same&& same) {
+    Stats& st = counters();
+    ++st.multicasts;
+    const auto hi = static_cast<std::uint32_t>(key >> 32);
+    std::size_t at = hi & mask_;
+    for (; slots_[at] != kEmpty; at = (at + 1) & mask_) {
+      const std::uint64_t e = slots_[at];
+      if (static_cast<std::uint32_t>(e >> 32) == hi &&
+          same(static_cast<std::uint32_t>(e))) {
+        ++st.repeats;
+        return true;
+      }
+    }
+    slots_[at] = (std::uint64_t{hi} << 32) | id;
+    if (2 * ++used_ > mask_ + 1) grow();
+    return false;
+  }
+
+  /// Heap bytes the table holds (capacity, not size).
+  std::size_t reserved_bytes() const {
+    return (slots_.capacity() + old_.capacity()) * sizeof(std::uint64_t);
+  }
+
+  /// Repeats and multicasts of every index the calling thread used,
+  /// cumulative: take it before and after a run and subtract.
+  static Stats stats() { return counters(); }
+
+ private:
+  /// An entry is (key >> 32) << 32 | record id; no record id is kNoRecord.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::size_t kMinSlots = 64;
+
+  static Stats& counters() {
+    thread_local Stats st;
+    return st;
+  }
+
+  void resize_empty(std::size_t slots) {
+    if (slots_.size() < slots) slots_.resize(slots);
+    std::fill_n(slots_.begin(), slots, kEmpty);
+    mask_ = slots - 1;
+  }
+
+  /// Double the table and re-place every entry by its stored key half.
+  void grow() {
+    old_.assign(slots_.begin(), slots_.begin() + (mask_ + 1));
+    resize_empty(2 * (mask_ + 1));
+    for (const std::uint64_t e : old_) {
+      if (e == kEmpty) continue;
+      std::size_t at = (e >> 32) & mask_;
+      while (slots_[at] != kEmpty) at = (at + 1) & mask_;
+      slots_[at] = e;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::vector<std::uint64_t> old_;  ///< grow()'s copy of the old table
+  std::size_t mask_ = 0;
+  std::size_t used_ = 0;
+};
+
+/// A family's accounting policy opts in to repeat elision (DESIGN.md §19)
+/// by defining repeat_key(m), a hash of the payload that gives equal
+/// payloads equal keys, on a message type with ==. Opting in promises
+/// that an honest recipient's handling of a multicast depends only on its
+/// payload, and that a payload equal to one it handled earlier in the
+/// same inbox changes nothing.
+template <typename Policy, typename Msg>
+concept ElidesRepeats =
+    std::equality_comparable<Msg> && requires(const Policy& p, const Msg& m) {
+      { p.repeat_key(m) } -> std::same_as<std::uint64_t>;
+    };
 
 /// One round of emitted traffic as shared records.
 template <typename Msg>
@@ -535,14 +634,15 @@ class Simulation final : CorruptionCtl<Msg> {
   std::uint64_t elided_rounds() const { return elided_rounds_; }
 
   /// Heap bytes held by the per-round traffic buffers: both round logs,
-  /// the shared stream, the own-inbox buffer and the timing path's
-  /// staging buffer (capacity, not size). A pure observer (tests pin that
-  /// elision keeps it equal to a run without elision).
+  /// the shared stream and its first copies with their repeat index, the
+  /// own-inbox buffer and the timing path's staging buffer (capacity, not
+  /// size). A pure observer (tests pin that elision keeps it equal to a
+  /// run without elision).
   std::size_t traffic_reserved_bytes() const {
     return cur_.reserved_bytes() + prev_.reserved_bytes() +
-           (shared_.capacity() + own_buf_.capacity()) *
+           (shared_.capacity() + first_.capacity() + own_buf_.capacity()) *
                sizeof(Delivery<Msg>) +
-           staged_.capacity() * sizeof(Staged);
+           repeats_.reserved_bytes() + staged_.capacity() * sizeof(Staged);
   }
 
   /// Execute one lock-step round.
@@ -644,6 +744,7 @@ class Simulation final : CorruptionCtl<Msg> {
     for (NodeId v : touched_inboxes_) own_[v] = 0;
     touched_inboxes_.clear();
     shared_.clear();
+    if constexpr (kElidesRepeats) first_.clear();
     std::size_t own_total = 0;
     if (net_.lockstep()) {
       //  Lock-step path (DESIGN.md §19). A node whose inbox is exactly
@@ -657,8 +758,11 @@ class Simulation final : CorruptionCtl<Msg> {
       //  visiting the own nodes in ascending id and each group its list —
       //  their delivery-index orders — so the sorted erasure cursor still
       //  steps through every erased index. Every delivery carries its
-      //  record's index, the id RecordVerdicts keys on. The deferred
-      //  queue is empty under lockstep.
+      //  record's index, the id RecordVerdicts keys on. If the policy
+      //  opts in, each multicast whose payload equals an earlier one of
+      //  the round is left out of first_, the stream honest readers of
+      //  the shared stream get (exact repeats). The deferred queue is
+      //  empty under lockstep.
       std::size_t multicasts = 0;
       auto er = erased_.begin();
       for (const auto& rec : cur_.records()) {
@@ -682,6 +786,7 @@ class Simulation final : CorruptionCtl<Msg> {
       }
       std::sort(touched_inboxes_.begin(), touched_inboxes_.end());
       own_total = lay_out_own_inboxes(multicasts);
+      if constexpr (kElidesRepeats) repeats_.reset();
       er = erased_.begin();
       const auto& recs = cur_.records();
       AMBB_CHECK(recs.size() < kNoRecord);
@@ -690,6 +795,12 @@ class Simulation final : CorruptionCtl<Msg> {
         const Delivery<Msg> delivery{rec.from, i, &rec.msg};
         if (rec.is_multicast()) {
           shared_.push_back(delivery);
+          if constexpr (kElidesRepeats) {
+            const bool repeat = repeats_.repeat(
+                policy_.repeat_key(rec.msg), i,
+                [&](std::uint32_t j) { return recs[j].msg == rec.msg; });
+            if (!repeat) first_.push_back(delivery);
+          }
           for (NodeId v : touched_inboxes_) {
             if (er != erased_.end() && *er == rec.base + v) {
               ++er;
@@ -846,11 +957,17 @@ class Simulation final : CorruptionCtl<Msg> {
   }
 
   /// Node v's deliveries for this round: its own inbox if it has one,
-  /// else the shared multicast stream.
+  /// else the shared multicast stream, without its exact repeats if v is
+  /// honest and the policy opts in.
   std::span<const Delivery<Msg>> inbox_of(NodeId v) const {
-    if (!own_[v]) return shared_;
-    return std::span<const Delivery<Msg>>(own_buf_.data() + own_begin_[v],
-                                          own_end_[v] - own_begin_[v]);
+    if (own_[v]) {
+      return std::span<const Delivery<Msg>>(
+          own_buf_.data() + own_begin_[v], own_end_[v] - own_begin_[v]);
+    }
+    if constexpr (kElidesRepeats) {
+      if (!corrupt_[v]) return first_;
+    }
+    return shared_;
   }
 
   bool has_mail(NodeId v) const {
@@ -980,6 +1097,12 @@ class Simulation final : CorruptionCtl<Msg> {
   /// the inbox of every node that is not own (DESIGN.md §19). Entries
   /// point into prev_'s records.
   std::vector<Delivery<Msg>> shared_;
+  /// The first copy of each distinct payload in shared_, in record order:
+  /// what honest readers of the shared stream get when the policy opts in
+  /// (ElidesRepeats); repeats_ finds the copies to leave out.
+  static constexpr bool kElidesRepeats = ElidesRepeats<Policy, Msg>;
+  std::vector<Delivery<Msg>> first_;
+  RepeatIndex repeats_;
   std::vector<std::uint8_t> own_;
   std::vector<NodeId> touched_inboxes_;  ///< the own nodes
   /// The own inboxes, one flat buffer shared by all nodes (DESIGN.md

@@ -12,6 +12,11 @@
 // trace byte for byte, and the traffic buffers' reserved bytes. The
 // unwrapped copy must also match the "quadratic" registry row, except on
 // the "forge" row, whose forged signatures no registry adversary sends.
+//
+// The same grid also tests repeat elision (DESIGN.md §19): under lockstep
+// honest readers of the shared multicast stream skip exact repeats, while
+// bounded:0, pinned bit-identical to lockstep, takes the timing path and
+// never elides. Each row must agree on every measured bit between the two.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -266,6 +271,45 @@ TEST_P(IdleSkipQuad, ElisionMatchesAlwaysAwakeReference) {
   }
   EXPECT_GT(audit.sleeping_calls, 0u) << "no call was ever elidable";
 }
+
+class RepeatElisionQuad : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RepeatElisionQuad, LockStepMatchesBoundedZero) {
+  const std::string& adv = GetParam();
+  for (std::uint64_t seed : {1u, 2u}) {
+    Params p;
+    // The lock-step schedule: its timing faults would be traced off it.
+    p.adversary = adv == "sched" ? sched_spec("lockstep") : adv;
+    p.seed = seed;
+    SCOPED_TRACE(p.adversary + " / seed " + std::to_string(seed));
+    const RepeatIndex::Stats before = RepeatIndex::stats();
+    const Outcome got = run(p, nullptr);
+    const RepeatIndex::Stats after = RepeatIndex::stats();
+    p.net = "bounded:0";
+    Outcome ref = run(p, nullptr);
+    EXPECT_EQ(RepeatIndex::stats().multicasts, after.multicasts)
+        << "the timing path looked for repeats";
+    // Every row has repeats: at least the proposal's or an accusation's
+    // forwards.
+    EXPECT_GT(after.repeats - before.repeats, 0u);
+    // The timing path holds other buffers.
+    ref.traffic_bytes = got.traffic_bytes;
+    expect_same(got, ref);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, RepeatElisionQuad,
+    ::testing::Values("none", "silent", "equivocate", "conspiracy",
+                      "lateprop", "floodaccuse", "framer", "fuzz", "fuzz:1",
+                      "fuzz:2", "fuzz:3", "sched", kForge),
+    [](const auto& info) {
+      std::string s = info.param;
+      for (char& c : s) {
+        if (c == '-' || c == ':') c = '_';
+      }
+      return s;
+    });
 
 TEST(IdleSkipQuad, TwoWordGraphsMatchTheReference) {
   // n = 66 puts the trust-graph rows across a 64-bit word boundary while

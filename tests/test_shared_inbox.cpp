@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "bb/linear_bb.hpp"
+#include "bb/quadratic_bb.hpp"
 #include "common/rng.hpp"
 #include "crypto/signer.hpp"
 #include "crypto/threshold.hpp"
@@ -56,9 +57,21 @@ enum class Shape : std::uint8_t { kUnicast, kMulticast, kGroup };
 struct Msg {
   std::uint64_t tag = 0;
   Shape shape = Shape::kUnicast;
+
+  bool operator==(const Msg&) const = default;
 };
 
 using Sim = ToySim<Msg>;
+
+/// ToyPolicy opted in to repeat elision. The key is deliberately weak:
+/// tags 2k and 2k+1 share it, so only == can tell them apart.
+struct RepeatPolicy : ToyPolicy {
+  std::uint64_t repeat_key(const Msg& m) const {
+    return (m.tag / 2) * 0x9E3779B97F4A7C15ULL;
+  }
+};
+static_assert(ElidesRepeats<RepeatPolicy, Msg>);
+static_assert(!ElidesRepeats<ToyPolicy, Msg>);
 
 /// (round, from, tag): one delivery as a recipient saw it.
 using Seen = std::tuple<Round, NodeId, std::uint64_t>;
@@ -313,7 +326,8 @@ class ScriptedAdversary final : public Adversary<Msg> {
 };
 
 /// Builds an n-node sim of Script actors; returns them for inspection.
-std::vector<Script*> install(Sim& sim, std::uint32_t n,
+template <typename AnySim>
+std::vector<Script*> install(AnySim& sim, std::uint32_t n,
                              const Script::Act& act, Round wake_every = 1) {
   std::vector<Script*> out;
   for (NodeId v = 0; v < n; ++v) {
@@ -507,6 +521,125 @@ TEST(SharedInboxPinned, AllMulticastRoundSharesOneInboxBuffer) {
   }
 }
 
+/// One round-0 mix of repeats for the pinned repeat-elision test, with
+/// node 3 corrupt. Records, in order: r0 node 0 multicasts tag 1; r1 node
+/// 0 sends tag 9 to node 2; r2 node 1 multicasts tag 1 (a repeat); r3
+/// node 1 multicasts tag 2; r4 node 2 multicasts tag 1 (a repeat); r5
+/// node 2 multicasts tag 3 (shares tag 2's key, not a repeat); r6 node 3
+/// multicasts tag 2 (a repeat), whose delivery to node 1 (index 22) is
+/// erased.
+struct RepeatRun {
+  std::vector<std::vector<std::uint64_t>> tags;  ///< round-1 inbox per node
+  std::vector<std::vector<std::uint32_t>> ids;   ///< their record ids
+  RoundStats round0;
+  std::uint64_t honest_bits = 0;
+  std::uint64_t adversary_bits = 0;
+  RepeatIndex::Stats seen;  ///< what the index counted in the run
+};
+
+template <typename Policy>
+RepeatRun run_repeats() {
+  constexpr std::uint32_t kN = 4;
+  const Script::Act act = [](Round r, NodeId self, RoundApi<Msg>& api) {
+    if (r != 0) return;
+    switch (self) {
+      case 0:
+        api.multicast(Msg{1});
+        api.send(2, Msg{9});
+        break;
+      case 1:
+        api.multicast(Msg{1});
+        api.multicast(Msg{2});
+        break;
+      case 2:
+        api.multicast(Msg{1});
+        api.multicast(Msg{3});
+        break;
+      default:
+        api.multicast(Msg{2});
+        break;
+    }
+  };
+  CostLedger ledger({"toy"});
+  Simulation<Msg, Policy> sim(kN, 1, &ledger, Policy{});
+  const auto actors = install(sim, kN, act);
+  ScriptedAdversary adv({3}, act, {22});
+  SimConfig<Msg> sc;
+  sc.adversary = &adv;
+  sim.configure(sc);
+  const RepeatIndex::Stats before = RepeatIndex::stats();
+  run_rounds(sim, 2);
+  const RepeatIndex::Stats after = RepeatIndex::stats();
+  RepeatRun out;
+  for (NodeId v = 0; v < kN; ++v) {
+    const auto* a = v < 3 ? actors[v] : static_cast<const Script*>(sim.actor(v));
+    out.tags.push_back(a->inboxes.at(1));
+    out.ids.push_back(a->records.at(1));
+  }
+  out.round0 = sim.take_round_stats().at(0);
+  out.honest_bits = ledger.honest_bits_total();
+  out.adversary_bits = ledger.adversary_bits_total();
+  out.seen.repeats = after.repeats - before.repeats;
+  out.seen.multicasts = after.multicasts - before.multicasts;
+  return out;
+}
+
+TEST(SharedInboxRepeats, HonestSharedReadersGetFirstCopiesOnly) {
+  const RepeatRun got = run_repeats<RepeatPolicy>();
+  using Tags = std::vector<std::uint64_t>;
+  using Ids = std::vector<std::uint32_t>;
+  // Node 0 reads the shared stream: first copies, in record order, each
+  // under its own record id.
+  EXPECT_EQ(got.tags[0], (Tags{1, 2, 3}));
+  EXPECT_EQ(got.ids[0], (Ids{0, 3, 5}));
+  // Node 1 lost a delivery to erasure and node 2 got a unicast: both are
+  // own and see every copy; so does node 3, the Byzantine shared reader.
+  EXPECT_EQ(got.tags[1], (Tags{1, 1, 2, 1, 3}));
+  EXPECT_EQ(got.ids[1], (Ids{0, 2, 3, 4, 5}));
+  EXPECT_EQ(got.tags[2], (Tags{1, 9, 1, 2, 1, 3, 2}));
+  EXPECT_EQ(got.ids[2], (Ids{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(got.tags[3], (Tags{1, 1, 2, 1, 3, 2}));
+  EXPECT_EQ(got.ids[3], (Ids{0, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(got.seen.repeats, 3u);
+  EXPECT_EQ(got.seen.multicasts, 6u);
+}
+
+TEST(SharedInboxRepeats, ElisionChangesNoCountOrCharge) {
+  // Without repeat_key every reader gets every copy; the round's counts
+  // and charges are the same either way.
+  const RepeatRun got = run_repeats<RepeatPolicy>();
+  const RepeatRun ref = run_repeats<ToyPolicy>();
+  using Tags = std::vector<std::uint64_t>;
+  EXPECT_EQ(ref.tags[0], (Tags{1, 1, 2, 1, 3, 2}));
+  for (NodeId v = 1; v < 4; ++v) EXPECT_EQ(got.tags[v], ref.tags[v]);
+  EXPECT_EQ(ref.seen.multicasts, 0u);
+  EXPECT_EQ(got.round0.records, ref.round0.records);
+  EXPECT_EQ(got.round0.deliveries, ref.round0.deliveries);
+  EXPECT_EQ(got.round0.erasures, 1u);
+  EXPECT_EQ(got.honest_bits, ref.honest_bits);
+  EXPECT_EQ(got.adversary_bits, ref.adversary_bits);
+  EXPECT_GT(got.honest_bits, 0u);
+}
+
+TEST(SharedInboxRepeats, IndexGrowsPastManyDistinctPayloads) {
+  // 300 distinct payloads, each multicast twice by different nodes, make
+  // the index double several times; every second copy is still found.
+  constexpr std::uint32_t kN = 3;
+  CostLedger ledger({"toy"});
+  Simulation<Msg, RepeatPolicy> sim(kN, 1, &ledger, RepeatPolicy{});
+  const auto actors = install(
+      sim, kN, [](Round r, NodeId self, RoundApi<Msg>& api) {
+        if (r != 0 || self == 2) return;
+        for (std::uint64_t t = 0; t < 300; ++t) api.multicast(Msg{t});
+      });
+  const RepeatIndex::Stats before = RepeatIndex::stats();
+  run_rounds(sim, 2);
+  EXPECT_EQ(RepeatIndex::stats().repeats - before.repeats, 300u);
+  std::vector<std::uint64_t> want(300);
+  for (std::uint64_t t = 0; t < 300; ++t) want[t] = t;
+  for (const Script* a : actors) EXPECT_EQ(a->inboxes.at(1), want);
+}
+
 }  // namespace
 }  // namespace ambb
 
@@ -656,3 +789,140 @@ TEST(RecordVerdictsAlg4, ValidThenForgedShareUnderBoundedDelay) {
 
 }  // namespace
 }  // namespace ambb::linear
+
+namespace ambb::quad {
+namespace {
+
+constexpr std::uint32_t kN = 6;
+constexpr std::uint32_t kF = 2;
+constexpr NodeId kForger = 5;
+constexpr NodeId kTarget = 2;
+
+/// Byzantine node: in round 0 it multicasts two accusations of kTarget,
+/// signed "by" itself, equal but for the MAC, in the given order.
+class TwinAccusations final : public Actor<Msg> {
+ public:
+  TwinAccusations(Signature first, Signature second)
+      : first_(first), second_(second) {}
+
+  void on_round(Round r, std::span<const Delivery<Msg>>,
+                const TrafficView<Msg>&, RoundApi<Msg>& api) override {
+    if (r != 0) return;
+    for (const Signature& sig : {first_, second_}) {
+      Msg m;
+      m.kind = Kind::kAccuse;
+      m.slot = 1;
+      m.accused = kTarget;
+      m.sig = sig;
+      api.multicast(m);
+    }
+  }
+
+ private:
+  Signature first_;
+  Signature second_;
+};
+
+/// Corrupts kForger and records, once per multicast, every honest
+/// forward of an accusation it signed: (forwarder, signature).
+class TwinAdversary final : public Adversary<Msg> {
+ public:
+  TwinAdversary(Signature first, Signature second)
+      : first_(first), second_(second) {}
+
+  std::vector<NodeId> initial_corruptions() override { return {kForger}; }
+  std::unique_ptr<Actor<Msg>> actor_for(NodeId) override {
+    return std::make_unique<TwinAccusations>(first_, second_);
+  }
+  void observe_round(Round, const TrafficView<Msg>& traffic,
+                     CorruptionCtl<Msg>& ctl) override {
+    for (std::size_t d = 0; d < traffic.size(); ++d) {
+      const auto ref = traffic[d];
+      if (ref.to != 0 || ctl.is_corrupt(ref.from)) continue;
+      if (ref.msg.kind == Kind::kAccuse && ref.msg.sig.signer == kForger) {
+        forwards.emplace_back(ref.from, ref.msg.sig);
+      }
+    }
+  }
+
+  std::vector<std::pair<NodeId, Signature>> forwards;
+
+ private:
+  Signature first_;
+  Signature second_;
+};
+
+/// One Byzantine node multicasts a forged and a valid accusation that
+/// differ only in the MAC, in one round. Under lock-step both reach the
+/// honest nodes through the shared stream, where exact repeats are left
+/// out: were the twins taken for repeats, the second would never arrive.
+/// Every honest node must accept the valid one, drop the edge and
+/// forward the valid accusation exactly once.
+void expect_valid_twin_accepted(bool forged_first,
+                                const std::string& net = "lockstep") {
+  RunConfig core;
+  core.n = kN;
+  core.f = kF;
+  core.slots = 1;
+  core.seed = 5;
+  RunState st(core, kind_names());
+  KeyRegistry registry(kN, core.seed);
+  Context ctx;
+  ctx.n = kN;
+  ctx.f = kF;
+  ctx.wire = WireModel{kN, kDefaultKappaBits, kDefaultValueBits};
+  ctx.sched = Schedule{kN, kF};
+  ctx.registry = &registry;
+  ctx.commits = &st.commits;
+  ctx.input_for_slot = st.input_for_slot;
+  ctx.sender_of = st.sender_of;
+
+  const Signature valid = registry.sign(kForger, accuse_digest(kTarget));
+  Signature forged = valid;
+  forged.mac[0] ^= 0x5A;
+  TwinAdversary adv(forged_first ? forged : valid,
+                    forged_first ? valid : forged);
+
+  Sim sim(kN, kF, &st.ledger, CostPolicy{ctx.wire, ctx.sched});
+  for (NodeId v = 0; v < kN; ++v) {
+    sim.set_actor(v, std::make_unique<QuadNode>(v, &ctx));
+  }
+  SimConfig<Msg> sc;
+  sc.adversary = &adv;
+  sc.net = make_net_policy(net, core.seed);
+  sim.configure(sc);
+  const RepeatIndex::Stats before = RepeatIndex::stats();
+  // Round 0 sends the twins, round 1 forwards the valid one, and round 2
+  // reads the forwards.
+  for (int r = 0; r < 3; ++r) sim.step();
+  if (net == "lockstep") {
+    EXPECT_GT(RepeatIndex::stats().repeats - before.repeats, 0u)
+        << "no repeat was left out, so none was tested";
+  }
+
+  std::vector<std::pair<NodeId, Signature>> expected;
+  for (NodeId u = 0; u < kN; ++u) {
+    if (u == kForger) continue;
+    const auto* node = dynamic_cast<const QuadNode*>(sim.actor(u));
+    ASSERT_NE(node, nullptr);
+    EXPECT_FALSE(node->engine().graph().has_edge(kForger, kTarget))
+        << "node " << u;
+    expected.emplace_back(u, valid);
+  }
+  EXPECT_EQ(adv.forwards, expected);
+}
+
+TEST(RepeatsAlg52, ForgedThenValidAccusationTwins) {
+  expect_valid_twin_accepted(/*forged_first=*/true);
+}
+
+TEST(RepeatsAlg52, ValidThenForgedAccusationTwins) {
+  expect_valid_twin_accepted(/*forged_first=*/false);
+}
+
+TEST(RepeatsAlg52, ForgedThenValidTwinsOnTheTimingPath) {
+  expect_valid_twin_accepted(/*forged_first=*/true, "bounded:0");
+}
+
+}  // namespace
+}  // namespace ambb::quad

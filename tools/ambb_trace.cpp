@@ -21,9 +21,11 @@
 //   --slot K         only print the timeline of slot K (summary stays)
 //   --jsonl FILE     also dump the raw deterministic JSONL event stream
 //
-// The summary ends with the replay's cache counters, the process's peak
-// resident set size (getrusage) and the bytes the simulator's round
-// buffers held at the end of the run, which only observe the run.
+// The summary ends with the replay's cache counters (and how many
+// lock-step multicasts honest readers skipped as exact repeats), the
+// process's peak resident set size (getrusage) and the bytes the
+// simulator's round buffers held at the end of the run, which only
+// observe the run.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -183,6 +185,7 @@ int main(int argc, char** argv) {
   const DigestCache::Stats digest_before = DigestCache::local().stats();
   const VerifyCache::Stats mac_before = KeyRegistry::mac_cache_stats();
   const RecordVerdicts::Stats verdict_before = RecordVerdicts::stats();
+  const RepeatIndex::Stats repeat_before = RepeatIndex::stats();
   try {
     r = info.run(RunRequest{cli.params, &sink});
   } catch (const CheckError& e) {
@@ -192,6 +195,7 @@ int main(int argc, char** argv) {
   const DigestCache::Stats digest_after = DigestCache::local().stats();
   const VerifyCache::Stats mac_after = KeyRegistry::mac_cache_stats();
   const RecordVerdicts::Stats verdict_after = RecordVerdicts::stats();
+  const RepeatIndex::Stats repeat_after = RepeatIndex::stats();
 
   if (!cli.jsonl.empty()) {
     std::ofstream os(cli.jsonl, std::ios::binary | std::ios::trunc);
@@ -397,7 +401,13 @@ int main(int argc, char** argv) {
   print_memo("mac", mac_before, mac_after);
   std::printf("; ");
   print_hits("verdict", verdict_before, verdict_after);
-  std::printf("\n");
+  // Exact repeats left out of honest readers' shared stream (DESIGN.md
+  // §19), of the lock-step multicasts of families that opt in.
+  std::printf("; repeats %llu of %llu multicasts\n",
+              static_cast<unsigned long long>(repeat_after.repeats -
+                                              repeat_before.repeats),
+              static_cast<unsigned long long>(repeat_after.multicasts -
+                                              repeat_before.multicasts));
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   std::printf("memory: peak RSS %.1f MiB; round buffers %.2f MiB\n",
