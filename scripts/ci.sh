@@ -240,6 +240,9 @@ unused_allow=(
   "ambb::linear::LinearNode::seen_accuse(unsigned int, unsigned int) const"
   # Alg-4 oracle: an honest node's query2 emissions stay within f.
   "ambb::linear::LinearNode::expensive_epochs() const"
+  # Alg-4 oracle: test_idle_skip's forge row checks that a valid
+  # commit-proof of a convicted leader's epoch is relayed ((*4)).
+  "ambb::linear::LinearNode::relayed_commit_proof(unsigned int) const"
 )
 
 unused() {

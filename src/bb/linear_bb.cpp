@@ -324,6 +324,22 @@ void LinearNode::relay_held_proof(NodeId convicted, RoundApi<Msg>& api) {
   }
 }
 
+// The exact complement of maybe_commit below, condition by condition: a
+// later slot is ignored; a past slot only commits; in the current slot a
+// proof is held if fresher, relayed under (*4) or always-forward if one is
+// due, and commits. Most commit-proofs repeat one the node holds, so
+// process_inbox drops them before the check (DESIGN.md §14).
+bool LinearNode::commit_proof_inert(Slot k, Epoch j) const {
+  if (k > cur_slot_) return true;
+  if (k < cur_slot_) return ctx_->commits->has(id_, k);
+  const bool star4_due = j < star4_forwarded_.size() &&
+                         !star4_forwarded_.get(j) &&
+                         corrupt_proof_have_[ctx_->leader(k, j)];
+  return committed_ && have_commit_proof_ && j <= commit_proof_epoch_ &&
+         !star4_due &&
+         (!ctx_->opts.always_forward_commit_proof || forwarded_commit_proof_);
+}
+
 void LinearNode::maybe_commit(Slot k, Epoch j, Value v,
                               const ThresholdSig& proof, Round r,
                               RoundApi<Msg>& api) {
@@ -386,7 +402,7 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
   });
   if (!valid) return;
   accuse_seen_.set(accuser, target);
-  ctx_->accuse_share(accuser, target) = m.share;
+  ctx_->hold_accuse_share(accuser, target, m.share);
   fresh_accuse_from_[accuser] = 1;
   fresh_pairs_.emplace_back(accuser, target);
   fresh_dirty_ = true;
@@ -404,7 +420,8 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
   // (*3): aggregate n-f accusations into a corrupt-proof.
   if (!corrupt_proof_have_[target]) {
     if (++accuse_count_[target] >= ctx_->n - ctx_->f) {
-      corrupt_proof_sig_[target] = combine_accusations(target);
+      corrupt_proof_sig_[target] =
+          ctx_->combine_accusations(accuse_seen_, target);
       corrupt_proof_have_[target] = 1;
       {
         trace::Event ev;
@@ -430,21 +447,6 @@ void LinearNode::handle_accuse(const Delivery<Msg>& env,
       relay_held_proof(target, api);
     }
   }
-}
-
-// combine() checks every share again, so a table entry that is not this
-// pair's valid share fails loudly instead of forming a proof.
-ThresholdSig LinearNode::combine_accusations(NodeId target) const {
-  // Reused scratch: n shares at most, gathered at most once per target.
-  thread_local std::vector<SigShare> shares;
-  shares.clear();
-  for (NodeId a = 0; a < ctx_->n; ++a) {
-    if (accuse_seen_.get(a, target)) {
-      shares.push_back(ctx_->accuse_share(a, target));
-    }
-  }
-  return ctx_->th->combine(std::span<const SigShare>(shares),
-                           accuse_digest(target));
 }
 
 // A forward's d recipients share its record, as a multicast's n do, so
@@ -505,6 +507,7 @@ void LinearNode::process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
         break;
       }
       case Kind::kCommitProof:
+        if (commit_proof_inert(m.slot, m.cert_epoch)) break;
         if (proof_verifies(env)) {
           maybe_commit(m.slot, m.cert_epoch, m.value, m.proof, r, api);
         }
@@ -675,7 +678,7 @@ void LinearNode::issue_accuse(NodeId v, RoundApi<Msg>& api) {
   // round must already exclude nodes we just accused.
   if (!accuse_seen_.get(id_, v)) {
     accuse_seen_.set(id_, v);
-    ctx_->accuse_share(id_, v) = m.share;
+    ctx_->hold_accuse_share(id_, v, m.share);
     if (!corrupt_proof_have_[v]) ++accuse_count_[v];
   }
   out_multicast(api, m);
@@ -1033,6 +1036,43 @@ Round LinearNode::next_wake(Round r) const {
 }
 
 // ---------------------------------------------------------------------------
+// Context
+// ---------------------------------------------------------------------------
+
+void Context::hold_accuse_share(NodeId accuser, NodeId target,
+                                const SigShare& s) const {
+  const std::size_t i = std::size_t{accuser} * n + target;
+  AMBB_CHECK(target < n && i < accuse_shares.size());
+  SigShare& entry = accuse_shares[i];
+  AMBB_CHECK_MSG(entry.signer == kNoNode || entry == s,
+                 "accusation share (" << accuser << ", " << target
+                                      << ") rewritten with another share");
+  entry = s;
+}
+
+// Each honest node combines once per convicted target, over about n - f
+// entries that all its peers combine over too, so checking each entry at
+// every combine made most of a run's share checks (DESIGN.md §14). Entries
+// are write-once, so one check per run covers every later use; the first
+// still throws on an invalid entry, so a share that reached the table
+// around the verdict fails loudly.
+ThresholdSig Context::combine_accusations(const BitMatrix& accepted,
+                                          NodeId target) const {
+  const Digest d = accuse_digest(target);
+  std::size_t distinct = 0;
+  for (NodeId a = 0; a < n; ++a) {
+    if (!accepted.get(a, target)) continue;
+    ++distinct;
+    if (accuse_checked.get(a, target)) continue;
+    const SigShare& s = accuse_share(a, target);
+    AMBB_CHECK_MSG(s.signer == a && th->verify_share(s, d),
+                   "invalid share passed to combine");
+    accuse_checked.set(a, target);
+  }
+  return th->aggregate(distinct, d);
+}
+
+// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -1055,6 +1095,7 @@ Context make_context(const RunConfig& cfg, RunState& run, const Options& opts,
   ctx.nodes.reserve(cfg.n);
   for (NodeId t = 0; t < cfg.n; ++t) ctx.nodes.push_back(t);
   ctx.accuse_shares.resize(std::size_t{cfg.n} * cfg.n);
+  ctx.accuse_checked = BitMatrix(cfg.n, cfg.n);
   return ctx;
 }
 

@@ -188,7 +188,8 @@ struct CostPolicy {
 using Sim = Simulation<Msg, CostPolicy>;
 
 /// Execution context shared by all actors of one run; build it with
-/// make_context. Read-only apart from `verdicts`, a cache.
+/// make_context. Read-only apart from `verdicts`, a cache, and the
+/// accusation share table, whose entries are write-once.
 struct Context {
   std::uint32_t n = 0;
   std::uint32_t f = 0;
@@ -214,18 +215,32 @@ struct Context {
   /// valid share is a function of (accuser, target) alone, so the run
   /// holds each once, not once per node (DESIGN.md §14). A node writes an
   /// entry only when it accepts the pair (handle_accuse after the
-  /// record's verdict, issue_accuse for its own share) and reads only
-  /// entries of pairs it accepted.
+  /// record's verdict, issue_accuse for its own share), through
+  /// hold_accuse_share, and reads only entries of pairs it accepted.
   mutable std::vector<SigShare> accuse_shares;
+  /// [accuser][target]: entries a combine_accusations call has verified.
+  /// Entries are write-once, so a verified one stays valid for the run.
+  mutable BitMatrix accuse_checked{0, 0};
 
   NodeId leader(Slot k, Epoch i) const {
     return i == 0 ? sender_of(k) : static_cast<NodeId>((i - 1) % n);
   }
-  SigShare& accuse_share(NodeId accuser, NodeId target) const {
+  const SigShare& accuse_share(NodeId accuser, NodeId target) const {
     const std::size_t i = std::size_t{accuser} * n + target;
     AMBB_CHECK(target < n && i < accuse_shares.size());
     return accuse_shares[i];
   }
+  /// Write the share of (accuser, target). Entries are write-once: every
+  /// writer of an entry writes the same valid share, so a second write
+  /// that differs is a bug and throws CheckError.
+  void hold_accuse_share(NodeId accuser, NodeId target,
+                         const SigShare& s) const;
+  /// (*3): the corrupt-proof on `target` from the entries of the pairs
+  /// (a, target) set in `accepted`. Each entry is verified the first time
+  /// any node combines with it and only counted after that; an invalid
+  /// one throws "invalid share passed to combine".
+  ThresholdSig combine_accusations(const BitMatrix& accepted,
+                                   NodeId target) const;
 };
 
 /// The Context of one run over `run`'s commit log and inputs and the
@@ -307,6 +322,15 @@ class LinearNode final : public Actor<Msg> {
   }
   bool has_corrupt_proof(NodeId v) const { return corrupt_proof_have_[v]; }
   std::uint64_t expensive_epochs() const { return expensive_epochs_; }
+  /// The freshest commit-proof this node holds for the current slot;
+  /// meaningful once it holds one, as an honest node does once it has
+  /// committed the slot.
+  Msg held_commit_proof() const;
+  /// (*4): whether this node has relayed the commit-proof of epoch j of
+  /// the current slot, whose leader it convicted.
+  bool relayed_commit_proof(Epoch j) const {
+    return j < star4_forwarded_.size() && star4_forwarded_.get(j);
+  }
 
   // ---- Helpers usable from Deviation implementations ----
   /// Build a correctly signed proposal for the current (slot, epoch) with
@@ -321,14 +345,13 @@ class LinearNode final : public Actor<Msg> {
   void process_inbox(Round r, std::span<const Delivery<Msg>> inbox,
                      RoundApi<Msg>& api);
   void handle_accuse(const Delivery<Msg>& env, RoundApi<Msg>& api);
-  /// (*3): the corrupt-proof on `target` from the accepted shares.
-  ThresholdSig combine_accusations(NodeId target) const;
+  /// Whether maybe_commit would do nothing with a commit-proof of slot k,
+  /// epoch j, valid or not, so the caller may drop it unchecked.
+  bool commit_proof_inert(Slot k, Epoch j) const;
   /// Hold, relay and commit a commit-proof; its only caller has checked
   /// it (proof_verifies).
   void maybe_commit(Slot k, Epoch j, Value v, const ThresholdSig& proof,
                     Round r, RoundApi<Msg>& api);
-  /// The commit-proof this node holds for the current slot.
-  Msg held_commit_proof() const;
   /// (*4): `convicted` now has a corrupt-proof; if it led the held
   /// proof's epoch, relay that proof once.
   void relay_held_proof(NodeId convicted, RoundApi<Msg>& api);

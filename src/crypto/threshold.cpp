@@ -33,9 +33,13 @@ ThresholdSig ThresholdScheme::combine(std::span<const SigShare> shares,
   }
   std::sort(signers.begin(), signers.end());
   signers.erase(std::unique(signers.begin(), signers.end()), signers.end());
-  AMBB_CHECK_MSG(signers.size() >= t_,
-                 "combine needs >= t distinct valid shares, got "
-                     << signers.size() << " < " << t_);
+  return aggregate(signers.size(), d);
+}
+
+ThresholdSig ThresholdScheme::aggregate(std::size_t distinct,
+                                        const Digest& d) const {
+  AMBB_CHECK_MSG(distinct >= t_, "combine needs >= t distinct valid shares, got "
+                                     << distinct << " < " << t_);
   return ThresholdSig{registry_->master_mac("th", d)};
 }
 

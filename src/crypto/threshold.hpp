@@ -7,6 +7,7 @@
 // that fewer than t shares reveal nothing about the combined signature.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -40,9 +41,15 @@ class ThresholdScheme {
 
   /// Combine shares into the full signature. Requires >= t distinct valid
   /// shares on d; throws CheckError otherwise (a caller bug — honest
-  /// protocol code only combines after counting a quorum).
+  /// protocol code only combines after counting a quorum). Verifies each
+  /// share, then forms the signature through aggregate().
   ThresholdSig combine(std::span<const SigShare> shares,
                        const Digest& d) const;
+
+  /// The full signature on d from `distinct` shares by distinct signers
+  /// that the caller has verified on d, now or earlier in the run; throws
+  /// CheckError below t. The one threshold rule: combine() ends here too.
+  ThresholdSig aggregate(std::size_t distinct, const Digest& d) const;
 
   bool verify(const ThresholdSig& sig, const Digest& d) const;
 

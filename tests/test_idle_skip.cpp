@@ -17,11 +17,17 @@
 // runs alike. After every round of the unwrapped run, the accusation
 // share table must hold only valid shares, one for each pair a node
 // accepted (tests/share_table.hpp): the forge row's forged shares must
-// never land there.
+// never land there. On the forge row, every honest node that committed
+// the slot must also hold a commit-proof that verifies, and under
+// lock-step one at least as fresh as every valid proof it was sent,
+// having relayed each one whose leader it had convicted ((*4)), so a
+// commit-proof dropped unchecked where it would change the node, or a
+// forged one accepted, fails the row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -93,9 +99,19 @@ ThresholdSig combined(const Context& ctx, const Digest& d) {
   return ctx.th->combine(shares, d);
 }
 
+/// A valid commit-proof that a forger multicast in `round`.
+struct SentProof {
+  Round round;
+  Slot slot;
+  Epoch epoch;
+  /// Per node: it held a corrupt-proof on the epoch's leader at the end
+  /// of `round`, so the proof's (*4) relay is due there next round.
+  std::vector<bool> convicted = {};
+};
+
 /// Byzantine node that sends none of its honest traffic, so its epochs as
 /// leader fail and honest nodes accuse it with valid shares. It also
-/// forges, in six rounds of every epoch:
+/// forges, in ten rounds of every epoch:
 ///   - in the first (Collect), it multicasts an accusation whose share
 ///     does not verify;
 ///   - in Propose, from slot 2 on, it multicasts a valid commit-proof of
@@ -106,6 +122,17 @@ ThresholdSig combined(const Context& ctx, const Digest& d) {
 ///     that valid proof (news to a node that forgets corrupt-proofs
 ///     between slots), and in Certificate a corrupt-proof that does not
 ///     verify, of the last epoch's leader, the first honest one;
+///   - from epoch 2 of every slot, four commit-proofs at the bounds of
+///     the drop before the check (DESIGN.md §14): in Propagate-2 a valid
+///     one of this epoch and the committed value, a fresher proof than
+///     recipients hold; in Commit one of the next epoch for 0xF0F0 that
+///     does not verify, fresher again than what they now hold; in
+///     Query-1 one of epoch 1 for 0xF0F0 that does not verify, whose
+///     (*4) relay is due wherever epoch 1's leader, the first forger, is
+///     convicted; and in Query-2 the valid one of epoch 1, older than
+///     what recipients hold, whose relay is still due there. The valid
+///     ones go out only once the forger has committed the slot, and are
+///     logged in `sent`;
 ///   - in Respond-1, it sends every node a kPropForward and a
 ///     kCertForward group record (DESIGN.md §22) that pass every
 ///     recipient-side check (slot, epoch, leader as signer) but whose
@@ -124,6 +151,8 @@ ThresholdSig combined(const Context& ctx, const Digest& d) {
 /// of these. Quiet rounds stay elidable, as the grid requires.
 class ForgeDev final : public Deviation {
  public:
+  explicit ForgeDev(std::vector<SentProof>* sent) : sent_(sent) {}
+
   bool drop_send(Round, std::uint32_t, Kind, NodeId) override {
     return true;
   }
@@ -146,6 +175,27 @@ class ForgeDev final : public Deviation {
       } else {
         m.slot = k;
         m.epoch = m.cert_epoch = i;
+        m.value = 0xF0F0;
+        m.proof.mac[0] = 0x5A;
+      }
+      api.multicast(m);
+      return;
+    }
+    if (offset == kValidLaterOffset || offset == kForgedLaterOffset ||
+        offset == kForgedRelayOffset || offset == kValidRelayOffset) {
+      const bool valid =
+          offset == kValidLaterOffset || offset == kValidRelayOffset;
+      if (i < 2 || (valid && !ctx.commits->has(self.id(), k))) return;
+      Msg m;
+      m.kind = Kind::kCommitProof;
+      m.slot = k;
+      if (valid) {
+        m.epoch = m.cert_epoch = offset == kValidLaterOffset ? i : 1;
+        m.value = ctx.commits->get(self.id(), k).value;
+        m.proof = combined(ctx, commit_digest(k, m.epoch, m.value));
+        sent_->push_back(SentProof{r, k, m.epoch});
+      } else {
+        m.epoch = m.cert_epoch = offset == kForgedLaterOffset ? i + 1 : 1;
         m.value = 0xF0F0;
         m.proof.mac[0] = 0x5A;
       }
@@ -218,27 +268,92 @@ class ForgeDev final : public Deviation {
   static constexpr std::uint32_t kForgedCommitOffset = 2;   ///< Propagate-1
   static constexpr std::uint32_t kValidCorruptOffset = 3;   ///< Vote
   static constexpr std::uint32_t kForgedCorruptOffset = 4;  ///< Certificate
+  static constexpr std::uint32_t kValidLaterOffset = 5;     ///< Propagate-2
+  static constexpr std::uint32_t kForgedLaterOffset = 6;    ///< Commit
+  static constexpr std::uint32_t kForgedRelayOffset = 7;    ///< Query-1
   static constexpr std::uint32_t kForwardOffset = 8;        ///< Respond-1
+  static constexpr std::uint32_t kValidRelayOffset = 9;     ///< Query-2
   static constexpr std::uint32_t kOffsets[] = {
-      kAccuseOffset,       kValidCommitOffset,   kForgedCommitOffset,
-      kValidCorruptOffset, kForgedCorruptOffset, kForwardOffset};
+      kAccuseOffset,       kValidCommitOffset, kForgedCommitOffset,
+      kValidCorruptOffset, kForgedCorruptOffset, kValidLaterOffset,
+      kForgedLaterOffset,  kForgedRelayOffset, kForwardOffset,
+      kValidRelayOffset};
 
+  std::vector<SentProof>* sent_;
   /// This node has seen its own corrupt-proof, in this slot or before.
   bool convicted_ = false;
 };
 
-/// The first f nodes run ForgeDev from round 0.
+/// The first f nodes run ForgeDev from round 0 and log their valid
+/// boundary proofs into `sent`.
 std::unique_ptr<Adversary<Msg>> make_forger(const Context* ctx,
-                                            std::uint64_t seed) {
+                                            std::uint64_t seed,
+                                            std::vector<SentProof>* sent) {
   adversary::FaultSchedule s;
   for (NodeId v = 0; v < ctx->f; ++v) {
     s.corruptions.push_back(adversary::CorruptEvent{0, v});
   }
   return std::make_unique<adversary::ScheduledAdversary<Msg>>(
-      std::move(s), ctx->n, seed, nullptr, [ctx](NodeId v) {
+      std::move(s), ctx->n, seed, nullptr, [ctx, sent](NodeId v) {
         return std::make_unique<LinearNode>(v, ctx,
-                                            std::make_unique<ForgeDev>());
+                                            std::make_unique<ForgeDev>(sent));
       });
+}
+
+/// After round r of a forge run: every honest node that has committed
+/// the current slot holds a commit-proof of it that verifies. Under
+/// lock-step, where round r delivers what round r - 1 sent, each honest
+/// node has also committed, holds a proof at least as fresh as every
+/// valid proof in `sent` from round r - 1 (maybe_commit keeps the
+/// freshest), and has relayed each one whose leader it had convicted by
+/// then; the convictions of this round's proofs are noted for the next.
+/// Returns how many (node, proof) pairs it checked, or nullopt after a
+/// failure, so a caller checking every round can stop.
+std::optional<std::uint64_t> expect_fresh_proofs(
+    const Context& ctx, const Sim& sim, Round r, bool lockstep,
+    std::vector<SentProof>& sent) {
+  const Slot k = ctx.sched.slot_of(r);
+  std::uint64_t checked = 0;
+  for (NodeId u = 0; u < ctx.n; ++u) {
+    const auto* node = dynamic_cast<const LinearNode*>(sim.actor(u));
+    if (node == nullptr || sim.is_corrupt(u)) continue;
+    const bool committed = ctx.commits->has(u, k);
+    const Msg held = node->held_commit_proof();
+    if (committed &&
+        !ctx.th->verify(held.proof,
+                        commit_digest(k, held.cert_epoch, held.value))) {
+      ADD_FAILURE() << "round " << r << ": node " << u
+                    << " holds a commit-proof of epoch " << held.cert_epoch
+                    << " that does not verify";
+      return std::nullopt;
+    }
+    if (!lockstep) continue;
+    for (SentProof& p : sent) {
+      if (p.slot != k) continue;
+      if (p.round == r) {
+        p.convicted.resize(ctx.n);
+        p.convicted[u] = node->has_corrupt_proof(ctx.leader(k, p.epoch));
+      }
+      if (p.round + 1 != r) continue;
+      ++checked;
+      if (!committed || held.cert_epoch < p.epoch) {
+        ADD_FAILURE() << "round " << r << ": node " << u
+                      << " was sent a valid commit-proof of epoch "
+                      << p.epoch << " but holds "
+                      << (committed ? "epoch " + std::to_string(
+                                                     held.cert_epoch)
+                                    : std::string("none"));
+        return std::nullopt;
+      }
+      if (p.convicted[u] && !node->relayed_commit_proof(p.epoch)) {
+        ADD_FAILURE() << "round " << r << ": node " << u
+                      << " convicted the leader of epoch " << p.epoch
+                      << " but did not relay its valid commit-proof";
+        return std::nullopt;
+      }
+    }
+  }
+  return checked;
 }
 
 /// run_linear's setup and round loop, with an optional AlwaysAwake
@@ -249,6 +364,7 @@ Outcome run(const Params& p, Audit* audit,
             std::vector<std::string>* violations = nullptr) {
   KeyRegistry registry(kN, p.seed);
   ThresholdScheme th(registry, kN - kF);
+  std::vector<SentProof> sent;
   Graph expander = build_expander(kN, kEps, p.seed ^ 0xE0A11DE5ULL);
   std::ostringstream jsonl;
   trace::JsonlSink sink(jsonl);
@@ -281,8 +397,8 @@ Outcome run(const Params& p, Audit* audit,
         return std::make_unique<LinearNode>(v, &ctx,
                                             std::make_unique<Deviation>());
       },
-      [&ctx](const std::string& spec, std::uint64_t seed) {
-        return spec == kForge ? make_forger(&ctx, seed)
+      [&ctx, &sent](const std::string& spec, std::uint64_t seed) {
+        return spec == kForge ? make_forger(&ctx, seed, &sent)
                               : make_adversary(spec, &ctx, seed);
       });
   if (audit != nullptr && adversary != nullptr) {
@@ -298,6 +414,8 @@ Outcome run(const Params& p, Audit* audit,
   // The unwrapped run's nodes are visible, so it checks the share table
   // after every round (tests/share_table.hpp).
   bool check_shares = audit == nullptr;
+  bool check_proofs = audit == nullptr && p.adversary == kForge;
+  std::uint64_t fresh_checks = 0;
   for (std::uint64_t i = 0; i < total_rounds; ++i) {
     if (i % ctx.sched.rounds_per_slot() == 0) {
       trace::Event ev;
@@ -319,6 +437,16 @@ Outcome run(const Params& p, Audit* audit,
     }
     sim.step();
     if (check_shares) check_shares = share_table::expect_sound(ctx, sim);
+    if (check_proofs) {
+      const std::optional<std::uint64_t> checked =
+          expect_fresh_proofs(ctx, sim, i, p.net == "lockstep", sent);
+      check_proofs = checked.has_value();
+      fresh_checks += checked.value_or(0);
+    }
+  }
+  // The forgers' valid proofs reach honest nodes, so the oracle has work.
+  if (check_proofs && p.net == "lockstep") {
+    EXPECT_GT(fresh_checks, 0u);
   }
 
   Outcome o;

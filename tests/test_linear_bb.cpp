@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <type_traits>
+#include <vector>
 
 #include "common/check.hpp"
+#include "crypto/signer.hpp"
+#include "crypto/threshold.hpp"
+#include "graph/expander.hpp"
 
 namespace ambb::linear {
 namespace {
@@ -319,6 +324,110 @@ TEST(Linear, EveryPricedFieldSurvivesATrafficRecord) {
       EXPECT_EQ(got.sig, kSigVal);
     }
   }
+}
+
+// The run-wide accusation share table (Context, DESIGN.md §14): entries
+// are write-once, and combine_accusations verifies each entry the first
+// time any node combines with it, then only counts it.
+class ShareTable : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kN = 8;
+  static constexpr std::uint32_t kF = 2;  // threshold n - f = 6
+  static constexpr NodeId kTarget = 7;
+
+  static RunConfig config() {
+    RunConfig c;
+    c.n = kN;
+    c.f = kF;
+    c.slots = 1;
+    c.seed = 3;
+    return c;
+  }
+
+  SigShare valid(NodeId accuser) const {
+    return th.share(accuser, accuse_digest(kTarget));
+  }
+
+  /// A node's accepted pairs: (a, kTarget) for a < kN - kF.
+  static BitMatrix quorum() {
+    BitMatrix accepted(kN, kN);
+    for (NodeId a = 0; a < kN - kF; ++a) accepted.set(a, kTarget);
+    return accepted;
+  }
+
+  /// MAC memo lookups (hits + misses) made by fn().
+  template <typename Fn>
+  static std::uint64_t mac_lookups(Fn&& fn) {
+    const VerifyCache::Stats before = KeyRegistry::mac_cache_stats();
+    fn();
+    const VerifyCache::Stats after = KeyRegistry::mac_cache_stats();
+    return (after.hits - before.hits) + (after.misses - before.misses);
+  }
+
+  RunConfig core = config();
+  RunState st{core, kind_names()};
+  KeyRegistry registry{kN, core.seed};
+  ThresholdScheme th{registry, kN - kF};
+  Graph expander = build_expander(kN, 0.1, core.seed);
+  Context ctx =
+      make_context(core, st, Options::paper(), registry, th, expander);
+};
+
+TEST_F(ShareTable, EntriesAreWriteOnce) {
+  ctx.hold_accuse_share(1, kTarget, valid(1));
+  EXPECT_NO_THROW(ctx.hold_accuse_share(1, kTarget, valid(1)));
+  SigShare flipped = valid(1);
+  flipped.mac[0] ^= 0x5A;
+  EXPECT_THROW(ctx.hold_accuse_share(1, kTarget, flipped), CheckError);
+  EXPECT_THROW(ctx.hold_accuse_share(1, kTarget, valid(2)), CheckError);
+  EXPECT_EQ(ctx.accuse_share(1, kTarget), valid(1));
+}
+
+TEST_F(ShareTable, InvalidEntryThrowsAtFirstCombine) {
+  // A share that reached the table around the record's verdict.
+  constexpr NodeId kPlanted = 3;
+  for (NodeId a = 0; a < kN - kF; ++a) {
+    SigShare s = valid(a);
+    if (a == kPlanted) s.mac[0] ^= 0x5A;
+    ctx.hold_accuse_share(a, kTarget, s);
+  }
+  try {
+    ctx.combine_accusations(quorum(), kTarget);
+    ADD_FAILURE() << "a corrupt-proof formed over an invalid entry";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("invalid share passed to combine"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ShareTable, SecondCombineReverifiesNoEntry) {
+  for (NodeId a = 0; a < kN - kF; ++a) {
+    ctx.hold_accuse_share(a, kTarget, valid(a));
+  }
+  // Two nodes that accepted the same pairs, each with its own pair set.
+  const BitMatrix first = quorum();
+  const BitMatrix second = quorum();
+  ThresholdSig a, b;
+  // n - f share checks, then the dealer MAC.
+  EXPECT_EQ(mac_lookups([&] { a = ctx.combine_accusations(first, kTarget); }),
+            kN - kF + 1);
+  // The dealer MAC alone: no entry is checked again.
+  EXPECT_EQ(mac_lookups([&] { b = ctx.combine_accusations(second, kTarget); }),
+            1u);
+  std::vector<SigShare> shares;
+  for (NodeId v = 0; v < kN - kF; ++v) shares.push_back(valid(v));
+  EXPECT_EQ(a, th.combine(shares, accuse_digest(kTarget)));
+  EXPECT_EQ(b, a);
+}
+
+TEST_F(ShareTable, CombineNeedsAQuorumOfPairs) {
+  BitMatrix accepted(kN, kN);
+  for (NodeId a = 0; a < kN - kF - 1; ++a) {
+    ctx.hold_accuse_share(a, kTarget, valid(a));
+    accepted.set(a, kTarget);
+  }
+  EXPECT_THROW(ctx.combine_accusations(accepted, kTarget), CheckError);
 }
 
 TEST(Linear, KindNamesCoverAllKinds) {

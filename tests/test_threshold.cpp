@@ -55,6 +55,13 @@ TEST_F(ThresholdTest, InvalidShareInCombineThrows) {
   EXPECT_THROW(th.combine(shares, d("m")), CheckError);
 }
 
+TEST_F(ThresholdTest, AggregateEnforcesTheThreshold) {
+  std::vector<SigShare> shares;
+  for (NodeId i = 0; i < 4; ++i) shares.push_back(th.share(i, d("m")));
+  EXPECT_EQ(th.aggregate(4, d("m")), th.combine(shares, d("m")));
+  EXPECT_THROW(th.aggregate(3, d("m")), CheckError);
+}
+
 TEST_F(ThresholdTest, CombinedSigIndependentOfShareSet) {
   std::vector<SigShare> a, b;
   for (NodeId i = 0; i < 4; ++i) a.push_back(th.share(i, d("m")));
